@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
+import numpy as np
+
 from repro.chaos.engine import (run_chaos, validation_config,
                                 validation_spec)
 from repro.core.scenario import ResiliencePolicySpec
@@ -126,12 +128,12 @@ class SparePool:
             chosen = candidates[0]
         else:
             npg = self.nodes_per_group
-            counts: dict[int, int] = {}
-            for n in job_nodes:
-                counts[n // npg] = counts.get(n // npg, 0) + 1
+            counts = np.bincount(
+                np.fromiter(job_nodes, dtype=np.int64) // npg,
+                minlength=candidates[-1] // npg + 1).tolist()
             sign = -1 if policy == "pack" else 1
             chosen = min(candidates,
-                         key=lambda c: (sign * counts.get(c // npg, 0), c))
+                         key=lambda c: (sign * counts[c // npg], c))
         self._nodes.discard(chosen)
         return chosen
 

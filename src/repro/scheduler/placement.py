@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro import obs
 from repro.errors import PlacementError
@@ -44,8 +47,15 @@ def place_job(n_nodes: int, free_nodes: set[int],
               nodes_per_group: int = NODES_PER_GROUP) -> list[int]:
     """Choose ``n_nodes`` from ``free_nodes`` according to the policy.
 
-    Returns a sorted node list; raises :class:`PlacementError` when the
-    request cannot be satisfied.
+    PACK takes the smallest group that fits the whole job, else fills the
+    fullest groups first; SPREAD deals nodes round-robin over the groups,
+    lowest group first.  Within a group the lowest-numbered nodes go
+    first, and ties between equally-full groups go to the lowest group
+    id, so the result depends only on the set's contents, never on its
+    iteration order.
+
+    Returns a sorted list of the caller's own node objects; raises
+    :class:`PlacementError` when the request cannot be satisfied.
     """
     if n_nodes < 1:
         raise PlacementError("job must request at least one node")
@@ -58,46 +68,53 @@ def place_job(n_nodes: int, free_nodes: set[int],
     obs.counter("scheduler.placement_decisions").inc()
     obs.counter(f"scheduler.placements.{policy.value}").inc()
 
-    by_group: dict[int, list[int]] = {}
-    for node in free_nodes:
-        by_group.setdefault(_group_of(node, nodes_per_group), []).append(node)
-    for nodes in by_group.values():
-        nodes.sort()
+    # One sort groups the free set: group g is the ascending run
+    # nodes[starts[g]:starts[g] + sizes[g]], groups in ascending id order.
+    # Slices of ``nodes`` hand back the caller's own int objects (long-lived
+    # job node lists stay cheap).
+    nodes = sorted(free_nodes)
+    if n_nodes == len(nodes):
+        return nodes
+    group = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+    group //= nodes_per_group
+    cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    sizes = [end - start for start, end in zip(starts, [*cuts, len(nodes)])]
 
     if policy is PlacementPolicy.PACK:
-        # Fill the emptiest-sufficient groups first: prefer a single group
-        # that can hold the whole job, else fill fullest-free-first to
-        # minimise the number of groups spanned.
-        chosen: list[int] = []
-        groups = sorted(by_group.values(), key=len, reverse=True)
-        single = [g for g in groups if len(g) >= n_nodes]
-        if single:
-            # tightest fit: smallest group that still fits
-            best = min(single, key=len)
-            return sorted(best[:n_nodes])
-        for nodes in groups:
-            take = min(len(nodes), n_nodes - len(chosen))
-            chosen.extend(nodes[:take])
-            if len(chosen) == n_nodes:
-                return sorted(chosen)
-        raise PlacementError("internal: insufficient nodes after grouping")
-
-    # SPREAD: round-robin one node at a time from every group with capacity.
-    chosen = []
-    cursors = {g: 0 for g in by_group}
-    while len(chosen) < n_nodes:
-        progressed = False
-        for g in sorted(by_group):
-            if len(chosen) == n_nodes:
+        # Prefer a single group that can hold the whole job (tightest
+        # fit: the smallest such group), else fill fullest-free-first to
+        # minimise the number of groups spanned.  Ties: lowest group id.
+        fits = [(size, g) for g, size in enumerate(sizes) if size >= n_nodes]
+        if fits:
+            start = starts[min(fits)[1]]
+            return nodes[start:start + n_nodes]
+        take = [0] * len(sizes)
+        need = n_nodes
+        for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
+            take[g] = min(sizes[g], need)
+            need -= take[g]
+            if not need:
                 break
-            nodes = by_group[g]
-            if cursors[g] < len(nodes):
-                chosen.append(nodes[cursors[g]])
-                cursors[g] += 1
-                progressed = True
-        if not progressed:
-            raise PlacementError("internal: spread placement stalled")
-    return sorted(chosen)
+    else:
+        # SPREAD: round-robin one node at a time over the groups with
+        # capacity, lowest group first -- in closed form.  Raise a common
+        # per-group level through the sorted group sizes until the job is
+        # covered: r full rounds, then one extra node from each of the
+        # lowest-numbered groups that still have one.
+        level, rest, alive = 0, n_nodes, len(sizes)
+        for size in sorted(sizes):
+            if rest < (size - level) * alive:
+                break       # always breaks: n_nodes < len(nodes)
+            rest -= (size - level) * alive
+            level, alive = size, alive - 1
+        rounds, extra = divmod(rest, alive)
+        rounds += level
+        take = [min(size, rounds) for size in sizes]
+        for g in [g for g, size in enumerate(sizes) if size > rounds][:extra]:
+            take[g] += 1
+    return list(chain.from_iterable(
+        nodes[start:start + k] for start, k in zip(starts, take) if k))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,20 @@ The scheduler runs in simulated time: ``submit`` queues jobs, ``step`` /
 ``run_until_idle`` advance the clock to job completions, applying FIFO
 order with conservative backfill (a later job may start early only if it
 fits the currently free nodes).
+
+Node accounting is incremental.  Next to the per-node state map the
+scheduler keeps two indexes, updated with every state change:
+
+* ``_idle`` holds exactly the IDLE nodes, so placement reads the free
+  set without scanning the machine (``free_nodes`` hands out a copy);
+* ``_owner`` maps a node to the RUNNING job holding it.  It is
+  authoritative only for ALLOCATED nodes: an entry is written whenever
+  a node is allocated (job start, ``replace_node``) and is never read
+  for a node in any other state, so stale entries left behind by a
+  finished job are harmless and never cleared.
+
+Job start and finish apply their node updates in bulk.  Placement ties
+are broken by the lowest group id (:func:`repro.scheduler.placement.place_job`).
 """
 
 from __future__ import annotations
@@ -93,6 +107,9 @@ class SlurmScheduler:
         for node in range(n_nodes):
             healthy = self.checknode(node)
             self._node_state[node] = NodeState.IDLE if healthy else NodeState.DRAIN
+        self._idle = {n for n, s in self._node_state.items()
+                      if s is NodeState.IDLE}
+        self._owner: dict[int, int] = {}   # read only for ALLOCATED nodes
         self._jobs: dict[int, Job] = {}
         self._queue: list[int] = []
         self._running: list[tuple[float, int]] = []   # (end_time, job_id) heap
@@ -107,9 +124,18 @@ class SlurmScheduler:
         except KeyError:
             raise SchedulerError(f"unknown node {node}") from None
 
+    def _set_state(self, node: int, state: NodeState) -> None:
+        """Move one node to ``state`` (never ALLOCATED: see ``_try_start``
+        and ``replace_node``), keeping the IDLE index in step."""
+        self._node_state[node] = state
+        if state is NodeState.IDLE:
+            self._idle.add(node)
+        else:
+            self._idle.discard(node)
+
     @property
     def free_nodes(self) -> set[int]:
-        return {n for n, s in self._node_state.items() if s is NodeState.IDLE}
+        return set(self._idle)
 
     @property
     def drained_nodes(self) -> set[int]:
@@ -127,7 +153,7 @@ class SlurmScheduler:
     def drain(self, node: int) -> None:
         if self.node_state(node) is NodeState.ALLOCATED:
             raise SchedulerError(f"cannot drain allocated node {node}")
-        self._node_state[node] = NodeState.DRAIN
+        self._set_state(node, NodeState.DRAIN)
 
     def resume(self, node: int) -> None:
         """Return a drained node to service — via checknode, like real life.
@@ -144,7 +170,7 @@ class SlurmScheduler:
         if state is not NodeState.DRAIN:
             raise SchedulerError(f"cannot resume {state.value} node {node}")
         if self.checknode(node):
-            self._node_state[node] = NodeState.IDLE
+            self._set_state(node, NodeState.IDLE)
             self._try_start()
 
     def fail_node(self, node: int) -> int | None:
@@ -163,14 +189,11 @@ class SlurmScheduler:
             return None
         # Drain *before* cancelling: _finish re-gates the job's nodes and
         # backfills, and must never hand the dead node to a pending job.
-        self._node_state[node] = NodeState.DRAIN
+        self._set_state(node, NodeState.DRAIN)
         interrupted: int | None = None
         if state is NodeState.ALLOCATED:
-            for job in self._jobs.values():
-                if job.state is JobState.RUNNING and node in job.nodes:
-                    interrupted = job.job_id
-                    self._finish(job, JobState.CANCELLED)
-                    break
+            interrupted = self._owner[node]
+            self._finish(self._jobs[interrupted], JobState.CANCELLED)
         obs.counter("scheduler.nodes_failed").inc()
         return interrupted
 
@@ -181,17 +204,17 @@ class SlurmScheduler:
         if self.node_state(node) is not NodeState.IDLE:
             raise SchedulerError(
                 f"cannot reserve {self.node_state(node).value} node {node}")
-        self._node_state[node] = NodeState.RESERVED
+        self._set_state(node, NodeState.RESERVED)
 
     def release_spare(self, node: int) -> None:
         """Return a spare to general service (checknode-gated)."""
         if self.node_state(node) is not NodeState.RESERVED:
             raise SchedulerError(f"node {node} is not a spare")
         if self.checknode(node):
-            self._node_state[node] = NodeState.IDLE
+            self._set_state(node, NodeState.IDLE)
             self._try_start()
         else:
-            self._node_state[node] = NodeState.DRAIN
+            self._set_state(node, NodeState.DRAIN)
 
     def resume_to_spare(self, node: int) -> bool:
         """Repair a drained node straight into the spare pool.
@@ -205,17 +228,14 @@ class SlurmScheduler:
             raise SchedulerError(f"node {node} is not drained")
         if not self.checknode(node):
             return False
-        self._node_state[node] = NodeState.RESERVED
+        self._set_state(node, NodeState.RESERVED)
         return True
 
     def running_job_on(self, node: int) -> int | None:
         """The RUNNING job currently holding ``node``, or ``None``."""
         if self.node_state(node) is not NodeState.ALLOCATED:
             return None
-        for job in self._jobs.values():
-            if job.state is JobState.RUNNING and node in job.nodes:
-                return job.job_id
-        return None
+        return self._owner[node]
 
     def replace_node(self, dead: int, spare: int) -> int:
         """Backfill a dying allocated node from the spare pool.
@@ -230,9 +250,10 @@ class SlurmScheduler:
         if job_id is None:
             raise SchedulerError(f"node {dead} has no running job")
         job = self._jobs[job_id]
-        self._node_state[dead] = NodeState.DRAIN
+        self._set_state(dead, NodeState.DRAIN)
         job.nodes[job.nodes.index(dead)] = spare
         self._node_state[spare] = NodeState.ALLOCATED
+        self._owner[spare] = job_id
         obs.counter("scheduler.nodes_failed").inc()
         obs.counter("scheduler.nodes_replaced").inc()
         return job_id
@@ -297,33 +318,31 @@ class SlurmScheduler:
     # -- internals ---------------------------------------------------------------
 
     def _try_start(self) -> None:
+        # One pass suffices: the free set only shrinks during it, so a job
+        # skipped for want of nodes cannot fit later in the same call.
         with obs.span("scheduler.try_start", queue_depth=len(self._queue)):
-            started = True
-            while started:
-                started = False
-                free = self.free_nodes
-                for job_id in list(self._queue):
-                    job = self._jobs[job_id]
-                    req = job.request
-                    if req.n_nodes > len(free):
-                        # FIFO head-of-line blocks unless a later job fits
-                        continue
-                    try:
-                        nodes = place_job(req.n_nodes, free, req.policy,
-                                          self.nodes_per_group)
-                    except PlacementError:
-                        continue
-                    self._queue.remove(job_id)
-                    job.nodes = nodes
-                    job.state = JobState.RUNNING
-                    job.start_time = self.now
-                    job.end_time = self.now + req.duration_s
-                    for n in nodes:
-                        self._node_state[n] = NodeState.ALLOCATED
-                    free -= set(nodes)
-                    heapq.heappush(self._running, (job.end_time, job_id))
-                    obs.counter("scheduler.jobs_started").inc()
-                    started = True
+            free = self._idle
+            for job_id in list(self._queue):
+                job = self._jobs[job_id]
+                req = job.request
+                if req.n_nodes > len(free):
+                    # FIFO head-of-line blocks unless a later job fits
+                    continue
+                try:
+                    nodes = place_job(req.n_nodes, free, req.policy,
+                                      self.nodes_per_group)
+                except PlacementError:
+                    continue
+                self._queue.remove(job_id)
+                job.nodes = nodes
+                job.state = JobState.RUNNING
+                job.start_time = self.now
+                job.end_time = self.now + req.duration_s
+                free.difference_update(nodes)
+                self._node_state.update(dict.fromkeys(nodes, NodeState.ALLOCATED))
+                self._owner.update(dict.fromkeys(nodes, job_id))
+                heapq.heappush(self._running, (job.end_time, job_id))
+                obs.counter("scheduler.jobs_started").inc()
         obs.gauge("scheduler.queue_depth").set(len(self._queue))
         obs.histogram("scheduler.queue_depth_samples",
                       edges=(0, 1, 2, 4, 8, 16, 32, 64, 128)).observe(
@@ -339,11 +358,10 @@ class SlurmScheduler:
         job.step_vnis.clear()
         # checknode gates every node's return to service (between every
         # job); nodes drained mid-job (fail_node) stay drained.
-        for n in job.nodes:
-            if self._node_state[n] is NodeState.DRAIN:
-                continue
-            if self.checknode(n):
-                self._node_state[n] = NodeState.IDLE
-            else:
-                self._node_state[n] = NodeState.DRAIN
+        state, checknode = self._node_state, self.checknode
+        healthy = [n for n in job.nodes
+                   if state[n] is not NodeState.DRAIN and checknode(n)]
+        state.update(dict.fromkeys(job.nodes, NodeState.DRAIN))
+        state.update(dict.fromkeys(healthy, NodeState.IDLE))
+        self._idle.update(healthy)
         self._try_start()

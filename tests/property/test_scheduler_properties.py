@@ -2,9 +2,12 @@
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.errors import SchedulerError
 from repro.scheduler.placement import PlacementPolicy, place_job
-from repro.scheduler.slurm import JobRequest, JobState, SlurmScheduler
+from repro.scheduler.slurm import (JobRequest, JobState, NodeState,
+                                   SlurmScheduler)
 from repro.scheduler.vni import VniAllocator
 
 
@@ -60,6 +63,130 @@ class TestSchedulerProperties:
                 break
             assert t >= last
             last = t
+
+
+MACHINE_NODES = 32
+node_ids = st.integers(0, MACHINE_NODES - 1)
+
+
+class SchedulerIndexMachine(RuleBasedStateMachine):
+    """Random scheduler call sequences on a 4-group machine.
+
+    The incremental indexes (the IDLE set behind ``free_nodes`` and the
+    node -> job owner map behind ``running_job_on``) must agree with a
+    full scan of node states and RUNNING jobs after every call, including
+    calls the current state forbids (they raise ``SchedulerError``).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.sick: set[int] = set()
+        self.sched = SlurmScheduler(n_nodes=MACHINE_NODES, nodes_per_group=8,
+                                    checknode=lambda n: n not in self.sick)
+        self.job_ids: list[int] = []
+
+    def attempt(self, call, *args):
+        try:
+            call(*args)
+        except SchedulerError:
+            pass
+
+    @rule(n=st.integers(1, 20), duration=st.integers(1, 50),
+          policy=st.sampled_from(list(PlacementPolicy)))
+    def submit(self, n, duration, policy):
+        self.job_ids.append(self.sched.submit(
+            JobRequest(n, float(duration), policy=policy)))
+
+    @rule()
+    def step(self):
+        self.sched.step()
+
+    @rule(pick=st.integers(0, 10**6))
+    def cancel(self, pick):
+        if self.job_ids:
+            self.attempt(self.sched.cancel,
+                         self.job_ids[pick % len(self.job_ids)])
+
+    @rule(node=node_ids, sick=st.booleans())
+    def set_health(self, node, sick):
+        (self.sick.add if sick else self.sick.discard)(node)
+
+    @rule(node=node_ids)
+    def drain(self, node):
+        self.attempt(self.sched.drain, node)
+
+    @rule(node=node_ids)
+    def fail_node(self, node):
+        self.sched.fail_node(node)
+
+    @rule(node=node_ids)
+    def resume(self, node):
+        self.attempt(self.sched.resume, node)
+
+    @rule(node=node_ids)
+    def reserve_spare(self, node):
+        self.attempt(self.sched.reserve_spare, node)
+
+    @rule(node=node_ids)
+    def release_spare(self, node):
+        self.attempt(self.sched.release_spare, node)
+
+    @rule(node=node_ids)
+    def resume_to_spare(self, node):
+        self.attempt(self.sched.resume_to_spare, node)
+
+    @rule(dead=node_ids, spare=node_ids)
+    def replace_node(self, dead, spare):
+        self.attempt(self.sched.replace_node, dead, spare)
+
+    @rule(pick=st.integers(0, 10**6))
+    def reserve_idle_node(self, pick):
+        free = sorted(self.sched.free_nodes)
+        if free:
+            self.sched.reserve_spare(free[pick % len(free)])
+
+    @rule(pick=st.integers(0, 10**6))
+    def replace_allocated_node(self, pick):
+        # random node pairs rarely hit a legal (allocated, spare) pair
+        s = self.sched
+        allocated = [n for n in range(MACHINE_NODES)
+                     if s.node_state(n) is NodeState.ALLOCATED]
+        spares = sorted(s.spare_nodes)
+        if allocated and spares:
+            s.replace_node(allocated[pick % len(allocated)],
+                           spares[pick % len(spares)])
+
+    @invariant()
+    def free_nodes_match_idle_states(self):
+        s = self.sched
+        assert s.free_nodes == {n for n in range(MACHINE_NODES)
+                                if s.node_state(n) is NodeState.IDLE}
+
+    @invariant()
+    def running_job_on_matches_scan(self):
+        owner: dict[int, int] = {}
+        for jid in self.job_ids:
+            job = self.sched.job(jid)
+            if job.state is JobState.RUNNING:
+                for n in job.nodes:
+                    assert n not in owner
+                    owner[n] = jid
+        for n in range(MACHINE_NODES):
+            assert self.sched.running_job_on(n) == owner.get(n)
+
+    @invariant()
+    def free_nodes_is_a_copy(self):
+        before = self.sched.free_nodes
+        handed_out = self.sched.free_nodes
+        handed_out.clear()
+        handed_out.add(-1)
+        assert self.sched.free_nodes == before
+
+
+TestSchedulerIndexes = SchedulerIndexMachine.TestCase
+TestSchedulerIndexes.settings = settings(max_examples=60,
+                                         stateful_step_count=60,
+                                         deadline=None)
 
 
 class TestVniProperties:

@@ -47,6 +47,19 @@ class TestExplicitPolicies:
         nodes = place_job(30, free, PlacementPolicy.PACK)
         assert allocation_stats(nodes).groups_spanned == 2
 
+    def test_pack_tie_goes_to_lowest_group(self):
+        # Equal free sets place the same, whatever the set's hash-table
+        # layout: the literal iterates 130, 131, 60, 61; the range thinned
+        # node by node keeps its large table and iterates in ascending order.
+        literal = {60, 61, 130, 131}
+        thinned = set(range(4096))
+        for node in range(4096):
+            if node not in literal:
+                thinned.discard(node)
+        assert thinned == literal and list(thinned) != list(literal)
+        for free in (literal, thinned):
+            assert place_job(2, free, PlacementPolicy.PACK, 64) == [60, 61]
+
     def test_spread_round_robins(self):
         nodes = place_job(8, free_machine(4 * NODES_PER_GROUP),
                           PlacementPolicy.SPREAD)

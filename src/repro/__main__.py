@@ -53,10 +53,8 @@ Scenario verbs (see :mod:`repro.core.scenario`):
 ``congest``    time-stepped congestion study: an incast (N senders ->
                one victim plus elephants) run once without backpressure
                and once per ECN marking threshold (``--k`` sweep), all
-               arms integrated as one batched ensemble
-               (``--sequential`` keeps the per-arm oracle loop, with a
-               byte-identical artifact); prints the victim-tail table
-               and writes a resumable artifact under
+               arms integrated as one batched ensemble; prints the
+               victim-tail table and writes a resumable artifact under
                ``benchmarks/out/congest``; ``--backoffs B1,B2`` runs
                the k x backoff ablation grid instead (one ensemble, not
                cached); ``--validate`` scores the fluid engine against
@@ -655,8 +653,7 @@ def _cmd_congest(args: "argparse.Namespace") -> int:
         print(table.render())
         return 0
     doc, path, resumed = run_congest_cached(spec, config, out_dir=args.out,
-                                            fresh=args.fresh,
-                                            sequential=args.sequential)
+                                            fresh=args.fresh)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -996,10 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "microseconds (default 300)")
     congest.add_argument("--seed", type=int, default=0,
                          help="RNG seed (elephant start times; default 0)")
-    congest.add_argument("--sequential", action="store_true",
-                         help="integrate one engine run per arm instead "
-                              "of one batched ensemble (the oracle the "
-                              "ensemble is bit-identical to)")
     congest.add_argument("--backoffs", metavar="B1,B2",
                          help="run the k x backoff ablation grid with "
                               "these multiplicative-decrease factors "

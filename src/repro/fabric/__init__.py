@@ -29,8 +29,8 @@ from repro.fabric.network import (FabricNetwork, SlingshotNetwork,
                                   FatTreeNetwork, clear_fabric_caches)
 from repro.fabric.messages import NicMessageModel, SLINGSHOT_NIC, EDR_NIC
 from repro.fabric.queueing import PortSimulation
-from repro.fabric.timeflow import (EnsembleEngine, FlowSpec, TimeflowConfig,
-                                   TimeflowEngine, fct_stats, incast_pattern,
+from repro.fabric.timeflow import (FlowSpec, TimeflowConfig, TimeflowEngine,
+                                   fct_stats, incast_pattern,
                                    validate_victim_impact)
 
 __all__ = [
@@ -46,6 +46,6 @@ __all__ = [
     "clear_fabric_caches",
     "NicMessageModel", "SLINGSHOT_NIC", "EDR_NIC",
     "PortSimulation",
-    "EnsembleEngine", "FlowSpec", "TimeflowConfig", "TimeflowEngine",
+    "FlowSpec", "TimeflowConfig", "TimeflowEngine",
     "fct_stats", "incast_pattern", "validate_victim_impact",
 ]

@@ -134,7 +134,7 @@ def _check_endpoints(flat, eps: np.ndarray) -> None:
 
 
 def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
-                       order: np.ndarray, sequential: bool
+                       order: np.ndarray, register: bool
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sequential-equivalent least-loaded picks for one chunk of requests.
 
@@ -143,7 +143,7 @@ def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
     and ``order`` the global flow order (requests of one pid are served
     in ascending ``order``).  Returns, aligned with the request arrays:
     the picked candidate column, the pick-time implied load, and the
-    picked link index.  ``sequential=False`` (unregistered queries) gives
+    picked link index.  ``register=False`` (unregistered queries) gives
     every request the plain snapshot argmin, matching a scalar router
     that never charges the load tracker.
     """
@@ -153,7 +153,7 @@ def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
     starts[0], starts[1:] = True, spid[1:] != spid[:-1]
     grp = np.cumsum(starts) - 1
     rank = np.arange(len(spid)) - np.flatnonzero(starts)[grp]
-    if not sequential:
+    if not register:
         rank = np.zeros_like(rank)
     upid = spid[starts]
 
@@ -418,7 +418,7 @@ def _plan_inter_chunk(router, state: DragonflyBatchState, M: np.ndarray,
                           mids * G + gd[vi]))
     order = np.concatenate((ii[mi], ii[vi], ii[vi]))
     cand, implied, _link = _grouped_waterfill(
-        state.gw_link, counts, pid, order, sequential=register)
+        state.gw_link, counts, pid, order, register)
     gl = state.gw_link[pid, cand]
     gw_a = state.gw_src[pid, cand]
     gw_b = state.gw_dst[pid, cand]
@@ -578,7 +578,7 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
                 raise RoutingError(
                     f"edge switch {e} has no surviving uplinks")
             cand, _implied, up = _grouped_waterfill(
-                state.up_link, counts, edges, ci, sequential=register)
+                state.up_link, counts, edges, ci, register)
             core = state.up_core[edges, cand]
             downlink = flat.sw_link[core, sw_d[ci]].astype(np.int64)
             if (downlink < 0).any():

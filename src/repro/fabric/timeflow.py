@@ -36,6 +36,13 @@ Cross-validation (``tests/fabric/test_timeflow.py`` and the
   explode), the ECN loop the ``per_flow_fair`` shape (victim tails
   bounded near the marking threshold).
 
+One step loop serves every caller: :meth:`TimeflowEngine.run_ensemble`
+integrates S scenarios over one path plan as the columns of
+``(flows, S)`` / ``(links, S)`` arrays, and :meth:`TimeflowEngine.run`
+is its one-column case.  The plain per-flow loop it was derived from is
+kept in ``tests/fabric/timeflow_oracle.py`` as the reference every
+column must match bit for bit.
+
 Results persist as resumable content-hash artifacts under
 ``benchmarks/out/congest/`` (same contract as :mod:`repro.chaos`), via
 ``python -m repro congest``.
@@ -60,11 +67,11 @@ from repro.rng import RngLike, as_generator
 
 __all__ = [
     "FlowSpec", "TimeflowConfig", "ClassReport", "TimeflowResult",
-    "TimeflowEngine", "EnsembleEngine", "ENSEMBLE_SHARED_AXES",
+    "TimeflowEngine", "ENSEMBLE_SHARED_AXES",
     "fct_stats", "incast_pattern",
     "ImpactValidation", "validate_victim_impact",
-    "CongestConfig", "run_congest", "run_congest_cached",
-    "run_congest_grid",
+    "CongestConfig", "congest_spec", "congest_scenario",
+    "run_congest", "run_congest_cached", "run_congest_grid",
     "congest_run_id", "congest_artifact_path", "load_congest_artifact",
     "DEFAULT_CONGEST_DIR", "CONGEST_SCHEMA_VERSION",
 ]
@@ -186,6 +193,14 @@ class TimeflowConfig:
             raise ConfigurationError("growth_frac must be in (0, 1]")
         if self.ecn_k < 0:
             raise ConfigurationError("ecn_k must be non-negative")
+        # A floor above the cap would pin every rate at the cap, silently
+        # turning an ECN arm into FIFO.
+        if not 0.0 <= self.min_rate_frac <= 1.0:
+            raise ConfigurationError("min_rate_frac must be in [0, 1]")
+        if not self.warmup_s >= 0:
+            raise ConfigurationError("warmup_s must be non-negative")
+        if self.base_latency_s is not None and not self.base_latency_s >= 0:
+            raise ConfigurationError("base_latency_s must be non-negative")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -294,10 +309,11 @@ class TimeflowEngine:
 
     Paths are planned once through the router's batch planner
     (``router.paths`` -> CSR :class:`BatchPaths`; scalar routers fall
-    back to ``path()``), then the run is pure array work: two sparse
-    matvecs per step (link arrivals, per-flow mark lookup) over the
+    back to ``path()``), then a run is pure array work: two sparse
+    matmuls per step (link arrivals, per-flow mark lookup) over the
     link x flow incidence built straight from the CSR arrays — the same
-    zero-copy interchange the max-min solver uses.
+    zero-copy interchange the max-min solver uses — with one column per
+    scenario (:meth:`run` integrates one, :meth:`run_ensemble` many).
     """
 
     def __init__(self, network, flows: Sequence[FlowSpec],
@@ -329,8 +345,6 @@ class TimeflowEngine:
         #: link x flow incidence; ``A @ rates`` = per-link arrivals.
         self.A = sparse.csr_matrix(
             (data, (self.paths.indices, cols)), shape=(n_links, n_flows))
-        #: flow x link incidence; ``AT @ marked`` = per-flow mark counts.
-        self.AT = self.A.T.tocsr()
 
         hops = self.paths.lengths()
         min_cap = np.minimum.reduceat(self.caps[self.paths.indices],
@@ -346,14 +360,13 @@ class TimeflowEngine:
             self.base_latency = hops * self.config.mtu_bytes / min_cap
 
     def _flow_arrays(self) -> dict[str, Any]:
-        """Static per-flow arrays shared by the scalar and ensemble loops.
+        """Static per-flow arrays the step loop reads.
 
         Everything here is loop-invariant: sizes, start times, the
         bursty index set with its precomputed on-window lengths, each
         flow's class name and repeat flag.  Hoisting it out of the step
         loop is a pure-overhead win (the per-step ``np.flatnonzero`` and
-        attribute lookups it replaces dominated the scalar profile) and
-        keeps both integration paths reading the identical values.
+        attribute lookups it replaces dominated the per-step profile).
         """
         flows = self.flows
         size = np.array([f.size_bytes if f.size_bytes is not None
@@ -379,7 +392,7 @@ class TimeflowEngine:
                   fct: dict[str, list[float]], wire: dict[str, list[float]],
                   arr_sum: np.ndarray, max_q: float, marks: int,
                   n_steps: int) -> TimeflowResult:
-        """One scenario's statistics + counters (scalar run or one column)."""
+        """One scenario's (one column's) statistics + counters."""
         horizon = n_steps * cfg.dt_s
         mean_rates = injected / horizon
         classes: dict[str, ClassReport] = {}
@@ -416,7 +429,7 @@ class TimeflowEngine:
         Path planning is load-adaptive (UGAL draws Valiant candidates
         from the router's RNG), so two engine constructions over the
         same network may plan different paths.  Bit-identical
-        sequential-vs-ensemble comparisons therefore reuse ONE engine —
+        column-vs-oracle comparisons therefore reuse ONE engine —
         ``run(config=...)`` / ``run_ensemble`` — and only the control
         knobs may vary; anything feeding the precompute must match.
         """
@@ -431,124 +444,49 @@ class TimeflowEngine:
         """Step the fluid model to the horizon and extract statistics.
 
         ``config`` overrides the control knobs for this run while
-        reusing the engine's planned paths and incidence — the scalar
-        face of :meth:`run_ensemble`, and the oracle one ensemble column
-        is compared against (same plan, different code path).
+        reusing the engine's planned paths and incidence.  The run is a
+        one-column integration of the :meth:`run_ensemble` loop.
         """
         if config is None:
-            cfg = self.config
+            config = self.config
         else:
             self._check_shared_axes(config)
-            cfg = config
-        n = len(self.flows)
-        dt = cfg.dt_s
-        n_steps = int(round(cfg.horizon_s / dt))
-        control_every = max(1, int(round(cfg.control_interval_s / dt)))
-        threshold = cfg.ecn_k * cfg.mtu_bytes
-
-        st = self._flow_arrays()
-        size, start, finite = st["size"], st["start"], st["finite"]
-        b_idx, start_b = st["b_idx"], st["start_b"]
-        period_b, on_b = st["period_b"], st["on_b"]
-        cls_of, repeats = st["cls_of"], st["repeats"]
-        # Control-loop bounds are loop-invariant too (scalar x peak).
-        rate_floor = cfg.min_rate_frac * self.peak
-        growth = cfg.growth_frac * self.peak
-
-        rate = self.rate_cap.copy()
-        remaining = size.copy()
-        xfer_start = start.copy()
-        injected = np.zeros(n)
-        done = np.zeros(n, dtype=bool)
-        completed = np.zeros(n, dtype=np.int64)
-        q = np.zeros(len(self.caps))
-        arr_sum = np.zeros(len(self.caps))
-        fct: dict[str, list[float]] = {c: [] for c in st["cls_names"]}
-        wire: dict[str, list[float]] = {c: [] for c in st["cls_names"]}
-        max_q = 0.0
-        marks = 0
-
-        with obs.span("fabric.timeflow.run", n_flows=n, steps=n_steps,
-                      ecn=cfg.ecn, ecn_k=cfg.ecn_k):
-            for step in range(n_steps):
-                t = step * dt
-                on = ~done & (start <= t)
-                if b_idx.size:
-                    # Gating a flow that is already off is a no-op, so
-                    # the phase test needs no per-step ``bursty & on``
-                    # recomputation — only the static bursty index set.
-                    phase = np.mod(t - start_b, period_b)
-                    on[b_idx[phase >= on_b]] = False
-
-                inj = np.where(on, np.minimum(rate, remaining / dt), 0.0)
-                arrivals = self.A @ inj
-                arr_sum += arrivals
-                q += (arrivals - self.caps) * dt
-                np.clip(q, 0.0, None, out=q)
-                max_q = max(max_q, float(q.max()))
-
-                if cfg.ecn and step % control_every == 0:
-                    marked = q > threshold
-                    if marked.any():
-                        fm = (self.AT @ marked.astype(np.int8)) > 0
-                        fm &= on
-                        rate[fm] *= 1.0 - cfg.backoff
-                        marks += int(fm.sum())
-                    else:
-                        fm = np.zeros(n, dtype=bool)
-                    grow = on & ~fm
-                    rate[grow] += growth[grow]
-                    np.clip(rate, rate_floor, self.rate_cap, out=rate)
-
-                injected += inj * dt
-                remaining -= inj * dt
-                finishing = finite & ~done & (remaining <= 1e-9) & on
-                if finishing.any():
-                    t_end = t + dt
-                    delay = self.base_latency + self.AT @ (q / self.caps)
-                    for f in np.flatnonzero(finishing):
-                        completed[f] += 1
-                        if t_end >= cfg.warmup_s:
-                            fct[cls_of[f]].append(
-                                t_end - xfer_start[f] + delay[f])
-                            wire[cls_of[f]].append(float(delay[f]))
-                        if repeats[f]:
-                            remaining[f] = size[f]
-                            xfer_start[f] = t_end
-                        else:
-                            done[f] = True
-
-        return self._finalise(cfg, st=st, injected=injected,
-                              completed=completed, fct=fct, wire=wire,
-                              arr_sum=arr_sum, max_q=max_q, marks=marks,
-                              n_steps=n_steps)
+        return self._integrate((config,))[0]
 
     def run_ensemble(self, configs: Sequence[TimeflowConfig]
                      ) -> tuple[TimeflowResult, ...]:
         """Integrate ``S = len(configs)`` scenarios as one batched run.
 
-        Rates, queues, and AIMD state become ``(S, flows)`` /
+        Rates, queues, and AIMD state become ``(flows, S)`` /
         ``(links, S)`` arrays and the per-step arrival matvec becomes one
-        sparse matmul ``A @ R.T -> (links, S)``, so the whole ensemble
-        costs one step loop instead of S.  Per-scenario control
-        parameters (``ecn``, ``ecn_k``, ``backoff``, ``growth_frac``,
-        ``min_rate_frac``, ``warmup_s``) live in per-column vectors; the
-        axes that shape the time grid and the precompute
-        (:data:`ENSEMBLE_SHARED_AXES`) must match this engine's config.
+        sparse matmul, so the whole ensemble costs one step loop instead
+        of S.  Per-scenario control parameters (``ecn``, ``ecn_k``,
+        ``backoff``, ``growth_frac``, ``min_rate_frac``, ``warmup_s``)
+        live in per-column vectors; the axes that shape the time grid
+        and the precompute (:data:`ENSEMBLE_SHARED_AXES`) must match
+        this engine's config.
 
         Contract (the ``chunk=1`` idiom of :mod:`repro.fabric.batchroute`,
-        pinned by the oracle tests and ``bench_congest_ensemble.py``):
-        every returned :class:`TimeflowResult` is **bit-identical** to
-        ``TimeflowEngine(net, flows, configs[s]).run()`` — CSR
-        column-matmuls accumulate in the same order as the scalar
-        matvec, and every per-column arithmetic op mirrors the scalar
-        expression exactly.
+        pinned by ``tests/fabric/test_ensemble.py``): every returned
+        :class:`TimeflowResult` is **bit-identical** to :meth:`run` of
+        ``configs[s]`` on this engine and to the per-flow reference loop
+        in ``tests/fabric/timeflow_oracle.py`` — CSR column-matmuls
+        accumulate in the same order as a single-column matvec, and
+        every per-column arithmetic op mirrors the scalar expression.
         """
         configs = tuple(configs)
         if not configs:
             raise ConfigurationError("an ensemble needs at least one scenario")
         for cfg in configs:
             self._check_shared_axes(cfg)
+        results = self._integrate(configs)
+        obs.counter("fabric.timeflow.ensemble_runs").inc()
+        obs.counter("fabric.timeflow.ensemble_scenarios").inc(len(configs))
+        return results
+
+    def _integrate(self, configs: tuple[TimeflowConfig, ...]
+                   ) -> tuple[TimeflowResult, ...]:
+        """The step loop behind :meth:`run` and :meth:`run_ensemble`."""
         S = len(configs)
         n = len(self.flows)
         n_links = len(self.caps)
@@ -616,6 +554,8 @@ class TimeflowEngine:
                 t = step * dt
                 on = ~done & (start_col <= t)
                 if b_idx.size:
+                    # Gating a flow that is already off is a no-op, so
+                    # the phase test needs only the static bursty set.
                     phase = np.mod(t - start_b, period_b)
                     on[b_idx[phase >= on_b], :] = False
 
@@ -638,7 +578,7 @@ class TimeflowEngine:
                     grow = on & ~fm & ecn_row
                     rate = np.where(grow, rate + growth, rate)
                     # FIFO columns never clip: a sub-floor rate_limit
-                    # must stay where the scalar FIFO path leaves it.
+                    # must stay where the uncontrolled source left it.
                     rate = np.where(
                         ecn_row,
                         np.clip(rate, rate_floor, rate_cap_col),
@@ -667,8 +607,6 @@ class TimeflowEngine:
         max_q = qpeak.max(axis=0) if na else np.zeros(S)
         arr_sum_full = np.zeros((n_links, S))
         arr_sum_full[active] = arr_sum
-        obs.counter("fabric.timeflow.ensemble_runs").inc()
-        obs.counter("fabric.timeflow.ensemble_scenarios").inc(S)
         return tuple(
             self._finalise(cfg, st=st, injected=injected[:, s],
                            completed=completed[:, s], fct=fct[s], wire=wire[s],
@@ -682,31 +620,6 @@ class TimeflowEngine:
 #: (peak rates, unloaded latencies), so they cannot vary per column.
 ENSEMBLE_SHARED_AXES = ("dt_s", "horizon_s", "mtu_bytes",
                         "control_interval_s", "base_latency_s")
-
-
-class EnsembleEngine:
-    """S scenarios over one traffic phase: one precompute, one step loop.
-
-    The batched face of :class:`TimeflowEngine`: paths are planned and
-    the CSR incidence built once (for ``configs[0]`` — every scenario
-    must share the :data:`ENSEMBLE_SHARED_AXES`), then
-    :meth:`TimeflowEngine.run_ensemble` integrates all scenarios
-    simultaneously.  Each returned result is bit-identical to a
-    sequential run of its config.
-    """
-
-    def __init__(self, network, flows: Sequence[FlowSpec],
-                 configs: Sequence[TimeflowConfig],
-                 chunk: int | None = None):
-        configs = tuple(configs)
-        if not configs:
-            raise ConfigurationError("an ensemble needs at least one scenario")
-        self.configs = configs
-        self.engine = TimeflowEngine(network, flows, configs[0], chunk=chunk)
-
-    def run(self) -> tuple[TimeflowResult, ...]:
-        """One :class:`TimeflowResult` per config, in config order."""
-        return self.engine.run_ensemble(self.configs)
 
 
 # -- traffic patterns ---------------------------------------------------------
@@ -897,7 +810,7 @@ class CongestConfig:
         if any(k < 1 for k in self.ks):
             raise ConfigurationError("ECN thresholds must be >= 1 MTU")
         # Dedupe, keeping first-occurrence order: a duplicated k used to
-        # silently double the study's work (sequential *and* ensemble).
+        # silently double the study's work.
         object.__setattr__(self, "ks", tuple(dict.fromkeys(self.ks)))
         if not self.ks and not self.include_fifo:
             raise ConfigurationError("a congest study needs at least one arm")
@@ -912,6 +825,14 @@ class CongestConfig:
                 "dt_s": self.dt_s, "warmup_frac": self.warmup_frac,
                 "seed": self.seed}
 
+    def arm_config(self, ecn_k: float | None = None,
+                   backoff: float = 0.5) -> TimeflowConfig:
+        """The engine config of one arm: FIFO when ``ecn_k`` is ``None``."""
+        return TimeflowConfig(dt_s=self.dt_s, horizon_s=self.horizon_s,
+                              ecn=ecn_k is not None, ecn_k=ecn_k or 0.0,
+                              backoff=backoff,
+                              warmup_s=self.warmup_frac * self.horizon_s)
+
 
 #: Beyond this many endpoints the study auto-reduces to the validation
 #: geometry (building the full 37,888-endpoint fabric for a fluid study
@@ -919,14 +840,31 @@ class CongestConfig:
 CONGEST_MAX_ENDPOINTS = 4096
 
 
-def _study_network(spec, seed: int):
+def congest_spec(spec):
+    """The spec a congest study runs on: beyond
+    :data:`CONGEST_MAX_ENDPOINTS` endpoints, its 8x4x4 reduction."""
     if spec.fabric_config().total_endpoints > CONGEST_MAX_ENDPOINTS:
-        spec = spec.scaled(8, 4, 4)
-    return spec, spec.build_network(rng=seed)
+        return spec.scaled(8, 4, 4)
+    return spec
 
 
-def run_congest(spec, config: CongestConfig | None = None, *,
-                sequential: bool = False) -> dict[str, Any]:
+def congest_scenario(spec, config: CongestConfig):
+    """``(reduced spec, network, flows)`` of one congest study.
+
+    Deterministic in ``(spec, config)``: the network and the incast's
+    elephant start times both draw from ``config.seed``, so two calls
+    plan identical paths and every arm of a study sees the same traffic.
+    """
+    spec = congest_spec(spec)
+    net = spec.build_network(rng=config.seed)
+    flows = incast_pattern(
+        net, fanin=config.fanin, duty=config.duty,
+        burst_period_s=config.burst_period_s, elephants=config.elephants,
+        rng=config.seed)
+    return spec, net, flows
+
+
+def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
     """Run the k-sweep incast study for ``spec``; returns the artifact doc.
 
     Arms: one FIFO (no backpressure) run plus one ECN run per threshold
@@ -936,41 +874,24 @@ def run_congest(spec, config: CongestConfig | None = None, *,
 
     Every arm shares the topology, the flows, and one path plan (UGAL
     planning is RNG-fed, so the paths are planned once and reused —
-    never re-planned per arm), so by default the whole sweep integrates
-    as **one ensemble** (:meth:`TimeflowEngine.run_ensemble` — one step
-    loop, one sparse matmul per step).  ``sequential=True`` runs the
-    scalar per-arm loop over the same engine: the oracle the ensemble
-    is bit-identical to, asserted by the CI congest smoke and
-    ``bench_congest_ensemble.py``.  Both paths produce byte-identical
-    artifact documents, so run ids, resume, and the sweep ledger are
-    untouched.
+    never re-planned per arm), so the whole sweep integrates as **one
+    ensemble** (:meth:`TimeflowEngine.run_ensemble` — one step loop,
+    one sparse matmul per step).  Each arm is bit-identical to a
+    one-column :meth:`TimeflowEngine.run` of its config on the same
+    engine, which the tests pin against a per-flow reference loop.
     """
     config = config if config is not None else CongestConfig()
-    run_spec, net = _study_network(spec, config.seed)
-    flows = incast_pattern(
-        net, fanin=config.fanin, duty=config.duty,
-        burst_period_s=config.burst_period_s, elephants=config.elephants,
-        rng=config.seed)
-    modes: list[tuple[str, float]] = []
-    if config.include_fifo:
-        modes.append(("fifo", 0.0))
-    modes.extend(("ecn", float(k)) for k in config.ks)
-    cfgs = [TimeflowConfig(dt_s=config.dt_s, horizon_s=config.horizon_s,
-                           ecn=(mode == "ecn"), ecn_k=k,
-                           warmup_s=config.warmup_frac * config.horizon_s)
-            for mode, k in modes]
+    run_spec, net, flows = congest_scenario(spec, config)
+    ks: list[float | None] = [None] if config.include_fifo else []
+    ks.extend(float(k) for k in config.ks)
+    cfgs = [config.arm_config(k) for k in ks]
     engine = TimeflowEngine(net, flows, cfgs[0])
-    with obs.span("fabric.timeflow.study", arms=len(modes),
-                  ensemble=not sequential):
-        if sequential:
-            results: Sequence[TimeflowResult] = [
-                engine.run(cfg) for cfg in cfgs]
-        else:
-            results = engine.run_ensemble(cfgs)
+    with obs.span("fabric.timeflow.study", arms=len(cfgs)):
+        results = engine.run_ensemble(cfgs)
     arms: list[dict[str, Any]] = [
-        {"mode": mode, "ecn_k": k if mode == "ecn" else None,
+        {"mode": "fifo" if k is None else "ecn", "ecn_k": k,
          **result.to_doc()}
-        for (mode, k), result in zip(modes, results)]
+        for k, result in zip(ks, results)]
     doc: dict[str, Any] = {
         "schema": CONGEST_SCHEMA_VERSION,
         "status": "ok",
@@ -1024,14 +945,9 @@ def load_congest_artifact(out_dir: str, run_id: str) -> dict[str, Any] | None:
 
 def run_congest_cached(spec, config: CongestConfig | None = None, *,
                        out_dir: str = DEFAULT_CONGEST_DIR,
-                       fresh: bool = False, sequential: bool = False
+                       fresh: bool = False
                        ) -> tuple[dict[str, Any], str, bool]:
-    """Run (or resume) a congest study; returns (doc, path, resumed).
-
-    ``sequential`` selects the per-arm integration loop instead of the
-    ensemble; the documents are byte-identical either way, so the run id
-    and the resume contract do not see the switch.
-    """
+    """Run (or resume) a congest study; returns (doc, path, resumed)."""
     from repro.obs.export import write_json
     config = config if config is not None else CongestConfig()
     run_id = congest_run_id(spec, config)
@@ -1041,7 +957,7 @@ def run_congest_cached(spec, config: CongestConfig | None = None, *,
         if doc is not None:
             obs.counter("fabric.timeflow.artifacts_resumed").inc()
             return doc, path, True
-    doc = run_congest(spec, config, sequential=sequential)
+    doc = run_congest(spec, config)
     write_json(path, doc)
     obs.counter("fabric.timeflow.artifacts_written").inc()
     return doc, path, False
@@ -1056,8 +972,8 @@ def run_congest_grid(spec, config: CongestConfig | None = None, *,
     ``(ecn_k, backoff)`` cell — plus the FIFO reference when
     ``config.include_fifo`` — shares the incast flows and incidence, so
     a ``len(ks) x len(backoffs)`` grid costs one integration instead of
-    one engine run per cell.  Each cell is bit-identical to a
-    sequential :class:`TimeflowEngine` run of the same config (same
+    one engine run per cell.  Each cell is bit-identical to a one-column
+    :meth:`TimeflowEngine.run` of its config on the same engine (same
     oracle contract as :func:`run_congest`).  Grids are not cached:
     they are interactive ablations, and the ensemble keeps recomputing
     them cheap.
@@ -1070,23 +986,15 @@ def run_congest_grid(spec, config: CongestConfig | None = None, *,
         raise ConfigurationError("backoffs must be in (0, 1)")
     if not config.ks:
         raise ConfigurationError("an ablation grid needs >= 1 ECN threshold")
-    run_spec, net = _study_network(spec, config.seed)
-    flows = incast_pattern(
-        net, fanin=config.fanin, duty=config.duty,
-        burst_period_s=config.burst_period_s, elephants=config.elephants,
-        rng=config.seed)
-    warmup = config.warmup_frac * config.horizon_s
+    run_spec, net, flows = congest_scenario(spec, config)
     cells: list[tuple[float | None, float | None]] = []
     if config.include_fifo:
         cells.append((None, None))
     cells.extend((float(k), b) for k in config.ks for b in backoffs)
-    cfgs = [TimeflowConfig(dt_s=config.dt_s, horizon_s=config.horizon_s,
-                           ecn=k is not None, ecn_k=k or 0.0,
-                           backoff=b if b is not None else 0.5,
-                           warmup_s=warmup)
+    cfgs = [config.arm_config(k) if b is None else config.arm_config(k, b)
             for k, b in cells]
     with obs.span("fabric.timeflow.grid", cells=len(cells)):
-        results = EnsembleEngine(net, flows, cfgs).run()
+        results = TimeflowEngine(net, flows, cfgs[0]).run_ensemble(cfgs)
     doc: dict[str, Any] = {
         "schema": CONGEST_SCHEMA_VERSION,
         "status": "ok",

@@ -300,13 +300,14 @@ def probe_congestion() -> dict[str, float]:
 
 
 def probe_ensemble() -> dict[str, float]:
-    """Ensemble timeflow regression gate: batched == sequential, always.
+    """Ensemble timeflow regression gate: batched == one-column, always.
 
-    Runs one small congest k-sweep twice through
-    :func:`~repro.fabric.timeflow.run_congest` — once as a batched
-    ensemble, once through the scalar per-arm loop over the same engine
-    precompute — and pins both the headline victim statistics and the
-    hard 0/1 fact that the two documents are byte-identical (the
+    Runs one small congest k-sweep through
+    :func:`~repro.fabric.timeflow.run_congest` (one batched ensemble),
+    then rebuilds the same scenario and runs each arm alone through
+    :meth:`~repro.fabric.timeflow.TimeflowEngine.run` on one engine.  It
+    pins both the headline victim statistics and the hard 0/1 fact that
+    every arm's document is byte-identical to its one-column run (the
     ``chunk=1``-style oracle ``bench_congest_ensemble.py`` gates at
     scale).  The ``fabric.timeflow.ensemble_*`` counters emitted here
     land in the baseline.
@@ -314,14 +315,20 @@ def probe_ensemble() -> dict[str, float]:
     import json as _json
 
     from repro.core.scenario import frontier_spec
-    from repro.fabric.timeflow import CongestConfig, run_congest
+    from repro.fabric.timeflow import (CongestConfig, TimeflowEngine,
+                                       congest_scenario, run_congest)
 
     spec = frontier_spec().scaled(8, 4, 4)
     config = CongestConfig(ks=(10.0, 60.0), horizon_s=150e-6)
     batched = run_congest(spec, config)
-    sequential = run_congest(spec, config, sequential=True)
-    matches = (_json.dumps(batched, sort_keys=True)
-               == _json.dumps(sequential, sort_keys=True))
+    cfgs = [config.arm_config(arm["ecn_k"]) for arm in batched["arms"]]
+    _, net, flows = congest_scenario(spec, config)
+    engine = TimeflowEngine(net, flows, cfgs[0])
+    matches = all(
+        _json.dumps({"mode": arm["mode"], "ecn_k": arm["ecn_k"],
+                     **engine.run(cfg).to_doc()}, sort_keys=True)
+        == _json.dumps(arm, sort_keys=True)
+        for arm, cfg in zip(batched["arms"], cfgs))
     values: dict[str, float] = {
         "arms": float(len(batched["arms"])),
         "matches_sequential": float(matches),

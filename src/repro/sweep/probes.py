@@ -258,9 +258,8 @@ def _congest_scenario(spec: MachineSpec):
     per-task RNG stream — so tasks that differ only in ECN knobs build
     bit-identical scenarios and can integrate as one ensemble.
     """
-    from repro.fabric.timeflow import CONGEST_MAX_ENDPOINTS, incast_pattern
-    if spec.fabric_config().total_endpoints > CONGEST_MAX_ENDPOINTS:
-        spec = spec.scaled(8, 4, 4)
+    from repro.fabric.timeflow import congest_spec, incast_pattern
+    spec = congest_spec(spec)
     seed = _congest_seed(spec)
     knobs = spec.congestion
     net = spec.build_network(rng=seed)

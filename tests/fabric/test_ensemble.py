@@ -1,10 +1,10 @@
-"""Ensemble timeflow: batched columns vs the sequential oracle.
+"""Ensemble timeflow: batched columns vs the per-flow reference loop.
 
 The contract under test is ``batchroute``'s ``chunk=1`` idiom: every
 column of :meth:`TimeflowEngine.run_ensemble` must be **bit-identical**
-to a scalar :meth:`TimeflowEngine.run` of the same config on the same
-engine (same planned paths — planning is RNG-fed, so the comparison is
-only defined against one plan).
+to :func:`reference_run` of the same config on the same engine, and so
+must the one-column :meth:`TimeflowEngine.run` (same planned paths —
+planning is RNG-fed, so the comparison is only defined against one plan).
 """
 
 import json
@@ -16,9 +16,11 @@ import pytest
 from repro.core.scenario import frontier_spec
 from repro.errors import ConfigurationError
 from repro.fabric.timeflow import (ENSEMBLE_SHARED_AXES, CongestConfig,
-                                   EnsembleEngine, FlowSpec, TimeflowConfig,
-                                   TimeflowEngine, incast_pattern, run_congest,
-                                   run_congest_grid)
+                                   FlowSpec, TimeflowConfig, TimeflowEngine,
+                                   congest_scenario, incast_pattern,
+                                   run_congest, run_congest_grid)
+
+from .timeflow_oracle import reference_run
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +44,16 @@ def result_doc(result):
 
 
 def assert_oracle(engine, configs):
-    """Every ensemble column == the scalar run of its config, bitwise."""
+    """Every ensemble column == the reference run of its config and the
+    one-column run, bitwise."""
     ensemble = engine.run_ensemble(configs)
     assert len(ensemble) == len(configs)
     for i, cfg in enumerate(configs):
-        assert result_doc(engine.run(cfg)) == result_doc(ensemble[i]), \
-            f"column {i} drifted from the sequential oracle"
+        column = result_doc(ensemble[i])
+        assert result_doc(reference_run(engine, cfg)) == column, \
+            f"column {i} drifted from the reference loop"
+        assert result_doc(engine.run(cfg)) == column, \
+            f"column {i} drifted from its one-column run"
 
 
 SHORT = dict(horizon_s=1e-4)
@@ -137,6 +143,19 @@ class TestEnsembleOracle:
         assert victim.fct["n"] == 0.0
         assert math.isnan(victim.fct["p99"])
 
+    def test_base_latency_fifo_bursty_congestors(self, net):
+        """The shape validate_victim_impact runs: a fixed base latency,
+        FIFO arms, and rate-limited bursty congestors."""
+        flows = incast_pattern(net, fanin=8, duty=0.3, burst_period_s=2e-5,
+                               congestor_rate=0.2 * net.config.link_rate,
+                               victim_rate_frac=0.1)
+        base = dict(SHORT, dt_s=1e-7,
+                    base_latency_s=4096.0 / net.config.link_rate)
+        configs = [TimeflowConfig(ecn=False, **base),
+                   TimeflowConfig(ecn=False, warmup_s=3e-5, **base),
+                   TimeflowConfig(ecn=True, ecn_k=20.0, **base)]
+        assert_oracle(TimeflowEngine(net, flows, configs[0]), configs)
+
 
 class TestEnsembleValidation:
     def test_empty_configs_rejected(self, net):
@@ -144,8 +163,6 @@ class TestEnsembleValidation:
         engine = TimeflowEngine(net, flows, TimeflowConfig(**SHORT))
         with pytest.raises(ConfigurationError):
             engine.run_ensemble([])
-        with pytest.raises(ConfigurationError):
-            EnsembleEngine(net, flows, [])
 
     @pytest.mark.parametrize("axis,value", [
         ("dt_s", 1e-7), ("horizon_s", 2e-4), ("mtu_bytes", 8192.0),
@@ -157,14 +174,6 @@ class TestEnsembleValidation:
         bad = TimeflowConfig(**{**SHORT, axis: value})
         with pytest.raises(ConfigurationError, match=axis):
             engine.run_ensemble([TimeflowConfig(**SHORT), bad])
-
-    def test_ensemble_engine_runs_all_configs(self, net):
-        flows = incast_pattern(net, fanin=4, rng=0)
-        configs = [TimeflowConfig(ecn=True, ecn_k=10.0, **SHORT),
-                   TimeflowConfig(ecn=False, **SHORT)]
-        results = EnsembleEngine(net, flows, configs).run()
-        assert len(results) == 2
-        assert results[0].config.ecn and not results[1].config.ecn
 
 
 class TestCongestConfigValidation:
@@ -193,11 +202,17 @@ class TestRunCongestEnsemble:
     def config(self):
         return CongestConfig(ks=(10.0, 60.0), horizon_s=1e-4)
 
-    def test_ensemble_doc_equals_sequential_doc(self, spec, config):
-        a = run_congest(spec, config)
-        b = run_congest(spec, config, sequential=True)
-        assert (json.dumps(a, sort_keys=True, default=str)
-                == json.dumps(b, sort_keys=True, default=str))
+    def test_run_congest_arms_equal_reference_runs(self, spec, config):
+        doc = run_congest(spec, config)
+        _, net, flows = congest_scenario(spec, config)
+        cfgs = [config.arm_config(arm["ecn_k"]) for arm in doc["arms"]]
+        engine = TimeflowEngine(net, flows, cfgs[0])
+        assert [arm["mode"] for arm in doc["arms"]] == ["fifo", "ecn", "ecn"]
+        for arm, cfg in zip(doc["arms"], cfgs):
+            expected = {"mode": arm["mode"], "ecn_k": arm["ecn_k"],
+                        **reference_run(engine, cfg).to_doc()}
+            assert (json.dumps(arm, sort_keys=True, default=str)
+                    == json.dumps(expected, sort_keys=True, default=str))
 
     def test_grid_cells_match_sequential_runs(self, spec, config):
         grid = run_congest_grid(spec, config, backoffs=(0.25, 0.75))

@@ -46,6 +46,22 @@ class TestFlowSpec:
             FlowSpec(src=0, dst=1, repeat=True)
 
 
+class TestTimeflowConfig:
+    @pytest.mark.parametrize("knobs", [
+        {"min_rate_frac": 2.0}, {"min_rate_frac": -0.1},
+        {"min_rate_frac": float("nan")}, {"warmup_s": -1e-6},
+        {"base_latency_s": -1e-6}, {"dt_s": 0.0}, {"backoff": 1.0},
+        {"growth_frac": 0.0}, {"ecn_k": -1.0},
+        {"horizon_s": 1e-8, "dt_s": 1e-7}])
+    def test_rejects_bad_knobs(self, knobs):
+        with pytest.raises(ConfigurationError):
+            TimeflowConfig(**knobs)
+
+    def test_accepts_edge_values(self):
+        TimeflowConfig(min_rate_frac=0.0, warmup_s=0.0, base_latency_s=0.0)
+        TimeflowConfig(min_rate_frac=1.0)
+
+
 class TestFctStats:
     """The percentile-extraction edge cases the issue pins down."""
 

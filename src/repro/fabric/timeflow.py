@@ -39,9 +39,13 @@ Cross-validation (``tests/fabric/test_timeflow.py`` and the
 One step loop serves every caller: :meth:`TimeflowEngine.run_ensemble`
 integrates S scenarios over one path plan as the columns of
 ``(flows, S)`` / ``(links, S)`` arrays, and :meth:`TimeflowEngine.run`
-is its one-column case.  The plain per-flow loop it was derived from is
-kept in ``tests/fabric/timeflow_oracle.py`` as the reference every
-column must match bit for bit.
+is its one-column case.  The loop runs the sparse matmul only on steps
+where injections change (starts, burst edges, ECN control) and
+fast-forwards the quiet steps between them with one in-place add; a
+finite flow's partial last step or completion touches only its own
+path rows in its own column.  The plain per-flow loop it was derived
+from is kept in ``tests/fabric/timeflow_oracle.py`` as the reference
+every column must match bit for bit.
 
 Results persist as resumable content-hash artifacts under
 ``benchmarks/out/congest/`` (same contract as :mod:`repro.chaos`), via
@@ -54,7 +58,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Sequence
+from heapq import heappop, heappush
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -86,6 +91,17 @@ CONGEST_SCHEMA_VERSION = 1
 #: overheads; matches ``repro.fabric.network.STREAM_EFFICIENCY``).
 PEAK_EFFICIENCY = 0.70
 
+#: Elements of burst-phase scratch the step planner evaluates at once.
+PLAN_CHUNK = 1 << 16
+
+#: Longest replay of one column-event calendar entry; a longer quiet run
+#: is re-examined when it ends.
+CALENDAR_SPAN = 4096
+
+#: Calendar replays kept per integration (a repeating transfer needs one
+#: per rate it runs at).
+REPLAY_CACHE = 4096
+
 
 try:
     from scipy.sparse import _sparsetools as _spt
@@ -110,6 +126,25 @@ except ImportError:  # pragma: no cover - scipy internals moved
                          out: np.ndarray) -> np.ndarray:
         out[...] = A @ x
         return out
+
+
+class _Path(NamedTuple):
+    """One finite flow's path, as the step loop's column events use it.
+
+    ``rows`` are its active rows in the order of the delay sum ``AT_act
+    @ (q / caps)``, and ``incidence`` their incidence rows; ``head`` is
+    those rows cut before the flow's own term.  ``delay_terms`` holds
+    per row ``(row * S, weight, capacity)``; ``row_terms`` per row
+    ``(row * S, flows * S, weights, capacity, own weight, [(flow * S,
+    weight) after the flow's own term])``, flows in CSR order (``* S``:
+    flat offsets into the ``(rows, S)`` and ``(flows, S)`` arrays).
+    """
+
+    rows: np.ndarray
+    incidence: sparse.csr_matrix
+    head: sparse.csr_matrix
+    delay_terms: list
+    row_terms: list
 
 
 # -- traffic sources ----------------------------------------------------------
@@ -244,8 +279,8 @@ def fct_stats(samples: Sequence[float] | np.ndarray,
             out[f"p{q:g}"] = float("nan")
         return out
     out["mean"] = float(np.mean(arr))
-    for q in percentiles:
-        out[f"p{q:g}"] = float(np.percentile(arr, q))
+    for q, value in zip(percentiles, np.percentile(arr, list(percentiles))):
+        out[f"p{q:g}"] = float(value)
     return out
 
 
@@ -309,11 +344,12 @@ class TimeflowEngine:
 
     Paths are planned once through the router's batch planner
     (``router.paths`` -> CSR :class:`BatchPaths`; scalar routers fall
-    back to ``path()``), then a run is pure array work: two sparse
-    matmuls per step (link arrivals, per-flow mark lookup) over the
-    link x flow incidence built straight from the CSR arrays — the same
-    zero-copy interchange the max-min solver uses — with one column per
-    scenario (:meth:`run` integrates one, :meth:`run_ensemble` many).
+    back to ``path()``), then a run is array work over the link x flow
+    incidence built straight from the CSR arrays — the same zero-copy
+    interchange the max-min solver uses — with one column per scenario
+    (:meth:`run` integrates one, :meth:`run_ensemble` many): sparse
+    matmuls (link arrivals, per-flow mark lookup) when injections
+    change, one in-place add per quiet step in between.
     """
 
     def __init__(self, network, flows: Sequence[FlowSpec],
@@ -400,11 +436,11 @@ class TimeflowEngine:
         wire_arr = {c: np.asarray(v) for c, v in wire.items()}
         for i, c in enumerate(st["cls_names"]):
             sel = st["cls_idx"] == i
+            sent = float(injected[sel].sum())
             classes[c] = ClassReport(
                 cls=c, completed=int(completed[sel].sum()),
                 fct=fct_stats(fct_arr[c]), latency=fct_stats(wire_arr[c]),
-                bytes_injected=float(injected[sel].sum()),
-                goodput=float(injected[sel].sum()) / horizon)
+                bytes_injected=sent, goodput=sent / horizon)
 
         obs.counter("fabric.timeflow.steps").inc(n_steps)
         obs.counter("fabric.timeflow.flows").inc(len(self.flows))
@@ -458,10 +494,12 @@ class TimeflowEngine:
         """Integrate ``S = len(configs)`` scenarios as one batched run.
 
         Rates, queues, and AIMD state become ``(flows, S)`` /
-        ``(links, S)`` arrays and the per-step arrival matvec becomes one
-        sparse matmul, so the whole ensemble costs one step loop instead
-        of S.  Per-scenario control parameters (``ecn``, ``ecn_k``,
-        ``backoff``, ``growth_frac``, ``min_rate_frac``, ``warmup_s``)
+        ``(links, S)`` arrays and the arrival matvec becomes one sparse
+        matmul, so the whole ensemble costs one step loop instead of S
+        (quiet steps are one add for all columns; a column event costs
+        only its own column's path rows).  Per-scenario control
+        parameters (``ecn``, ``ecn_k``, ``backoff``, ``growth_frac``,
+        ``min_rate_frac``, ``warmup_s``)
         live in per-column vectors; the axes that shape the time grid
         and the precompute (:data:`ENSEMBLE_SHARED_AXES`) must match
         this engine's config.
@@ -484,9 +522,79 @@ class TimeflowEngine:
         obs.counter("fabric.timeflow.ensemble_scenarios").inc(len(configs))
         return results
 
+    def _plan_steps(self, st: dict[str, Any], n_steps: int, dt: float,
+                    control_every: int, any_ecn: bool
+                    ) -> tuple[list[int], list[bool], list[bool]]:
+        """The steps the loop cannot fast-forward over, in order.
+
+        Returns ``(steps, dense, control)``.  A *dense* step may change
+        any flow's injection in every column: step 0, a flow start, a
+        burst edge, and the step after an ECN control step.  A *control*
+        step runs the marking law.  Start and burst steps are found with
+        the loop's own expressions (``start <= step * dt`` and the burst
+        phase test), so they are exact; the burst phases are evaluated
+        :data:`PLAN_CHUNK` elements at a time to bound the buffer.
+        """
+        start = st["start"]
+        # First step whose ``t = step * dt`` reaches the start: a ceil
+        # guess, then nudged onto the float comparison the loop makes.
+        first = np.minimum(np.ceil(start / dt), n_steps).astype(np.int64)
+        while True:
+            late = (first > 0) & ((first - 1) * dt >= start)
+            early = (first < n_steps) & (first * dt < start)
+            if not (late.any() or early.any()):
+                break
+            first = first - late + early
+        dense = [np.zeros(1, dtype=np.int64), first[first < n_steps]]
+        b_idx = st["b_idx"]
+        if b_idx.size:
+            start_b, period_b, on_b = st["start_b"], st["period_b"], st["on_b"]
+            rows = max(1, PLAN_CHUNK // b_idx.size)
+            prev = None
+            for k0 in range(0, n_steps, rows):
+                t = np.arange(k0, min(n_steps, k0 + rows)) * dt
+                off = np.mod(t[:, None] - start_b, period_b) >= on_b
+                if prev is not None and (off[0] != prev).any():
+                    dense.append(np.array([k0]))
+                dense.append(k0 + 1 + np.flatnonzero(
+                    (off[1:] != off[:-1]).any(axis=1)))
+                prev = off[-1]
+        control = (np.arange(0, n_steps, control_every) if any_ecn
+                   else np.zeros(0, dtype=np.int64))
+        dense.append(control + 1)
+        dense_steps = np.unique(np.concatenate(dense))
+        dense_steps = dense_steps[dense_steps < n_steps]
+        steps = np.union1d(dense_steps, control)
+        return (steps.tolist(), np.isin(steps, dense_steps).tolist(),
+                np.isin(steps, control).tolist())
+
     def _integrate(self, configs: tuple[TimeflowConfig, ...]
                    ) -> tuple[TimeflowResult, ...]:
-        """The step loop behind :meth:`run` and :meth:`run_ensemble`."""
+        """The step loop behind :meth:`run` and :meth:`run_ensemble`.
+
+        Between discrete events every injection is bitwise constant, so
+        the link arrivals ``A @ inj`` and the queue increments ``diff``
+        are too, and a *quiet* step is one in-place add of the constant
+        increments onto the packed state (``arr_sum``, ``q``,
+        ``injected``, ``remaining``).  The ``q >= 0`` clamp and the peak
+        queue are deferred to the end of each row's constant run: with a
+        constant ``diff`` the unclamped running sum, clamped once, equals
+        the per-step clamped sequence, and ``q`` is monotone in between.
+
+        Two kinds of event interrupt the quiet runs.  A *dense* step
+        (:meth:`_plan_steps`: a start, a burst edge, an ECN control
+        step's successor) recomputes every injection with the full
+        matmul.  A *column event* touches one finite (flow, column)
+        entry: its partial last step, completion, restart or stop.  A
+        one-step deviation (the partial last step of a repeating
+        transfer) is applied to that column's path rows alone, in scalar
+        arithmetic in CSR order; a lasting change re-derives the flow's
+        path rows with a sub-matmul.  Both are bit-identical to the full
+        matmul's rows.  Each finite entry's next event step comes from a
+        calendar that replays its scalar ``remaining`` sequence; a
+        repeating transfer always restarts from ``size``, so replays are
+        cached by state.
+        """
         S = len(configs)
         n = len(self.flows)
         n_links = len(self.caps)
@@ -527,48 +635,295 @@ class TimeflowEngine:
         rate_cap_col = self.rate_cap[:, None]
         warmup = [c.warmup_s for c in configs]
 
+        # The state a quiet step advances, packed so that the step is ONE
+        # add: ``V += D`` is ``arr_sum += arrivals; q += diff;
+        # injected += inj*dt; remaining += -(inj*dt)`` (negating the
+        # subtrahend is exact, so the last is ``remaining -= inj*dt``).
         # Flow state is (flows, S): column s IS scenario s, and the
-        # per-step injections land C-contiguous for the matmul.
+        # injections stay C-contiguous for the matmul.
+        nas, ns = na * S, n * S
+        V = np.zeros(2 * nas + 2 * ns)
+        D = np.zeros_like(V)
+        arr_sum, q = V[:nas].reshape(na, S), V[nas:2 * nas].reshape(na, S)
+        injected = V[2 * nas:2 * nas + ns].reshape(n, S)
+        remaining = V[2 * nas + ns:].reshape(n, S)
+        arrivals, diff = D[:nas].reshape(na, S), D[nas:2 * nas].reshape(na, S)
+        inj_dt = D[2 * nas:2 * nas + ns].reshape(n, S)
+        neg_inj_dt = D[2 * nas + ns:].reshape(n, S)
+        remaining[...] = size[:, None]
+
         start_col = start[:, None]
-        finite_col = finite[:, None]
         rate = np.repeat(rate_cap_col, S, axis=1)
-        remaining = np.repeat(size[:, None], S, axis=1)
-        xfer_start = np.repeat(start_col, S, axis=1)
-        injected = np.zeros((n, S))
+        inj = np.zeros((n, S))
+        on = np.zeros((n, S), dtype=bool)
         done = np.zeros((n, S), dtype=bool)
         completed = np.zeros((n, S), dtype=np.int64)
-        q = np.zeros((na, S))
-        arr_sum = np.zeros((na, S))
-        arrivals = np.empty((na, S))
-        diff = np.empty((na, S))
         qpeak = np.zeros((na, S))
-        qn = np.empty((na, S))
+        arr_flat, q_flat = V[:nas], V[nas:2 * nas]
+        injected_flat = V[2 * nas:2 * nas + ns]
+        remaining_flat = V[2 * nas + ns:]
+        inj_flat, qpeak_flat = inj.ravel(), qpeak.ravel()
         caps_act = self.caps[active][:, None]
         fct = [{c: [] for c in st["cls_names"]} for _ in range(S)]
         wire = [{c: [] for c in st["cls_names"]} for _ in range(S)]
         marks = np.zeros(S, dtype=np.int64)
 
+        # The column-event calendar: ``due[i][s]`` is the next step at
+        # which finite flow ``fin[i]`` in column ``s`` may change its
+        # injection or finish (no other step touches that entry), and
+        # ``heap`` orders the pending ``(step, i, s)``; an entry whose
+        # ``due`` moved on is stale and skipped.
+        fin = np.flatnonzero(finite)
+        fin_l = fin.tolist()
+        due: list[list[int | None]] = [[None] * S for _ in fin_l]
+        # Per entry: completions, the current transfer's start, and the
+        # sample lists its completions append to.
+        n_done = [[0] * S for _ in fin_l]
+        xfer = [[float(start[f])] * S for f in fin_l]
+        samples = [[(fct[s][cls_of[f]], wire[s][cls_of[f]]) for s in range(S)]
+                   for f in fin_l]
+        heap: list[tuple[int, int, int]] = []
+        size_l, repeats_l = size.tolist(), repeats.tolist()
+        base_latency = self.base_latency.tolist()
+        replays: dict[tuple[float, float, float], tuple[int, bool]] = {}
+        paths: dict[int, _Path] = {}
+        heads: dict[int, tuple] = {}
+        d_version = 0    # bumped whenever ``D``'s injections change
+
+        def path_of(f: int) -> _Path:
+            p = paths.get(f)
+            if p is None:
+                lo, hi = AT_act.indptr[f], AT_act.indptr[f + 1]
+                rows = AT_act.indices[lo:hi]
+                caps_r = caps_act[rows, 0].tolist()
+                rows_S = (rows * S).tolist()
+                ip, ix, w = A_act.indptr, A_act.indices, A_act.data
+                own = [ip[r] + int(np.flatnonzero(ix[ip[r]:ip[r + 1]] == f)[0])
+                       for r in rows.tolist()]
+                before = np.concatenate(
+                    [np.arange(ip[r], c) for r, c in zip(rows.tolist(), own)]
+                    + [np.zeros(0, dtype=np.int64)])
+                p = paths[f] = _Path(
+                    rows=rows, incidence=A_act[rows],
+                    head=sparse.csr_matrix(
+                        (w[before], ix[before], np.concatenate(
+                            ([0], np.cumsum(np.array(own) - ip[rows])))),
+                        shape=(rows.size, n)),
+                    delay_terms=list(zip(rows_S, AT_act.data[lo:hi].tolist(),
+                                         caps_r)),
+                    row_terms=[
+                        (rS, (ix[ip[r]:ip[r + 1]] * S).tolist(),
+                         w[ip[r]:ip[r + 1]].tolist(), cap, float(w[c]),
+                         list(zip((ix[c + 1:ip[r + 1]] * S).tolist(),
+                                  w[c + 1:ip[r + 1]].tolist())))
+                        for r, rS, cap, c in zip(rows.tolist(), rows_S,
+                                                 caps_r, own)])
+            return p
+
+        def heads_of(f: int) -> np.ndarray:
+            """Per path row and column, flow ``f``'s row sum up to (not
+            including) its own term, under the current ``D``."""
+            h = heads.get(f)
+            if h is None or h[0] != d_version:
+                head = path_of(f).head
+                h = heads[f] = (d_version, _csr_matmul_into(
+                    head, inj, np.empty((head.shape[0], S))))
+            return h[1]
+
+        def replay(R: float, r: float, cur: float, span: int) -> int:
+            """Leading steps (at most ``span``) that inject ``cur`` from
+            ``remaining = R`` at rate ``r`` without finishing.
+
+            Replays the loop's own arithmetic: ``R`` falls by ``x =
+            cur * dt`` per step, one sequential subtraction at a time
+            (``np.add.accumulate`` is sequential), over a window sized
+            from ``R / x`` and doubled until the run ends.  Cached by
+            ``(R, r, cur)``: a repeating transfer restarts from ``size``
+            at the same few rates.
+            """
+            key = (R, r, cur)
+            hit = replays.get(key)
+            if hit is not None and (hit[1] or hit[0] >= span):
+                return min(hit[0], span)
+            x = cur * dt
+            n_try = span if x <= 0.0 else min(span, int(R / x) + 4)
+            while True:
+                seq = np.full(n_try + 1, -x)
+                seq[0] = R
+                seq = np.add.accumulate(seq)
+                ok = np.minimum(r, seq[:-1] / dt) == cur
+                ok &= seq[1:] > 1e-9
+                if not ok.all():
+                    m = int(ok.argmin())
+                    break
+                if n_try >= span:
+                    m = span
+                    break
+                n_try = min(span, 2 * n_try)
+            if len(replays) >= REPLAY_CACHE:
+                replays.clear()
+            replays[key] = (m, m < span)
+            return m
+
+        def blip_cells(blips: list) -> tuple[list, list]:
+            """The cells and entries this step's blips touch, as they
+            will be after the step: ``(cell, arr_sum, q, qpeak)`` and
+            ``(entry, injected, remaining)``, flat, to write back after
+            the add.
+
+            A blip's path rows, in its column only, close their constant
+            run (clamp and peak) and take one step of arrivals re-summed
+            in CSR order: continued from the cached sum before the
+            blip's own term, or — in a column with several blips —
+            re-summed in full with all of them in place.
+            """
+            crowded = {s for k, (_, s, _, _) in enumerate(blips)
+                       if any(b[1] == s for b in blips[k + 1:])}
+            row_heads = [None if s in crowded else heads_of(f)
+                         for f, s, _, _ in blips]
+            for f, s, v, _ in blips:
+                if s in crowded:
+                    inj[f, s] = v
+            cells, entries = [], []
+            for (f, s, v, cur), h in zip(blips, row_heads):
+                for k, (rS, flowsS, weights, cap, w_f, tail) in enumerate(
+                        path_of(f).row_terms):
+                    if h is None:
+                        acc = 0.0
+                        for gS, w in zip(flowsS, weights):
+                            acc += w * inj_flat.item(gS + s)
+                    else:
+                        acc = h.item(k, s) + w_f * v
+                        for gS, w in tail:
+                            acc += w * inj_flat.item(gS + s)
+                    c = rS + s
+                    qr = q_flat.item(c)
+                    if not qr > 0.0:    # close the row's constant run
+                        qr = 0.0
+                    pk = qpeak_flat.item(c)
+                    cells.append((c, arr_flat.item(c) + acc,
+                                  qr + (acc - cap) * dt,
+                                  pk if pk >= qr else qr))
+            for f, s, v, cur in blips:
+                inj[f, s] = cur
+                fs, x = f * S + s, v * dt
+                entries.append((fs, injected_flat.item(fs) + x,
+                                remaining_flat.item(fs) + -x))
+            return cells, entries
+
+        def refresh_rows(f: int) -> None:
+            """Recompute the arrivals and increments on flow ``f``'s rows
+            from the current injections, closing their constant runs."""
+            path = path_of(f)
+            rows = path.rows
+            out = _csr_matmul_into(path.incidence, inj,
+                                   np.empty((rows.size, S)))
+            qr = q[rows]
+            np.maximum(qr, 0.0, out=qr)
+            q[rows] = qr
+            pk = qpeak[rows]
+            np.maximum(pk, qr, out=pk)
+            qpeak[rows] = pk
+            arrivals[rows] = out
+            out -= caps_act[rows]
+            out *= dt
+            diff[rows] = out
+
+        plan, plan_dense, plan_control = self._plan_steps(
+            st, n_steps, dt, control_every, any_ecn)
+        n_plan, nxt_plan = len(plan), 0
+        n_dense = n_events = 0
+        add = np.add
+        step = 0
         with obs.span("fabric.timeflow.ensemble", scenarios=S,
                       n_flows=n, steps=n_steps):
-            for step in range(n_steps):
-                t = step * dt
-                on = ~done & (start_col <= t)
-                if b_idx.size:
-                    # Gating a flow that is already off is a no-op, so
-                    # the phase test needs only the static bursty set.
-                    phase = np.mod(t - start_b, period_b)
-                    on[b_idx[phase >= on_b], :] = False
+            while True:
+                j = plan[nxt_plan] if nxt_plan < n_plan else n_steps
+                while heap and heap[0][0] < j:
+                    d, i, s = heap[0]
+                    if due[i][s] == d:
+                        j = d
+                        break
+                    heappop(heap)
+                for _ in range(j - step):          # quiet steps
+                    add(V, D, out=V)
+                if j >= n_steps:
+                    break
+                dense = control = False
+                if nxt_plan < n_plan and plan[nxt_plan] == j:
+                    dense = plan_dense[nxt_plan]
+                    control = plan_control[nxt_plan]
+                    nxt_plan += 1
 
-                inj = np.where(on, np.minimum(rate, remaining / dt), 0.0)
-                _csr_matmul_into(A_act, inj, arrivals)  # one matmul per step
-                arr_sum += arrivals
-                np.subtract(arrivals, caps_act, out=diff)
-                diff *= dt
-                q += diff
-                np.maximum(q, 0.0, out=q)     # == np.clip(q, 0.0, None)
-                np.maximum(qpeak, q, out=qpeak)
+                if dense:
+                    n_dense += 1
+                    t = j * dt
+                    on = ~done & (start_col <= t)
+                    if b_idx.size:
+                        # Gating a flow that is already off is a no-op, so
+                        # the phase test needs only the static bursty set.
+                        phase = np.mod(t - start_b, period_b)
+                        on[b_idx[phase >= on_b], :] = False
+                    new = np.where(on, np.minimum(rate, remaining / dt), 0.0)
+                    if fin_l:
+                        changed = new[fin] != inj[fin]
+                        for i, s in zip(*np.nonzero(changed)):
+                            due[i][s] = j
+                            heappush(heap, (j, int(i), int(s)))
+                    inj[...] = new
+                    d_version += 1
+                    _csr_matmul_into(A_act, inj, arrivals)
+                    np.maximum(q, 0.0, out=q)
+                    np.maximum(qpeak, q, out=qpeak)
+                    np.subtract(arrivals, caps_act, out=diff)
+                    diff *= dt
+                    np.multiply(inj, dt, out=inj_dt)
+                    np.negative(inj_dt, out=neg_inj_dt)
 
-                if any_ecn and step % control_every == 0:
+                # This step's column events, in flow order per column
+                # (the order completions are recorded in).
+                events = []
+                while heap and heap[0][0] == j:
+                    _, i, s = heappop(heap)
+                    if due[i][s] == j:
+                        due[i][s] = None
+                        events.append((i, s))
+                events.sort()
+                n_events += len(events)
+
+                # An entry whose injection this step differs from the
+                # constant one in ``D`` (a partial last step) is a
+                # one-step *blip*: :func:`blip_cells` gives its path
+                # cells in its column after this step, written back after
+                # the add, so ``D`` only changes when the constant
+                # injection does.  (A dense step set every injection.)
+                blips = []
+                for i, s in events if not dense else ():
+                    f = fin_l[i]
+                    v = 0.0
+                    if on.item(f, s):   # ``min(rate, remaining / dt)``
+                        v = remaining.item(f, s) / dt
+                        r = rate.item(f, s)
+                        if not v < r:
+                            v = r
+                    cur = inj.item(f, s)
+                    if v != cur:
+                        blips.append((f, s, v, cur))
+                cells, entries = blip_cells(blips) if blips else ((), ())
+
+                add(V, D, out=V)
+
+                for c, a_new, q_new, pk in cells:
+                    arr_flat[c] = a_new
+                    if not q_new > 0.0:
+                        q_new = 0.0
+                    q_flat[c] = q_new
+                    qpeak_flat[c] = pk if pk >= q_new else q_new
+                for fs, inj_new, rem_new in entries:
+                    injected_flat[fs] = inj_new
+                    remaining_flat[fs] = rem_new
+
+                if control:
                     marked = q > threshold[None, :]
                     fm = (AT_act @ marked.astype(np.int8)) > 0
                     fm &= on
@@ -584,26 +939,67 @@ class TimeflowEngine:
                         np.clip(rate, rate_floor, rate_cap_col),
                         rate)
 
-                injected += inj * dt
-                remaining -= inj * dt
-                finishing = finite_col & ~done & (remaining <= 1e-9) & on
-                if finishing.any():
-                    t_end = t + dt
-                    np.divide(q, caps_act, out=qn)
-                    delay = self.base_latency[:, None] + AT_act @ qn
-                    for s in np.flatnonzero(finishing.any(axis=0)):
-                        for f in np.flatnonzero(finishing[:, s]):
-                            completed[f, s] += 1
+                if events:
+                    t_end = j * dt + dt
+                    span = min(n_steps - j - 1, CALENDAR_SPAN)
+                    dirty = set()
+                    for i, s in events:
+                        f = fin_l[i]
+                        fs = f * S + s
+                        R = remaining_flat.item(fs)
+                        running = on.item(f, s)
+                        if running and R <= 1e-9:
+                            n_done[i][s] += 1
                             if t_end >= warmup[s]:
-                                fct[s][cls_of[f]].append(
-                                    t_end - xfer_start[f, s] + delay[f, s])
-                                wire[s][cls_of[f]].append(float(delay[f, s]))
-                            if repeats[f]:
-                                remaining[f, s] = size[f]
-                                xfer_start[f, s] = t_end
+                                # Last-byte delay, summed in the order
+                                # of ``AT_act @ (q / caps)``.
+                                acc = 0.0
+                                for rS, w, cap in path_of(f).delay_terms:
+                                    qv = q_flat.item(rS + s)
+                                    if qv > 0.0:
+                                        acc += w * (qv / cap)
+                                delay = base_latency[f] + acc
+                                fct_l, wire_l = samples[i][s]
+                                fct_l.append(t_end - xfer[i][s] + delay)
+                                wire_l.append(delay)
+                            if repeats_l[f]:
+                                R = size_l[f]
+                                remaining_flat[fs] = R
+                                xfer[i][s] = t_end
                             else:
+                                running = False
                                 done[f, s] = True
+                                on[f, s] = False
+                        v = r = 0.0
+                        if running:
+                            v, r = R / dt, rate.item(f, s)
+                            if not v < r:
+                                v = r
+                        if v != inj.item(f, s):
+                            inj[f, s] = v
+                            x = v * dt
+                            inj_dt[f, s] = x
+                            neg_inj_dt[f, s] = -x
+                            dirty.add(f)
+                        if not running:
+                            continue
+                        # Book the entry's next event from a replay of
+                        # its ``remaining`` at the new constant injection.
+                        m = replay(R, r, v, span)
+                        due[i][s] = j + 1 + m
+                        heappush(heap, (j + 1 + m, i, s))
+                    for f in sorted(dirty):
+                        refresh_rows(f)
+                    d_version += len(dirty)
+                step = j + 1
 
+        # Close every row's open constant run.
+        np.maximum(q, 0.0, out=q)
+        np.maximum(qpeak, q, out=qpeak)
+        obs.counter("fabric.timeflow.dense_steps").inc(n_dense)
+        obs.counter("fabric.timeflow.column_events").inc(n_events)
+        if fin_l:
+            completed[fin] = n_done
         max_q = qpeak.max(axis=0) if na else np.zeros(S)
         arr_sum_full = np.zeros((n_links, S))
         arr_sum_full[active] = arr_sum
@@ -748,6 +1144,8 @@ def validate_victim_impact(*, victim_load: float = 0.1,
     """
     if not 0.0 < victim_load < 1.0 or not 0.0 < congestor_load < 1.0:
         raise ConfigurationError("loads must be in (0, 1)")
+    if not 0.0 < duty <= 1.0:
+        raise ConfigurationError("duty must be in (0, 1]")
     if congestor_load / duty + victim_load <= 1.0:
         raise ConfigurationError(
             "bursts never overload the link: need c/duty + v > 1")
@@ -816,6 +1214,17 @@ class CongestConfig:
             raise ConfigurationError("a congest study needs at least one arm")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigurationError("warmup_frac must be in [0, 1)")
+        if not self.fanin >= 1:
+            raise ConfigurationError("fanin must be >= 1")
+        # A negative count used to run as zero elephants under its own
+        # run id.
+        if not self.elephants >= 0:
+            raise ConfigurationError("elephants must be >= 0")
+        if not 0.0 < self.duty <= 1.0:
+            raise ConfigurationError("duty must be in (0, 1]")
+        for name in ("burst_period_s", "dt_s", "horizon_s"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive")
 
     def to_dict(self) -> dict[str, Any]:
         return {"ks": list(self.ks), "include_fifo": self.include_fifo,
@@ -875,8 +1284,9 @@ def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
     Every arm shares the topology, the flows, and one path plan (UGAL
     planning is RNG-fed, so the paths are planned once and reused —
     never re-planned per arm), so the whole sweep integrates as **one
-    ensemble** (:meth:`TimeflowEngine.run_ensemble` — one step loop,
-    one sparse matmul per step).  Each arm is bit-identical to a
+    ensemble** (:meth:`TimeflowEngine.run_ensemble` — one step loop
+    for all arms, which fast-forwards the steps where no injection
+    changes).  Each arm is bit-identical to a
     one-column :meth:`TimeflowEngine.run` of its config on the same
     engine, which the tests pin against a per-flow reference loop.
     """

@@ -189,6 +189,21 @@ class TestCongestConfigValidation:
         with pytest.raises(ConfigurationError):
             CongestConfig(ks=(), include_fifo=False)
 
+    @pytest.mark.parametrize("knob", [
+        {"fanin": 0}, {"elephants": -1}, {"duty": 0.0}, {"duty": 1.5},
+        {"burst_period_s": 0.0}, {"dt_s": 0.0}, {"horizon_s": -1.0}])
+    def test_bad_knobs_rejected(self, knob):
+        with pytest.raises(ConfigurationError, match=next(iter(knob))):
+            CongestConfig(**knob)
+
+    def test_valid_configs_keep_their_document(self):
+        # run ids hash to_dict, so validation must not reshape it
+        assert CongestConfig(elephants=0, duty=0.5).to_dict() == {
+            "ks": [10, 30, 60], "include_fifo": True, "fanin": 8,
+            "duty": 0.5, "burst_period_s": 5e-5, "elephants": 0,
+            "horizon_s": 3e-4, "dt_s": 5e-8, "warmup_frac": 1 / 3,
+            "seed": 0}
+
     def test_fifo_only_study_allowed(self):
         assert CongestConfig(ks=(), include_fifo=True).ks == ()
 

@@ -149,6 +149,12 @@ class TestEngine:
         assert metrics["fabric.timeflow.flows"] == 5
         assert metrics["fabric.timeflow.completions"] > 0
         assert metrics["fabric.timeflow.marks"] > 0
+        # Why a run's cost per step moved: full-matmul steps (step 0,
+        # the elephants' and congestors' starts, one after each ECN
+        # control step) and the finite entries' column events.
+        assert 1 <= metrics["fabric.timeflow.dense_steps"] < 1000
+        assert metrics["fabric.timeflow.column_events"] >= \
+            metrics["fabric.timeflow.completions"]
 
 
 class TestIncastPattern:
@@ -226,6 +232,12 @@ class TestSteadyStateCrossValidation:
         with pytest.raises(ConfigurationError):
             validate_victim_impact(victim_load=0.1, congestor_load=0.2,
                                    duty=1.0)
+
+    @pytest.mark.parametrize("duty", [0.0, -0.3, 1.5, float("nan")])
+    def test_duty_outside_unit_interval_rejected(self, duty):
+        # duty=0 used to escape as a bare ZeroDivisionError
+        with pytest.raises(ConfigurationError, match="duty"):
+            validate_victim_impact(duty=duty)
 
     def test_aimd_converges_on_maxmin_fair_share(self, net):
         # Constant elephants into one endpoint: the ECN loop's

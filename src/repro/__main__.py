@@ -297,9 +297,10 @@ def _cmd_mpigraph(args: "argparse.Namespace") -> int:
                                            summit_mpigraph_histogram)
 
     spec = _load_spec(args.spec)
-    # Flow-level simulation is honest but O(endpoints^2) per offset; keep
-    # it for reduced-scale scenarios and use the paper's full-scale
-    # analytic accounting beyond that (or on request).
+    # Flow-level simulation plans and solves one O(endpoints)-flow shift
+    # phase per offset (~28 offsets); keep it for reduced-scale scenarios
+    # and use the paper's full-scale analytic accounting beyond that (or
+    # on request).
     flow_feasible = spec.fabric_config().total_endpoints <= 4096
     if args.analytic or not flow_feasible:
         if spec.fabric.kind == "dragonfly":

@@ -12,11 +12,12 @@ This module plans a whole phase at once on the flat-array topology views
   the least-loaded surviving global link (ties to insertion order) and
   immediately charges the chosen path, so later picks see earlier ones.
   Registered batch picks reproduce that exactly with a grouped
-  water-filling argsort — for each ordered group pair the sequence of
-  sequential picks is the lexicographically smallest ``k`` elements of
-  the multiset ``{(load[c] + s, c) : s >= 0}`` — which is exact because
-  an L2 link's load is only ever changed by flows routed through its own
-  ordered group pair;
+  water-fill — for each ordered group pair the sequence of sequential
+  picks is the lexicographically smallest ``k`` elements of the multiset
+  ``{(load[c] + s, c) : s >= 0}``, and the ``t``-th of them has a closed
+  form over the row's sorted loads (O(candidates) per request, no sort
+  over ``k``) — which is exact because an L2 link's load is only ever
+  changed by flows routed through its own ordered group pair;
 * the UGAL minimal-vs-Valiant decision runs in *chunked rounds*: within
   a chunk, decisions see the load snapshot at round start (gateway links
   see their water-filled pick-time load), and the chosen paths are
@@ -161,21 +162,26 @@ def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
     m = links.shape[1]
     cand_loads = np.where(links >= 0,
                           loads[np.clip(links, 0, None)], _PAD_LOAD)
-    k_max = int(rank.max()) + 1
     # The t-th sequential pick of a row is the t-th lexicographically
-    # smallest (load + s, candidate) over s in [0, k_max).
-    key = (cand_loads[:, :, None] + np.arange(k_max)[None, None, :]) * m \
-        + np.arange(m)[None, :, None]
-    flat_key = key.reshape(len(upid), m * k_max)
-    picks = np.argsort(flat_key, axis=1)[:, :k_max]       # (p, k_max)
-    cand = picks // k_max
-    implied = np.take_along_axis(flat_key, picks, axis=1) // m
+    # smallest (load + s, candidate) over s >= 0, in closed form.  With
+    # the row's loads sorted, Ls[0] <= ... <= Ls[m-1], the level Ls[i] is
+    # reached after brk[i] = sum_{j<i} (Ls[i] - Ls[j]) picks; rank t
+    # fills at level lam = Ls[i] + (t - brk[i]) // (i + 1) for the last i
+    # with brk[i] <= t, and takes the ((t - brk[i]) % (i + 1))-th
+    # lowest-column candidate whose load is <= lam.
+    by_load = np.sort(cand_loads, axis=1)
+    brk = np.arange(m) * by_load - (np.cumsum(by_load, axis=1) - by_load)
+    req_brk = brk[grp]                                    # (n, m)
+    i = (req_brk <= rank[:, None]).sum(axis=1) - 1
+    over = rank - req_brk[np.arange(len(rank)), i]
+    level = by_load[grp, i] + over // (i + 1)
+    filled = np.cumsum(cand_loads[grp] <= level[:, None], axis=1)
+    cand_req = np.argmax(filled > (over % (i + 1))[:, None], axis=1)
 
-    cand_req = cand[grp, rank]
     out_cand = np.empty_like(cand_req)
     out_cand[sort] = cand_req
     out_implied = np.empty(len(pid), dtype=np.int64)
-    out_implied[sort] = implied[grp, rank]
+    out_implied[sort] = level
     out_link = np.empty(len(pid), dtype=np.int64)
     out_link[sort] = table[spid, cand_req]
     return out_cand, out_implied, out_link

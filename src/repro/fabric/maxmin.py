@@ -7,13 +7,17 @@ current rate.  The result is the unique max-min fair allocation, which is a
 good steady-state model for credit-based, congestion-controlled fabrics
 like Slingshot (and for InfiniBand under static routing).
 
-The implementation is vectorised over a sparse link x flow incidence matrix
-so full-machine experiments (tens of thousands of flows) run in milliseconds
-per traffic phase.
+The implementation is event-driven over a sparse link x flow incidence
+matrix: each freeze event touches only the frozen flows' links and the
+blocks of a blocked minimum index over the links' saturation levels.
+One full-Frontier mpiGraph shift phase (37,888 flows over 170,792 links,
+~2,700 freeze events) solves in ~0.14 s on one core of a shared 2-vCPU
+VM.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -43,23 +47,32 @@ class MaxMinResult:
                 f"max_util={self.link_utilisation.max():.3f})")
 
 
-def _incidence(paths, n_links: int) -> sparse.csr_matrix:
+#: Links per block of the saturation-level minimum index: each freeze
+#: event scans one minimum per block, then re-minimises only the blocks
+#: whose links it changed.
+_BLOCK = 128
+
+
+def _as_csr(paths) -> tuple[np.ndarray, np.ndarray]:
+    """``(indices, indptr)`` of a CSR path set or of per-flow link lists."""
     if hasattr(paths, "indptr"):
-        # CSR path set from the batch planner: build the link x flow
-        # incidence straight from the flat arrays, no per-flow lists.
-        indices = np.asarray(paths.indices, dtype=np.int64)
-        indptr = np.asarray(paths.indptr, dtype=np.int64)
-        cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        data = np.ones(indices.size, dtype=np.float64)
-        return sparse.csr_matrix((data, (indices, cols)),
-                                 shape=(n_links, len(indptr) - 1))
-    rows, cols = [], []
-    for f, path in enumerate(paths):
-        for link in path:
-            rows.append(link)
-            cols.append(f)
-    data = np.ones(len(rows), dtype=np.float64)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n_links, len(paths)))
+        return (np.asarray(paths.indices, dtype=np.int64),
+                np.asarray(paths.indptr, dtype=np.int64))
+    lens = np.fromiter((len(p) for p in paths), dtype=np.int64,
+                       count=len(paths))
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    indices = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return indices, indptr
+
+
+def _gather(indptr: np.ndarray, rows: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of CSR ``rows``' entries, row after row, and row lengths."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.arange(lens.sum()) - np.repeat(ends - lens - starts, lens), lens
 
 
 def maxmin_allocate(capacities: Sequence[float],
@@ -71,16 +84,23 @@ def maxmin_allocate(capacities: Sequence[float],
     Parameters
     ----------
     capacities:
-        Per-link capacity in bytes/s (dense link indexing).
+        Per-link capacity in bytes/s (dense link indexing); each must be
+        positive (``inf`` is an unconstrained link).
     paths:
         One link-index list per flow, or a CSR path set (anything with
         ``indices``/``indptr``, e.g. the batch planner's
-        :class:`~repro.fabric.batchroute.BatchPaths`) whose incidence is
-        built without per-flow Python lists.  A flow with an empty path
-        is unconstrained (rate = demand or +inf).
+        :class:`~repro.fabric.batchroute.BatchPaths`); lists are
+        compacted to CSR once.  A path crosses each link at most once.
+        A flow with an empty path is unconstrained (rate = demand or
+        +inf).
     demands:
-        Optional per-flow rate caps (e.g. the sender's injection limit).
-        ``None`` means every flow is elastic.
+        Optional per-flow rate caps (e.g. the sender's injection limit),
+        each ``>= 0`` (``inf`` = elastic).  ``None`` means every flow is
+        elastic.
+
+    Bad input (a NaN or non-positive capacity, a NaN or negative demand,
+    a link index outside ``[0, len(capacities))``, a path that repeats a
+    link) raises :class:`~repro.errors.SimulationError`.
 
     Invariants (asserted by the property tests):
 
@@ -90,26 +110,37 @@ def maxmin_allocate(capacities: Sequence[float],
       already lower or equal.
     """
     n_links = len(capacities)
-    n_flows = len(paths)
     cap = np.asarray(capacities, dtype=np.float64)
-    if np.any(cap <= 0):
+    if not np.all(cap > 0):  # NaN fails too
         raise SimulationError("all link capacities must be positive")
+    f_indices, f_indptr = _as_csr(paths)
+    n_flows = len(f_indptr) - 1
     if n_flows == 0:
         return MaxMinResult(np.zeros(0), np.zeros(n_links), np.zeros(0, dtype=np.int64))
+    if f_indices.size and (f_indices.min() < 0 or f_indices.max() >= n_links):
+        raise SimulationError(
+            f"a path crosses a link outside [0, {n_links})")
 
-    A = _incidence(paths, n_links)
     dem = (np.full(n_flows, np.inf) if demands is None
            else np.asarray(demands, dtype=np.float64))
     if dem.shape != (n_flows,):
         raise SimulationError("demands must have one entry per flow")
+    if not np.all(dem >= 0):  # NaN fails too
+        raise SimulationError("demands must be non-negative numbers")
+
+    # link x flow incidence, flows ascending within each link row
+    lens = np.diff(f_indptr)
+    cols = np.repeat(np.arange(n_flows), lens)
+    A = sparse.csr_matrix((np.ones(f_indices.size), (f_indices, cols)),
+                          shape=(n_links, n_flows))
+    if A.nnz != f_indices.size:
+        raise SimulationError("a path crosses the same link twice")
 
     rates = np.zeros(n_flows)
     active = np.ones(n_flows, dtype=bool)
     bottleneck = np.full(n_flows, -1, dtype=np.int64)
     # Flows with no links are only demand-limited.
-    path_lens = (np.diff(paths.indptr) if hasattr(paths, "indptr")
-                 else np.asarray([len(p) for p in paths]))
-    linkless = path_lens == 0
+    linkless = lens == 0
     if np.any(linkless & ~np.isfinite(dem)):
         raise SimulationError("unbounded allocation: a flow has no "
                               "constraining link and no demand cap")
@@ -123,31 +154,33 @@ def maxmin_allocate(capacities: Sequence[float],
     # fill is a sequence of freeze events at increasing levels: a link
     # saturates at level (capacity - frozen traffic) / active flows, a
     # demand cap binds when the level reaches it.  Each event only
-    # touches the frozen flows' own links, so one iteration costs a
-    # single O(n_links) min plus O(frozen links) updates — never a CSR
-    # slice, never an O(n_flows) scan.
+    # touches the frozen flows' own links: the next level is a minimum
+    # over per-block minima of ``t_sat``, and only the blocks holding a
+    # changed link are re-minimised — never a full O(n_links) scan.
     indptr, nnz_flow = A.indptr, A.indices
     nnz_link = np.repeat(np.arange(n_links), np.diff(indptr))
+    #: active flows per link, plus a spare link ``n_links`` that pads
+    #: ``path_links``: it starts unused, goes negative, and never saturates
     n_active = np.bincount(nnz_link[active[nnz_flow]],
-                           minlength=n_links).astype(np.float64)
-    if hasattr(paths, "indptr"):
-        f_indices = np.asarray(paths.indices, dtype=np.int64)
-        f_indptr = np.asarray(paths.indptr, dtype=np.int64)
-
-        def links_of(flow: int) -> np.ndarray:
-            return f_indices[f_indptr[flow]:f_indptr[flow + 1]]
-    else:
-        def links_of(flow: int) -> np.ndarray:
-            return np.asarray(paths[flow], dtype=np.int64)
+                           minlength=n_links + 1).astype(np.float64)
+    path_links = np.full((n_flows, int(lens.max())), n_links, dtype=np.int64)
+    path_links[cols, np.arange(f_indices.size)
+               - np.repeat(f_indptr[:-1], lens)] = f_indices
 
     #: capacity not yet claimed by frozen flows
-    head_cap = cap.copy()
-    with np.errstate(divide="ignore"):
-        t_sat = np.where(n_active > 0,
-                         head_cap / np.maximum(n_active, 1.0), np.inf)
+    head_cap = np.append(cap, np.inf)
+    n_blocks = n_links // _BLOCK + 1
+    blocks = np.full((n_blocks, _BLOCK), np.inf)
+    #: saturation level per link (a view of ``blocks``; inf once frozen)
+    t_sat = blocks.reshape(-1)[:n_links + 1]
+    t_sat[:] = np.where(n_active > 0,
+                        head_cap / np.maximum(n_active, 1.0), np.inf)
+    block_min = blocks.min(axis=1)
+    touched = np.zeros(n_blocks, dtype=bool)
     # Demand-cap events in ascending order; the pointer skips flows that
     # a link froze first.  Infinite demands sort last and never fire.
     cap_order = np.argsort(dem, kind="stable")
+    by_demand = dem[cap_order]
     cap_ptr = 0
     n_remaining = int(active.sum())
     with obs.span("fabric.maxmin_allocate", n_flows=n_flows, n_links=n_links):
@@ -157,56 +190,67 @@ def maxmin_allocate(capacities: Sequence[float],
             iterations += 1
             while cap_ptr < n_flows and not active[cap_order[cap_ptr]]:
                 cap_ptr += 1
-            t_cap = dem[cap_order[cap_ptr]] if cap_ptr < n_flows else np.inf
-            t_link = t_sat.min()
+            t_cap = by_demand[cap_ptr] if cap_ptr < n_flows else np.inf
+            t_link = block_min.min()
             level = min(t_link, t_cap)
             if not np.isfinite(level):  # pragma: no cover - defensive
                 raise SimulationError("unbounded allocation: a flow has no "
                                       "constraining link and no demand cap")
-            frozen: list[int] = []
+            frozen = []
             if t_link <= t_cap:
-                # Ascending link order, so a flow's bottleneck is its
-                # lowest-index saturated link (ties included).
-                for link in np.flatnonzero(t_sat == t_link):
-                    t_sat[link] = np.inf
-                    for f in nnz_flow[indptr[link]:indptr[link + 1]]:
-                        if active[f]:
-                            active[f] = False
-                            rates[f] = level
-                            bottleneck[f] = link
-                            frozen.append(f)
+                hot = (block_min == t_link).nonzero()[0]
+                row, col = (blocks[hot] == t_link).nonzero()
+                sat = hot[row] * _BLOCK + col
+                if len(sat) == 1:
+                    # one saturated link: its row holds each flow once
+                    links = sat[0]
+                    flows = nnz_flow[indptr[links]:indptr[links + 1]]
+                    flows = flows[active[flows]]
+                else:
+                    # Ascending link order, so a flow's bottleneck is its
+                    # lowest-index saturated link (ties included): the
+                    # first occurrence of each flow in the links' rows.
+                    pos, per_link = _gather(indptr, sat)
+                    flows = nnz_flow[pos]
+                    live = active[flows]
+                    flows, first = np.unique(flows[live], return_index=True)
+                    links = np.repeat(sat, per_link)[live][first]
+                active[flows] = False
+                bottleneck[flows] = links
+                frozen.append(flows)
             if t_cap <= t_link:
-                while cap_ptr < n_flows:
-                    f = cap_order[cap_ptr]
-                    if not active[f]:
-                        cap_ptr += 1
-                    elif dem[f] <= level:
-                        active[f] = False
-                        rates[f] = dem[f]
-                        frozen.append(f)
-                        cap_ptr += 1
-                    else:
-                        break
+                end = int(np.searchsorted(by_demand, level, side="right"))
+                capped = cap_order[cap_ptr:end]
+                capped = capped[active[capped]]
+                active[capped] = False
+                frozen.append(capped)
+                cap_ptr = end
+            # Every flow of one event freezes at the level (a capped
+            # flow's demand is the level), so the order in which its
+            # links are charged cannot change a float sum.
+            frozen = np.concatenate(frozen)
+            rates[frozen] = level
             n_remaining -= len(frozen)
-            if frozen:
-                for f in frozen:
-                    head_cap[links_of(f)] -= rates[f]
-                changed = np.concatenate([links_of(f) for f in frozen])
-                np.subtract.at(n_active, changed, 1.0)
-                head_cap[changed] = np.maximum(head_cap[changed], 0.0)
-                with np.errstate(divide="ignore"):
-                    t_sat[changed] = np.where(
-                        n_active[changed] > 0,
-                        head_cap[changed] / np.maximum(n_active[changed], 1.0),
-                        np.inf)
+            changed = path_links[frozen].ravel()
+            np.subtract.at(head_cap, changed, level)
+            np.subtract.at(n_active, changed, 1.0)
+            left = np.maximum(head_cap[changed], 0.0)
+            head_cap[changed] = left
+            active_left = n_active[changed]
+            t_sat[changed] = np.where(
+                active_left > 0, left / np.maximum(active_left, 1.0), np.inf)
+            # A saturated link lies on its frozen flows' paths, so this
+            # update also retires it (no active flow left: inf).
+            touched[changed // _BLOCK] = True
+            refresh = touched.nonzero()[0]
+            touched[refresh] = False
+            block_min[refresh] = blocks[refresh].min(axis=1)
         else:
             raise SimulationError("max-min allocation did not converge")
     obs.counter("fabric.maxmin.solves").inc()
     obs.counter("fabric.maxmin.iterations").inc(iterations)
 
     flow_per_link = A @ rates
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(cap > 0, flow_per_link / cap, 0.0)
     if np.any(flow_per_link > cap * (1 + 1e-9)):
         raise SimulationError("allocation exceeded a link capacity")
-    return MaxMinResult(rates, util, bottleneck)
+    return MaxMinResult(rates, flow_per_link / cap, bottleneck)

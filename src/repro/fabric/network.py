@@ -160,10 +160,9 @@ class FabricNetwork:
         rate (70% of line rate); pass ``None``-> default, or a number to
         override (e.g. float('inf') for fully elastic flows).
 
-        Routing goes through the batch planner (``router.paths``) when the
-        router provides one; ``chunk`` is forwarded to it (``chunk=1``
-        reproduces the historical scalar loop exactly).  Custom routers
-        exposing only ``path()`` still work through the scalar fallback.
+        Routing goes through the router's batch planner
+        (``router.paths``); ``chunk`` is forwarded to it (``chunk=1``
+        reproduces the historical scalar loop exactly).
         """
         if len(pairs) == 0:
             raise ConfigurationError("no flows given")
@@ -171,11 +170,7 @@ class FabricNetwork:
                       topology=self.topology_label,
                       policy=self._policy_label):
             self.router.reset_load()
-            batch = getattr(self.router, "paths", None)
-            if batch is not None:
-                paths = batch(pairs, chunk=chunk)
-            else:
-                paths = [self.router.path(s, d) for s, d in pairs]
+            paths = self.router.paths(pairs, chunk=chunk)
             if demand_per_flow is None:
                 demand_per_flow = STREAM_EFFICIENCY * self.config.link_rate
             demands = [demand_per_flow] * len(pairs)
@@ -185,8 +180,9 @@ class FabricNetwork:
             result.link_utilisation)
         obs.histogram("fabric.flow_bandwidth_bytes_per_s").observe_many(
             result.rates)
-        flows = [FlowResult(int(s), int(d), r)
-                 for (s, d), r in zip(pairs, result.rates)]
+        ends = np.asarray(pairs, dtype=np.int64)
+        flows = list(map(FlowResult, ends[:, 0].tolist(), ends[:, 1].tolist(),
+                         result.rates.tolist()))
         return flows, result
 
     def shift_pattern(self, offset_endpoints: int,

@@ -343,13 +343,13 @@ class TimeflowEngine:
     """Fluid time-stepped congestion simulation of one traffic phase.
 
     Paths are planned once through the router's batch planner
-    (``router.paths`` -> CSR :class:`BatchPaths`; scalar routers fall
-    back to ``path()``), then a run is array work over the link x flow
-    incidence built straight from the CSR arrays — the same zero-copy
-    interchange the max-min solver uses — with one column per scenario
-    (:meth:`run` integrates one, :meth:`run_ensemble` many): sparse
-    matmuls (link arrivals, per-flow mark lookup) when injections
-    change, one in-place add per quiet step in between.
+    (``router.paths`` -> CSR :class:`BatchPaths`), then a run is array
+    work over the link x flow incidence built straight from the CSR
+    arrays — the same zero-copy interchange the max-min solver uses —
+    with one column per scenario (:meth:`run` integrates one,
+    :meth:`run_ensemble` many): sparse matmuls (link arrivals, per-flow
+    mark lookup) when injections change, one in-place add per quiet step
+    in between.
     """
 
     def __init__(self, network, flows: Sequence[FlowSpec],
@@ -363,16 +363,7 @@ class TimeflowEngine:
 
         pairs = [(f.src, f.dst) for f in self.flows]
         network.router.reset_load()
-        batch = getattr(network.router, "paths", None)
-        if batch is not None:
-            self.paths: BatchPaths = batch(pairs, chunk=chunk)
-        else:  # custom scalar router: compact its lists to CSR
-            lists = [network.router.path(s, d) for s, d in pairs]
-            indices = np.fromiter((link for p in lists for link in p),
-                                  dtype=np.int64)
-            indptr = np.concatenate(
-                ([0], np.cumsum([len(p) for p in lists])))
-            self.paths = BatchPaths(indices, indptr)
+        self.paths: BatchPaths = network.router.paths(pairs, chunk=chunk)
 
         self.caps = np.asarray(network.topology.capacities(), dtype=float)
         n_links, n_flows = len(self.caps), len(self.flows)

@@ -56,6 +56,41 @@ class TestDemands:
         with pytest.raises(SimulationError):
             maxmin_allocate([10.0], [[0]], demands=[1.0, 2.0])
 
+    def test_zero_demand_gets_zero_rate(self):
+        result = maxmin_allocate([10.0], [[0], [0]], demands=[0.0, 100.0])
+        assert list(result.rates) == [0.0, 10.0]
+
+
+class TestBadInput:
+    """Malformed input raises a structured error, never a wrong answer."""
+
+    def test_negative_demand(self):
+        with pytest.raises(SimulationError, match="non-negative"):
+            maxmin_allocate([10.0], [[0], [0]], demands=[-1.0, 100.0])
+
+    def test_nan_demand(self):
+        with pytest.raises(SimulationError, match="non-negative"):
+            maxmin_allocate([10.0], [[0], [0]], demands=[np.nan, 100.0])
+
+    def test_nan_capacity(self):
+        with pytest.raises(SimulationError, match="capacities"):
+            maxmin_allocate([np.nan, 10.0], [[0], [1]])
+
+    @pytest.mark.parametrize("path", [[2], [-1], [0, 5]])
+    def test_link_index_out_of_range(self, path):
+        with pytest.raises(SimulationError, match="outside"):
+            maxmin_allocate([10.0, 10.0], [[0], path])
+
+    def test_link_index_out_of_range_in_csr_paths(self):
+        from repro.fabric.batchroute import BatchPaths
+        paths = BatchPaths(np.array([0, 3]), np.array([0, 1, 2]))
+        with pytest.raises(SimulationError, match="outside"):
+            maxmin_allocate([10.0, 10.0], paths)
+
+    def test_path_repeating_a_link(self):
+        with pytest.raises(SimulationError, match="twice"):
+            maxmin_allocate([10.0, 10.0], [[0, 1, 0]], demands=[1.0])
+
 
 class TestInvariants:
     @pytest.fixture()

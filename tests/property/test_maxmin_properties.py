@@ -4,12 +4,19 @@ These are the library's central invariants: every fabric bandwidth number
 in the reproduction flows through :func:`maxmin_allocate`.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.fabric import maxmin
+from repro.fabric.batchroute import BatchPaths
 from repro.fabric.maxmin import maxmin_allocate
+
+from ..fabric.maxmin_oracle import reference_maxmin
 
 
 @st.composite
@@ -97,3 +104,69 @@ class TestAllocationProperties:
         demands = [1.0] * len(paths)
         result = maxmin_allocate(caps, paths, demands=demands)
         assert np.all(result.rates <= 1.0 + 1e-9)
+
+
+# -- differential: the solver vs the per-flow event loop ---------------------
+
+#: Real link capacities, small enough that distinct links tie often.
+INT_CAPS = st.integers(min_value=1, max_value=4).map(float)
+
+
+@st.composite
+def oracle_instances(draw):
+    """Instances with saturation ties, shared links, caps and linkless flows."""
+    n_links = draw(st.integers(min_value=1, max_value=24))
+    n_flows = draw(st.integers(min_value=1, max_value=24))
+    caps = draw(st.lists(st.one_of(INT_CAPS,
+                                   st.floats(min_value=0.5, max_value=50.0)),
+                         min_size=n_links, max_size=n_links))
+    paths = [draw(st.lists(st.integers(min_value=0, max_value=n_links - 1),
+                           max_size=min(4, n_links), unique=True))
+             for _ in range(n_flows)]
+    demand = st.one_of(st.just(np.inf),
+                       st.integers(min_value=0, max_value=4).map(float),
+                       st.floats(min_value=0.1, max_value=20.0))
+    demands = draw(st.lists(demand, min_size=n_flows, max_size=n_flows))
+    if all(paths) and draw(st.booleans()):
+        return caps, paths, None
+    # a linkless flow is bounded only by its demand
+    demands = [d if path or np.isfinite(d) else 1.0
+               for path, d in zip(paths, demands)]
+    return caps, paths, demands
+
+
+def _solve_counting(caps, paths, demands):
+    """``maxmin_allocate`` and its ``fabric.maxmin.iterations`` count."""
+    obs.reset()
+    obs.enable()
+    try:
+        result = maxmin_allocate(caps, paths, demands)
+        events = obs.registry().snapshot()["fabric.maxmin.iterations"]["value"]
+    finally:
+        obs.disable()
+        obs.reset()
+    return result, events
+
+
+class TestMatchesReferenceLoop:
+    """Rates, bottlenecks, utilisation and the number of freeze events
+    equal the oracle's bit for bit, for list and CSR paths, at several
+    block widths of the saturation-level index."""
+
+    @given(oracle_instances(), st.sampled_from([1, 2, 5, maxmin._BLOCK]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, instance, width):
+        caps, paths, demands = instance
+        want, want_events = reference_maxmin(caps, paths, demands)
+        csr = BatchPaths(
+            np.array([link for path in paths for link in path], dtype=np.int64),
+            np.cumsum([0] + [len(path) for path in paths]))
+        with mock.patch.object(maxmin, "_BLOCK", width):
+            for given_paths in (paths, csr):
+                got, events = _solve_counting(caps, given_paths, demands)
+                np.testing.assert_array_equal(got.rates, want.rates)
+                np.testing.assert_array_equal(got.bottleneck_link,
+                                              want.bottleneck_link)
+                np.testing.assert_array_equal(got.link_utilisation,
+                                              want.link_utilisation)
+                assert events == want_events

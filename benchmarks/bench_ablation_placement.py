@@ -19,7 +19,7 @@ CFG = DragonflyConfig().scaled(8, 4, 4)
 NODES_PER_GROUP = CFG.endpoints_per_group // 4   # 4 NICs per node
 
 
-def _exchange_bandwidth(net: SlingshotNetwork, nodes: list[int]) -> float:
+def _exchange_bandwidth(net: SlingshotNetwork, nodes: np.ndarray) -> float:
     """Mean per-NIC bandwidth of a half-shift exchange over the job.
 
     Every endpoint sends to the endpoint half the job away — the pattern a
@@ -34,7 +34,7 @@ def _exchange_bandwidth(net: SlingshotNetwork, nodes: list[int]) -> float:
     return float(np.mean([f.bandwidth for f in flows]))
 
 
-def _max_global_hops(net: SlingshotNetwork, nodes: list[int]) -> int:
+def _max_global_hops(net: SlingshotNetwork, nodes: np.ndarray) -> int:
     """Worst-case global hops for any endpoint pair of the job."""
     endpoints = [n * 4 + k for n in nodes for k in range(4)]
     worst = 0
@@ -50,7 +50,7 @@ def _max_global_hops(net: SlingshotNetwork, nodes: list[int]) -> int:
 
 def test_small_job_pack_vs_spread(benchmark):
     """'Slurm will pack allocations tightly to minimize global hops.'"""
-    free = set(range(CFG.groups * NODES_PER_GROUP))
+    free = np.arange(CFG.groups * NODES_PER_GROUP)
     net = SlingshotNetwork(CFG)
 
     def run():
@@ -82,7 +82,7 @@ def test_small_job_pack_vs_spread(benchmark):
 
 
 def test_large_job_spread_gains_global_links(benchmark):
-    free = set(range(CFG.groups * NODES_PER_GROUP))
+    free = np.arange(CFG.groups * NODES_PER_GROUP)
     big = 3 * NODES_PER_GROUP
 
     def run():

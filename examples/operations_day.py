@@ -30,7 +30,8 @@ def main() -> None:
     # checknode script")
     broken: set[int] = set()
     sched = SlurmScheduler(n_nodes=machine_nodes,
-                           checknode=lambda n: n not in broken)
+                           checknode=lambda nodes: ~np.isin(nodes,
+                                                            list(broken)))
 
     # a day's workload
     workload = []

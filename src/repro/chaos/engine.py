@@ -465,14 +465,14 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
 
     # Scheduler: chaos owns the clock; checknode consults live fault state
     # (statically failed nodes stay drained even across a chaos repair).
-    node_down: dict[int, int] = {}            # node -> overlapping faults
-    static_failed = set(deg.failed_nodes)
+    down = np.zeros(spec.node_count, dtype=np.int64)  # overlapping faults
+    static = np.zeros(spec.node_count, dtype=bool)
     sched = SlurmScheduler(
         n_nodes=spec.node_count,
-        checknode=lambda n: node_down.get(n, 0) == 0
-        and n not in static_failed)
-    for node in static_failed:
+        checknode=lambda nodes: (down[nodes] == 0) & ~static[nodes])
+    for node in deg.failed_nodes:
         sched.drain(node)
+        static[node] = True
     pool = None
     if spare_target > 0:
         from repro.chaos.heal import SparePool
@@ -507,7 +507,7 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
     def measure_fabric(t_h: float) -> None:
         if net is None:
             return
-        healthy = [n for n in range(spec.node_count) if n not in node_down]
+        healthy = np.flatnonzero(down == 0).tolist()
         eps = [ep for n in healthy for ep in net.node_endpoints(n)]
         if len(eps) < 2:
             return
@@ -568,8 +568,8 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                     if link_down[ev.link] == 1 and net is not None:
                         net.disable_link(ev.link)
                 for node in ev.victims:
-                    node_down[node] = node_down.get(node, 0) + 1
-                    if node_down[node] == 1:
+                    down[node] += 1
+                    if down[node] == 1:
                         down_since[node] = t_s
                         if net is not None:
                             net.disable_node(node)
@@ -648,9 +648,8 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                     if link_down[ev.link] == 0 and net is not None:
                         net.enable_link(ev.link)
                 for node in ev.victims:
-                    node_down[node] -= 1
-                    if node_down[node] == 0:
-                        del node_down[node]
+                    down[node] -= 1
+                    if down[node] == 0:
                         node_down_hours += (t_s - down_since.pop(node)) / 3600.0
                         if net is not None:
                             net.enable_node(node)

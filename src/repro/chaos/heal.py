@@ -84,15 +84,14 @@ class SparePool:
         """
         npg = nodes_per_group if nodes_per_group is not None \
             else sched.nodes_per_group
-        by_group: dict[int, list[int]] = {}
-        for node in sorted(sched.free_nodes):
-            by_group.setdefault(node // npg, []).append(node)
-        chosen: list[int] = []
-        groups = sorted(by_group)
-        while len(chosen) < target and any(by_group.values()):
-            for group in groups:
-                if by_group[group] and len(chosen) < target:
-                    chosen.append(by_group[group].pop())
+        free = np.array(sorted(sched.free_nodes), dtype=np.int64)
+        group = free // npg
+        # depth below the top of the node's group run (0: its highest)
+        tops = np.flatnonzero(np.append(group[1:] != group[:-1], True))
+        at = np.arange(len(free))
+        depth = tops[np.searchsorted(tops, at)] - at
+        # round by round (depth), lowest group first within a round
+        chosen = free[np.lexsort((group, depth))[:target]].tolist()
         for node in chosen:
             sched.reserve_spare(node)
         return cls(chosen, target, npg)
@@ -110,15 +109,15 @@ class SparePool:
     def discard(self, node: int) -> None:
         self._nodes.discard(node)
 
-    def take(self, job_nodes: Iterable[int], policy: str = "pack",
+    def take(self, job_nodes: np.ndarray, policy: str = "pack",
              exclude: Iterable[int] = ()) -> int | None:
         """Pick (and remove) the replacement spare for a dying job node.
 
-        ``pack`` prefers the spare in the group holding the most
-        surviving job nodes (topology-close to the job block); ``spread``
-        the fewest; ``any`` the lowest node id.  Nodes in ``exclude``
-        (e.g. this event's other victims) are never picked.  Returns
-        ``None`` when the pool is dry.
+        ``job_nodes`` is the job's node id array.  ``pack`` prefers the
+        spare in the group holding the most surviving job nodes
+        (topology-close to the job block); ``spread`` the fewest; ``any``
+        the lowest node id.  Nodes in ``exclude`` (e.g. this event's other
+        victims) are never picked.  Returns ``None`` when the pool is dry.
         """
         banned = set(exclude)
         candidates = sorted(n for n in self._nodes if n not in banned)
@@ -129,7 +128,7 @@ class SparePool:
         else:
             npg = self.nodes_per_group
             counts = np.bincount(
-                np.fromiter(job_nodes, dtype=np.int64) // npg,
+                np.asarray(job_nodes, dtype=np.int64) // npg,
                 minlength=candidates[-1] // npg + 1).tolist()
             sign = -1 if policy == "pack" else 1
             chosen = min(candidates,

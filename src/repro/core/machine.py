@@ -165,6 +165,12 @@ class Machine:
     # -- factories ------------------------------------------------------------
 
     def scheduler(self, checknode=None) -> SlurmScheduler:
+        """A scheduler over the healthy nodes.
+
+        ``checknode`` follows the batched contract of
+        :class:`~repro.scheduler.slurm.SlurmScheduler`: an int64 array of
+        node ids in, a bool array of health verdicts out.
+        """
         return SlurmScheduler(n_nodes=self.healthy_node_count,
                               checknode=checknode)
 

@@ -185,16 +185,21 @@ class FabricNetwork:
                          result.rates.tolist()))
         return flows, result
 
-    def shift_pattern(self, offset_endpoints: int,
-                      demand_per_flow: float | None = None,
-                      chunk: int | None = None) -> list[FlowResult]:
-        """mpiGraph's pattern: endpoint i sends to endpoint (i+k) mod N."""
+    def shift_pairs(self, offset_endpoints: int) -> np.ndarray:
+        """mpiGraph's pattern as ``(N, 2)`` endpoint pairs: endpoint i
+        sends to endpoint (i+k) mod N."""
         n = self.config.total_endpoints
         if not 0 < offset_endpoints < n:
             raise ConfigurationError("shift offset must be in (0, n_endpoints)")
         src = np.arange(n, dtype=np.int64)
-        pairs = np.stack([src, (src + offset_endpoints) % n], axis=1)
-        flows, _ = self.flow_bandwidths(pairs, demand_per_flow, chunk=chunk)
+        return np.stack([src, (src + offset_endpoints) % n], axis=1)
+
+    def shift_pattern(self, offset_endpoints: int,
+                      demand_per_flow: float | None = None,
+                      chunk: int | None = None) -> list[FlowResult]:
+        """One flow per endpoint of :meth:`shift_pairs`, with its rate."""
+        flows, _ = self.flow_bandwidths(self.shift_pairs(offset_endpoints),
+                                        demand_per_flow, chunk=chunk)
         return flows
 
     # -- latency -------------------------------------------------------------

@@ -170,7 +170,8 @@ def simulate_mpigraph(network: SlingshotNetwork | FatTreeNetwork,
         offsets = sorted(raw)
     rates: list[np.ndarray] = []
     for k in offsets:
-        flows = network.shift_pattern(k, chunk=chunk)
-        rates.append(np.asarray([f.bandwidth for f in flows]))
+        _, result = network.flow_bandwidths(network.shift_pairs(k),
+                                            chunk=chunk)
+        rates.append(result.rates)
     name = type(network).__name__
     return MpiGraphHistogram(bandwidths=np.concatenate(rates), system=name)

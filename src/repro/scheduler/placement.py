@@ -17,8 +17,6 @@ bandwidth available to minimal routing).
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,45 +36,42 @@ class PlacementPolicy(enum.Enum):
     AUTO = "auto"       # Slurm's behaviour: pack small, spread large
 
 
-def _group_of(node: int, nodes_per_group: int) -> int:
-    return node // nodes_per_group
-
-
-def place_job(n_nodes: int, free_nodes: set[int],
+def place_job(n_nodes: int, free_nodes: np.ndarray,
               policy: PlacementPolicy = PlacementPolicy.AUTO,
-              nodes_per_group: int = NODES_PER_GROUP) -> list[int]:
+              nodes_per_group: int = NODES_PER_GROUP) -> np.ndarray:
     """Choose ``n_nodes`` from ``free_nodes`` according to the policy.
 
-    PACK takes the smallest group that fits the whole job, else fills the
-    fullest groups first; SPREAD deals nodes round-robin over the groups,
-    lowest group first.  Within a group the lowest-numbered nodes go
-    first, and ties between equally-full groups go to the lowest group
-    id, so the result depends only on the set's contents, never on its
-    iteration order.
+    ``free_nodes`` is an array (or sequence) of distinct free node ids
+    in any order.  PACK takes the smallest group that fits the whole
+    job, else fills the fullest groups first; SPREAD deals nodes
+    round-robin over the groups, lowest group first.  Within a group the
+    lowest-numbered nodes go first, and ties between equally-full groups
+    go to the lowest group id, so the result depends only on which nodes
+    are free, never on their order.
 
-    Returns a sorted list of the caller's own node objects; raises
-    :class:`PlacementError` when the request cannot be satisfied.
+    Returns a new ascending int64 array; raises :class:`PlacementError`
+    when the request cannot be satisfied.
     """
+    # One normalisation groups the free nodes: group g is the ascending
+    # run nodes[starts[g]:starts[g] + sizes[g]], groups in ascending id.
+    # (A stable sort is linear on the scheduler's already-sorted input.)
+    nodes = np.sort(np.asarray(free_nodes, dtype=np.int64), kind="stable")
+    if (nodes[1:] == nodes[:-1]).any():
+        raise PlacementError("free node ids must be distinct")
     if n_nodes < 1:
         raise PlacementError("job must request at least one node")
-    if n_nodes > len(free_nodes):
+    if n_nodes > len(nodes):
         raise PlacementError(
-            f"requested {n_nodes} nodes but only {len(free_nodes)} are free")
+            f"requested {n_nodes} nodes but only {len(nodes)} are free")
     if policy is PlacementPolicy.AUTO:
         policy = (PlacementPolicy.PACK if n_nodes <= nodes_per_group
                   else PlacementPolicy.SPREAD)
     obs.counter("scheduler.placement_decisions").inc()
     obs.counter(f"scheduler.placements.{policy.value}").inc()
 
-    # One sort groups the free set: group g is the ascending run
-    # nodes[starts[g]:starts[g] + sizes[g]], groups in ascending id order.
-    # Slices of ``nodes`` hand back the caller's own int objects (long-lived
-    # job node lists stay cheap).
-    nodes = sorted(free_nodes)
     if n_nodes == len(nodes):
         return nodes
-    group = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-    group //= nodes_per_group
+    group = nodes // nodes_per_group
     cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
     starts = [0, *cuts]
     sizes = [end - start for start, end in zip(starts, [*cuts, len(nodes)])]
@@ -88,7 +83,8 @@ def place_job(n_nodes: int, free_nodes: set[int],
         fits = [(size, g) for g, size in enumerate(sizes) if size >= n_nodes]
         if fits:
             start = starts[min(fits)[1]]
-            return nodes[start:start + n_nodes]
+            # a copy: a view would keep the whole free array alive
+            return nodes[start:start + n_nodes].copy()
         take = [0] * len(sizes)
         need = n_nodes
         for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
@@ -113,8 +109,8 @@ def place_job(n_nodes: int, free_nodes: set[int],
         take = [min(size, rounds) for size in sizes]
         for g in [g for g, size in enumerate(sizes) if size > rounds][:extra]:
             take[g] += 1
-    return list(chain.from_iterable(
-        nodes[start:start + k] for start, k in zip(starts, take) if k))
+    return np.concatenate([nodes[start:start + k]
+                           for start, k in zip(starts, take) if k])
 
 
 @dataclass(frozen=True)
@@ -132,25 +128,27 @@ class AllocationStats:
         return self.groups_spanned == 1
 
 
-def allocation_stats(nodes: list[int], config: DragonflyConfig | None = None,
+def allocation_stats(nodes: np.ndarray, config: DragonflyConfig | None = None,
                      nodes_per_group: int = NODES_PER_GROUP) -> AllocationStats:
     """Compute the placement quality metrics the paper's policy optimises.
 
-    ``config`` accepts anything :func:`repro.core.scenario.resolve_dragonfly`
-    does — a :class:`DragonflyConfig`, a ``MachineSpec``, a machine, or
-    ``None`` for the canonical Frontier fabric.
+    ``nodes`` is an array or sequence of node ids.  ``config`` accepts
+    anything :func:`repro.core.scenario.resolve_dragonfly` does — a
+    :class:`DragonflyConfig`, a ``MachineSpec``, a machine, or ``None``
+    for the canonical Frontier fabric.
     """
-    if not nodes:
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if len(nodes) == 0:
         raise PlacementError("empty allocation")
     # Lazy: repro.core.scenario is downstream of the scheduler package in
     # the import graph (core.machine imports scheduler.slurm).
     from repro.core.scenario import resolve_dragonfly
     cfg = resolve_dragonfly(config)
-    counts = Counter(_group_of(n, nodes_per_group) for n in nodes)
+    counts = np.unique(nodes // nodes_per_group, return_counts=True)[1].tolist()
     n = len(nodes)
     groups = len(counts)
     # Fraction of distinct node pairs landing in the same group.
-    same = sum(c * (c - 1) for c in counts.values())
+    same = sum(c * (c - 1) for c in counts)
     intra = same / (n * (n - 1)) if n > 1 else 1.0
     # Global links usable by minimal routing: links between the job's own
     # groups, plus links toward the rest of the fabric for non-minimal use
@@ -159,6 +157,6 @@ def allocation_stats(nodes: list[int], config: DragonflyConfig | None = None,
     usable = groups * (groups - 1) // 2 * link
     per_node = usable * 2 / n if n > 0 else 0.0  # both directions of each pair
     return AllocationStats(n_nodes=n, groups_spanned=groups,
-                           max_nodes_in_group=max(counts.values()),
+                           max_nodes_in_group=max(counts),
                            intra_group_fraction=intra,
                            global_bandwidth_per_node=per_node)

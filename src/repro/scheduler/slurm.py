@@ -14,19 +14,23 @@ The scheduler runs in simulated time: ``submit`` queues jobs, ``step`` /
 order with conservative backfill (a later job may start early only if it
 fits the currently free nodes).
 
-Node accounting is incremental.  Next to the per-node state map the
-scheduler keeps two indexes, updated with every state change:
+Node accounting lives in two arrays indexed by node id: an int8 state
+array (one code per :class:`NodeState`) and an int64 owner array that
+holds the RUNNING job's id for every ALLOCATED node and 0 for every
+other node.  Job start and finish update both with array ops;
+``_try_start`` reads the free nodes with one ``np.flatnonzero`` per
+placement, and ``free_nodes`` / ``drained_nodes`` / ``spare_nodes``
+build fresh sets on demand.  Every per-node method rejects an id
+outside ``[0, n_nodes)`` with :class:`SchedulerError` (an array would
+silently wrap ``-1`` to the last node).
 
-* ``_idle`` holds exactly the IDLE nodes, so placement reads the free
-  set without scanning the machine (``free_nodes`` hands out a copy);
-* ``_owner`` maps a node to the RUNNING job holding it.  It is
-  authoritative only for ALLOCATED nodes: an entry is written whenever
-  a node is allocated (job start, ``replace_node``) and is never read
-  for a node in any other state, so stale entries left behind by a
-  finished job are harmless and never cleared.
-
-Job start and finish apply their node updates in bulk.  Placement ties
-are broken by the lowest group id (:func:`repro.scheduler.placement.place_job`).
+``checknode`` is batched: it takes an int64 array of node ids and
+returns a bool array of the same length (``True``: healthy).  It runs
+once on all nodes at boot, once at each job end on the job's
+non-drained nodes in job-node order, and on a one-element array from
+``resume``, ``release_spare`` and ``resume_to_spare``.  Placement ties
+are broken by the lowest group id
+(:func:`repro.scheduler.placement.place_job`).
 """
 
 from __future__ import annotations
@@ -34,8 +38,12 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from repro import obs
 from repro.errors import PlacementError, SchedulerError
@@ -62,6 +70,17 @@ class NodeState(enum.Enum):
     RESERVED = "reserved"
 
 
+#: The state array's int8 codes, and the :class:`NodeState` of each code.
+_IDLE, _ALLOCATED, _DRAIN, _RESERVED = range(4)
+_STATES = (NodeState.IDLE, NodeState.ALLOCATED, NodeState.DRAIN,
+           NodeState.RESERVED)
+
+
+def _is_count(value) -> bool:
+    """An integer node count (``bool`` is an ``int`` but never a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobRequest:
     """What a user asks for."""
@@ -72,23 +91,35 @@ class JobRequest:
     policy: PlacementPolicy = PlacementPolicy.AUTO
 
     def __post_init__(self) -> None:
+        if not _is_count(self.n_nodes):
+            raise SchedulerError(
+                f"job node count must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 1:
             raise SchedulerError("job must request at least one node")
+        if not math.isfinite(self.duration_s):
+            raise SchedulerError(
+                f"job duration must be finite, got {self.duration_s!r}")
         if self.duration_s <= 0:
             raise SchedulerError("job duration must be positive")
 
 
-@dataclass
+@dataclass(eq=False)       # compared by identity: ``nodes`` is an array
 class Job:
     """A job known to the scheduler."""
 
     job_id: int
     request: JobRequest
     state: JobState = JobState.PENDING
-    nodes: list[int] = field(default_factory=list)
+    #: int64 node ids, in placement order (``replace_node`` swaps in place).
+    nodes: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
     start_time: float | None = None
     end_time: float | None = None
     step_vnis: list[int] = field(default_factory=list)
+
+
+def _all_healthy(nodes: np.ndarray) -> np.ndarray:
+    return np.ones(len(nodes), dtype=bool)
 
 
 class SlurmScheduler:
@@ -96,20 +127,18 @@ class SlurmScheduler:
 
     def __init__(self, n_nodes: int = 9472,
                  nodes_per_group: int = NODES_PER_GROUP,
-                 checknode: Callable[[int], bool] | None = None):
-        if n_nodes < 1:
-            raise SchedulerError("machine needs at least one node")
+                 checknode: Callable[[np.ndarray], np.ndarray] | None = None):
+        if not _is_count(n_nodes) or n_nodes < 1:
+            raise SchedulerError(
+                f"machine needs a positive whole number of nodes, "
+                f"got {n_nodes!r}")
         self.n_nodes = n_nodes
         self.nodes_per_group = nodes_per_group
-        self.checknode = checknode if checknode is not None else (lambda node: True)
+        self.checknode = checknode if checknode is not None else _all_healthy
         self.now = 0.0
-        self._node_state: dict[int, NodeState] = {}
-        for node in range(n_nodes):
-            healthy = self.checknode(node)
-            self._node_state[node] = NodeState.IDLE if healthy else NodeState.DRAIN
-        self._idle = {n for n, s in self._node_state.items()
-                      if s is NodeState.IDLE}
-        self._owner: dict[int, int] = {}   # read only for ALLOCATED nodes
+        healthy = self._checknode(np.arange(n_nodes, dtype=np.int64))
+        self._state = np.where(healthy, _IDLE, _DRAIN).astype(np.int8)
+        self._owner = np.zeros(n_nodes, dtype=np.int64)  # 0: not ALLOCATED
         self._jobs: dict[int, Job] = {}
         self._queue: list[int] = []
         self._running: list[tuple[float, int]] = []   # (end_time, job_id) heap
@@ -118,42 +147,52 @@ class SlurmScheduler:
 
     # -- node accounting ---------------------------------------------------
 
-    def node_state(self, node: int) -> NodeState:
-        try:
-            return self._node_state[node]
-        except KeyError:
-            raise SchedulerError(f"unknown node {node}") from None
+    def _index(self, node: int) -> int:
+        """``node`` as an index into the node arrays."""
+        if not (isinstance(node, (int, np.integer))
+                and 0 <= node < self.n_nodes):
+            raise SchedulerError(f"unknown node {node}")
+        return int(node)
 
-    def _set_state(self, node: int, state: NodeState) -> None:
-        """Move one node to ``state`` (never ALLOCATED: see ``_try_start``
-        and ``replace_node``), keeping the IDLE index in step."""
-        self._node_state[node] = state
-        if state is NodeState.IDLE:
-            self._idle.add(node)
-        else:
-            self._idle.discard(node)
+    def _checknode(self, nodes: np.ndarray) -> np.ndarray:
+        """One batched checknode call: a health verdict per node."""
+        healthy = np.asarray(self.checknode(nodes), dtype=bool)
+        if healthy.shape != nodes.shape:
+            raise SchedulerError(
+                f"checknode returned shape {healthy.shape} for "
+                f"{len(nodes)} nodes")
+        return healthy
+
+    def _healthy(self, node: int) -> bool:
+        return bool(self._checknode(np.array([node], dtype=np.int64))[0])
+
+    def _nodes_in(self, code: int) -> set[int]:
+        return set(np.flatnonzero(self._state == code).tolist())
+
+    def node_state(self, node: int) -> NodeState:
+        return _STATES[self._state[self._index(node)]]
 
     @property
     def free_nodes(self) -> set[int]:
-        return set(self._idle)
+        return self._nodes_in(_IDLE)
 
     @property
     def drained_nodes(self) -> set[int]:
-        return {n for n, s in self._node_state.items() if s is NodeState.DRAIN}
+        return self._nodes_in(_DRAIN)
 
     @property
     def spare_nodes(self) -> set[int]:
-        return {n for n, s in self._node_state.items()
-                if s is NodeState.RESERVED}
+        return self._nodes_in(_RESERVED)
 
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
 
     def drain(self, node: int) -> None:
-        if self.node_state(node) is NodeState.ALLOCATED:
+        i = self._index(node)
+        if self._state[i] == _ALLOCATED:
             raise SchedulerError(f"cannot drain allocated node {node}")
-        self._set_state(node, NodeState.DRAIN)
+        self._state[i] = _DRAIN
 
     def resume(self, node: int) -> None:
         """Return a drained node to service — via checknode, like real life.
@@ -164,13 +203,15 @@ class SlurmScheduler:
         (chaos repairs can race a between-jobs checknode recovery);
         resuming an allocated or reserved node is a caller bug.
         """
-        state = self.node_state(node)
-        if state is NodeState.IDLE:
+        i = self._index(node)
+        code = self._state[i]
+        if code == _IDLE:
             return
-        if state is not NodeState.DRAIN:
-            raise SchedulerError(f"cannot resume {state.value} node {node}")
-        if self.checknode(node):
-            self._set_state(node, NodeState.IDLE)
+        if code != _DRAIN:
+            raise SchedulerError(
+                f"cannot resume {_STATES[code].value} node {node}")
+        if self._healthy(i):
+            self._state[i] = _IDLE
             self._try_start()
 
     def fail_node(self, node: int) -> int | None:
@@ -184,15 +225,16 @@ class SlurmScheduler:
         radii hit the same node without corrupting state or double
         counting.
         """
-        state = self.node_state(node)
-        if state is NodeState.DRAIN:
+        i = self._index(node)
+        code = self._state[i]
+        if code == _DRAIN:
             return None
         # Drain *before* cancelling: _finish re-gates the job's nodes and
         # backfills, and must never hand the dead node to a pending job.
-        self._set_state(node, NodeState.DRAIN)
+        self._state[i] = _DRAIN
         interrupted: int | None = None
-        if state is NodeState.ALLOCATED:
-            interrupted = self._owner[node]
+        if code == _ALLOCATED:
+            interrupted = int(self._owner[i])
             self._finish(self._jobs[interrupted], JobState.CANCELLED)
         obs.counter("scheduler.nodes_failed").inc()
         return interrupted
@@ -201,20 +243,22 @@ class SlurmScheduler:
 
     def reserve_spare(self, node: int) -> None:
         """Move an idle node into the warm spare pool."""
-        if self.node_state(node) is not NodeState.IDLE:
+        i = self._index(node)
+        if self._state[i] != _IDLE:
             raise SchedulerError(
-                f"cannot reserve {self.node_state(node).value} node {node}")
-        self._set_state(node, NodeState.RESERVED)
+                f"cannot reserve {self.node_state(i).value} node {node}")
+        self._state[i] = _RESERVED
 
     def release_spare(self, node: int) -> None:
         """Return a spare to general service (checknode-gated)."""
-        if self.node_state(node) is not NodeState.RESERVED:
+        i = self._index(node)
+        if self._state[i] != _RESERVED:
             raise SchedulerError(f"node {node} is not a spare")
-        if self.checknode(node):
-            self._set_state(node, NodeState.IDLE)
+        if self._healthy(i):
+            self._state[i] = _IDLE
             self._try_start()
         else:
-            self._set_state(node, NodeState.DRAIN)
+            self._state[i] = _DRAIN
 
     def resume_to_spare(self, node: int) -> bool:
         """Repair a drained node straight into the spare pool.
@@ -224,18 +268,18 @@ class SlurmScheduler:
         :meth:`resume`, a replenished spare does not trigger placement —
         it is held back capacity by design.
         """
-        if self.node_state(node) is not NodeState.DRAIN:
+        i = self._index(node)
+        if self._state[i] != _DRAIN:
             raise SchedulerError(f"node {node} is not drained")
-        if not self.checknode(node):
+        if not self._healthy(i):
             return False
-        self._set_state(node, NodeState.RESERVED)
+        self._state[i] = _RESERVED
         return True
 
     def running_job_on(self, node: int) -> int | None:
         """The RUNNING job currently holding ``node``, or ``None``."""
-        if self.node_state(node) is not NodeState.ALLOCATED:
-            return None
-        return self._owner[node]
+        job_id = int(self._owner[self._index(node)])
+        return job_id if job_id else None
 
     def replace_node(self, dead: int, spare: int) -> int:
         """Backfill a dying allocated node from the spare pool.
@@ -244,16 +288,17 @@ class SlurmScheduler:
         swapped in (the heal path: no cancellation, no re-queue); the
         dead node drains.  Returns the job id.
         """
-        if self.node_state(spare) is not NodeState.RESERVED:
+        s = self._index(spare)
+        if self._state[s] != _RESERVED:
             raise SchedulerError(f"node {spare} is not a spare")
         job_id = self.running_job_on(dead)
         if job_id is None:
             raise SchedulerError(f"node {dead} has no running job")
+        d = int(dead)
         job = self._jobs[job_id]
-        self._set_state(dead, NodeState.DRAIN)
-        job.nodes[job.nodes.index(dead)] = spare
-        self._node_state[spare] = NodeState.ALLOCATED
-        self._owner[spare] = job_id
+        job.nodes[job.nodes == d] = s
+        self._state[[d, s]] = _DRAIN, _ALLOCATED
+        self._owner[[d, s]] = 0, job_id
         obs.counter("scheduler.nodes_failed").inc()
         obs.counter("scheduler.nodes_replaced").inc()
         return job_id
@@ -321,10 +366,13 @@ class SlurmScheduler:
         # One pass suffices: the free set only shrinks during it, so a job
         # skipped for want of nodes cannot fit later in the same call.
         with obs.span("scheduler.try_start", queue_depth=len(self._queue)):
-            free = self._idle
+            state = self._state
+            free = None          # read again after every placement
             for job_id in list(self._queue):
                 job = self._jobs[job_id]
                 req = job.request
+                if free is None:
+                    free = np.flatnonzero(state == _IDLE)
                 if req.n_nodes > len(free):
                     # FIFO head-of-line blocks unless a later job fits
                     continue
@@ -338,9 +386,9 @@ class SlurmScheduler:
                 job.state = JobState.RUNNING
                 job.start_time = self.now
                 job.end_time = self.now + req.duration_s
-                free.difference_update(nodes)
-                self._node_state.update(dict.fromkeys(nodes, NodeState.ALLOCATED))
-                self._owner.update(dict.fromkeys(nodes, job_id))
+                state[nodes] = _ALLOCATED
+                self._owner[nodes] = job_id
+                free = None
                 heapq.heappush(self._running, (job.end_time, job_id))
                 obs.counter("scheduler.jobs_started").inc()
         obs.gauge("scheduler.queue_depth").set(len(self._queue))
@@ -358,10 +406,10 @@ class SlurmScheduler:
         job.step_vnis.clear()
         # checknode gates every node's return to service (between every
         # job); nodes drained mid-job (fail_node) stay drained.
-        state, checknode = self._node_state, self.checknode
-        healthy = [n for n in job.nodes
-                   if state[n] is not NodeState.DRAIN and checknode(n)]
-        state.update(dict.fromkeys(job.nodes, NodeState.DRAIN))
-        state.update(dict.fromkeys(healthy, NodeState.IDLE))
-        self._idle.update(healthy)
+        nodes, codes = job.nodes, self._state
+        live = nodes[codes[nodes] != _DRAIN]
+        healthy = live[self._checknode(live)]
+        codes[nodes] = _DRAIN
+        codes[healthy] = _IDLE
+        self._owner[nodes] = 0
         self._try_start()

@@ -104,9 +104,9 @@ def probe_placement(spec: MachineSpec,
     from repro.scheduler.placement import allocation_stats
     from repro.scheduler.slurm import JobRequest, SlurmScheduler
 
-    drained = set(spec.degradation.failed_nodes)
+    drained = np.array(spec.degradation.failed_nodes, dtype=np.int64)
     sched = SlurmScheduler(n_nodes=spec.node_count,
-                           checknode=lambda node: node not in drained)
+                           checknode=lambda nodes: ~np.isin(nodes, drained))
     n_jobs = 8
     sizes = rng.integers(1, max(2, spec.healthy_node_count // 2),
                          size=n_jobs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fabric.network import SlingshotNetwork
 from repro.microbench.mpigraph import (MpiGraphHistogram,
                                        frontier_mpigraph_histogram,
                                        simulate_mpigraph,
@@ -88,3 +89,28 @@ class TestFlowLevelSimulation:
         assert hist.max_gbs > 15.0
         assert hist.min_gbs < 8.0
         assert hist.spread > 2.0
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_pools_the_shift_pattern_rates_bit_for_bit(self,
+                                                       small_fabric_config,
+                                                       chunk):
+        # UGAL draws from the network's rng: give each side a fresh twin
+        offsets = [1, 8, 24, 48]
+        hist = simulate_mpigraph(SlingshotNetwork(small_fabric_config, rng=5),
+                                 offsets=offsets, chunk=chunk)
+        twin = SlingshotNetwork(small_fabric_config, rng=5)
+        flows = [f for k in offsets for f in twin.shift_pattern(k, chunk=chunk)]
+        assert hist.bandwidths.tobytes() == np.array(
+            [f.bandwidth for f in flows]).tobytes()
+
+    def test_chunk_reaches_the_planner(self, small_network, monkeypatch):
+        seen = []
+        paths = small_network.router.paths
+
+        def spy(pairs, chunk=None):
+            seen.append(chunk)
+            return paths(pairs, chunk=chunk)
+
+        monkeypatch.setattr(small_network.router, "paths", spy)
+        simulate_mpigraph(small_network, offsets=[1, 8], chunk=3)
+        assert seen == [3, 3]

@@ -1,5 +1,6 @@
 """Property-based tests for scheduling and placement invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -18,7 +19,8 @@ class TestPlacementProperties:
                    max_size=400))
     @settings(max_examples=60, deadline=None)
     def test_placement_returns_exactly_free_nodes(self, n, policy, free):
-        nodes = place_job(n, free, policy, nodes_per_group=64)
+        nodes = place_job(n, np.fromiter(free, dtype=np.int64), policy,
+                          nodes_per_group=64).tolist()
         assert len(nodes) == n
         assert len(set(nodes)) == n
         assert set(nodes) <= free
@@ -72,17 +74,18 @@ node_ids = st.integers(0, MACHINE_NODES - 1)
 class SchedulerIndexMachine(RuleBasedStateMachine):
     """Random scheduler call sequences on a 4-group machine.
 
-    The incremental indexes (the IDLE set behind ``free_nodes`` and the
-    node -> job owner map behind ``running_job_on``) must agree with a
-    full scan of node states and RUNNING jobs after every call, including
-    calls the current state forbids (they raise ``SchedulerError``).
+    The node arrays (states behind ``free_nodes``, owners behind
+    ``running_job_on``) must agree with a full scan of node states and
+    RUNNING jobs after every call, including calls the current state
+    forbids (they raise ``SchedulerError``).
     """
 
     def __init__(self):
         super().__init__()
         self.sick: set[int] = set()
         self.sched = SlurmScheduler(n_nodes=MACHINE_NODES, nodes_per_group=8,
-                                    checknode=lambda n: n not in self.sick)
+                                    checknode=lambda nodes: ~np.isin(
+                                        nodes, list(self.sick)))
         self.job_ids: list[int] = []
 
     def attempt(self, call, *args):

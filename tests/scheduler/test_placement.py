@@ -1,5 +1,6 @@
 """Topology-aware placement tests (§3.4.2's pack-small / spread-large)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PlacementError
@@ -7,8 +8,13 @@ from repro.scheduler.placement import (NODES_PER_GROUP, PlacementPolicy,
                                        allocation_stats, place_job)
 
 
-def free_machine(nodes: int = 1024) -> set[int]:
-    return set(range(nodes))
+def free_machine(nodes: int = 1024) -> np.ndarray:
+    return np.arange(nodes)
+
+
+def free_array(nodes: set[int]) -> np.ndarray:
+    """``nodes`` in the set's own iteration order."""
+    return np.fromiter(nodes, dtype=np.int64)
 
 
 class TestAutoPolicy:
@@ -38,19 +44,19 @@ class TestAutoPolicy:
 class TestExplicitPolicies:
     def test_pack_tightest_fit(self):
         free = set(range(0, 64)) | set(range(128, 140))  # group0: 64, group1: 12
-        nodes = place_job(10, free, PlacementPolicy.PACK)
+        nodes = place_job(10, free_array(free), PlacementPolicy.PACK)
         # tightest fit: the 12-node fragment, not the big group
         assert all(128 <= n < 140 for n in nodes)
 
     def test_pack_spills_when_no_single_group_fits(self):
         free = set(range(0, 20)) | set(range(128, 148))
-        nodes = place_job(30, free, PlacementPolicy.PACK)
+        nodes = place_job(30, free_array(free), PlacementPolicy.PACK)
         assert allocation_stats(nodes).groups_spanned == 2
 
     def test_pack_tie_goes_to_lowest_group(self):
-        # Equal free sets place the same, whatever the set's hash-table
-        # layout: the literal iterates 130, 131, 60, 61; the range thinned
-        # node by node keeps its large table and iterates in ascending order.
+        # Equal free sets place the same, whatever the order of the array:
+        # the literal iterates 130, 131, 60, 61; the range thinned node by
+        # node keeps its large table and iterates in ascending order.
         literal = {60, 61, 130, 131}
         thinned = set(range(4096))
         for node in range(4096):
@@ -58,7 +64,8 @@ class TestExplicitPolicies:
                 thinned.discard(node)
         assert thinned == literal and list(thinned) != list(literal)
         for free in (literal, thinned):
-            assert place_job(2, free, PlacementPolicy.PACK, 64) == [60, 61]
+            assert place_job(2, free_array(free), PlacementPolicy.PACK,
+                             64).tolist() == [60, 61]
 
     def test_spread_round_robins(self):
         nodes = place_job(8, free_machine(4 * NODES_PER_GROUP),
@@ -88,6 +95,17 @@ class TestValidation:
         with pytest.raises(PlacementError):
             allocation_stats([])
 
+    def test_duplicate_free_nodes_rejected(self):
+        with pytest.raises(PlacementError):
+            place_job(2, np.array([5, 5, 6]))
+
+    def test_allocation_stats_of_arrays(self):
+        with pytest.raises(PlacementError):
+            allocation_stats(np.empty(0, dtype=np.int64))
+        stats = allocation_stats(np.arange(120, 136))
+        assert stats.groups_spanned == 2
+        assert stats.max_nodes_in_group == 8
+
     def test_single_node_stats(self):
         stats = allocation_stats([7])
         assert stats.groups_spanned == 1
@@ -96,4 +114,5 @@ class TestValidation:
 
     def test_result_is_sorted_unique(self):
         nodes = place_job(100, free_machine())
-        assert nodes == sorted(set(nodes))
+        assert nodes.dtype == np.int64
+        assert nodes.tolist() == sorted(set(nodes.tolist()))

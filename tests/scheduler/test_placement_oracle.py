@@ -5,10 +5,11 @@ computes SPREAD's round-robin in closed form.  :func:`reference_place_job`
 below is the straightforward per-node version: group node by node, then
 deal SPREAD one node per group per round.  It walks the free set in
 ascending order, which spells out the tie rule (equally-full groups go
-lowest group id first).  Both must return the same list for every
-policy, group size and free set.
+lowest group id first).  Both must return the same nodes for every
+policy, group size and free set, whatever the order of the free array.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,12 +56,11 @@ def reference_place_job(n_nodes, free_nodes, policy, nodes_per_group):
 
 
 def check(n, free, policy, npg):
-    got = place_job(n, free, policy, npg)
-    assert got == reference_place_job(n, free, policy, npg)
-    # the caller's own node objects come back, never copies
-    own = {id(node) for node in free}
-    assert all(id(node) in own for node in got)
-    return got
+    # the free array comes in the set's iteration order, not sorted
+    got = place_job(n, np.fromiter(free, dtype=np.int64), policy, npg)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_place_job(n, free, policy, npg)
+    return got.tolist()
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Slurm scheduler tests: exclusivity, checknode gating, job lifecycle."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
@@ -10,6 +11,11 @@ from repro.scheduler.slurm import NodeState
 
 def scheduler(n: int = 256, checknode=None) -> SlurmScheduler:
     return SlurmScheduler(n_nodes=n, checknode=checknode)
+
+
+def healthy_unless(sick: set[int]):
+    """A batched checknode: every node outside ``sick`` (read live) passes."""
+    return lambda nodes: ~np.isin(nodes, list(sick))
 
 
 class TestExclusivity:
@@ -40,14 +46,20 @@ class TestExclusivity:
 
 class TestChecknode:
     def test_unhealthy_nodes_drained_at_boot(self):
-        s = scheduler(64, checknode=lambda n: n != 5)
+        s = scheduler(64, checknode=lambda nodes: nodes != 5)
         assert 5 in s.drained_nodes
         assert s.node_state(5) is NodeState.DRAIN
+
+    def test_checknode_must_answer_per_node(self):
+        # a checknode still written per node (one verdict for the whole
+        # batch) is a caller bug, caught at boot
+        with pytest.raises(SchedulerError):
+            scheduler(16, checknode=lambda nodes: True)
 
     def test_checknode_runs_between_jobs(self):
         # "At boot and between every job, Slurm runs a checknode script"
         sick = set()
-        s = scheduler(64, checknode=lambda n: n not in sick)
+        s = scheduler(64, checknode=healthy_unless(sick))
         j = s.submit(JobRequest(8, 5.0))
         sick.add(s.job(j).nodes[0])    # node breaks during the job
         s.run_until_idle()
@@ -55,13 +67,13 @@ class TestChecknode:
         assert s.job(j).nodes[0] in s.drained_nodes
 
     def test_drained_node_not_allocated(self):
-        s = scheduler(16, checknode=lambda n: n != 0)
+        s = scheduler(16, checknode=lambda nodes: nodes != 0)
         j = s.submit(JobRequest(15, 1.0))
         assert 0 not in s.job(j).nodes
 
     def test_resume_reruns_checknode(self):
         sick = {3}
-        s = scheduler(16, checknode=lambda n: n not in sick)
+        s = scheduler(16, checknode=healthy_unless(sick))
         assert 3 in s.drained_nodes
         sick.clear()
         s.resume(3)
@@ -176,7 +188,7 @@ class TestFailNode:
 
     def test_surviving_nodes_regate_through_checknode(self):
         sick = set()
-        s = scheduler(16, checknode=lambda n: n not in sick)
+        s = scheduler(16, checknode=healthy_unless(sick))
         j = s.submit(JobRequest(8, 100.0))
         a, b = s.job(j).nodes[:2]
         sick.update({a, b})
@@ -195,7 +207,7 @@ class TestFailNode:
 
     def test_resume_of_still_sick_node_stays_drained(self):
         sick = {0}
-        s = scheduler(16, checknode=lambda n: n not in sick)
+        s = scheduler(16, checknode=healthy_unless(sick))
         s.resume(0)
         assert s.node_state(0) is NodeState.DRAIN
         sick.clear()
@@ -277,7 +289,7 @@ class TestSparePool:
 
     def test_release_returns_the_spare_through_checknode(self):
         sick = set()
-        s = scheduler(16, checknode=lambda n: n not in sick)
+        s = scheduler(16, checknode=healthy_unless(sick))
         s.reserve_spare(15)
         s.reserve_spare(14)
         sick.add(14)
@@ -321,7 +333,7 @@ class TestSparePool:
         assert s.job(j).state is JobState.PENDING
 
     def test_resume_to_spare_keeps_unhealthy_nodes_drained(self):
-        s = scheduler(16, checknode=lambda n: n != 15)
+        s = scheduler(16, checknode=lambda nodes: nodes != 15)
         s.fail_node(15)
         assert s.resume_to_spare(15) is False
         assert s.node_state(15) is NodeState.DRAIN
@@ -342,3 +354,65 @@ class TestSparePool:
         s.submit(JobRequest(8, 100.0))
         s.submit(JobRequest(8, 100.0))
         assert s.queue_depth == 2
+
+
+class TestJobRequestValidation:
+    """Bad requests fail at construction, never later in the scheduler."""
+
+    def test_nan_duration_rejected(self):
+        # a NaN job would start with end_time = nan and "complete" at t=0
+        with pytest.raises(SchedulerError):
+            JobRequest(4, float("nan"))
+
+    def test_infinite_duration_rejected(self):
+        with pytest.raises(SchedulerError):
+            JobRequest(4, float("inf"))
+
+    def test_fractional_node_count_rejected(self):
+        with pytest.raises(SchedulerError):
+            JobRequest(2.5, 10.0)
+
+    def test_bool_node_count_rejected(self):
+        with pytest.raises(SchedulerError):
+            JobRequest(True, 10.0)
+
+    def test_fractional_machine_size_rejected(self):
+        # a 2.5-node machine would pass the bounds check for node 2
+        with pytest.raises(SchedulerError):
+            SlurmScheduler(n_nodes=2.5)
+
+    def test_numpy_integer_node_count_accepted(self):
+        s = scheduler(16)
+        j = s.submit(JobRequest(np.int64(4), 10.0))
+        assert len(s.job(j).nodes) == 4
+
+
+#: Every public per-node call, applied to one node id.
+NODE_CALLS = {
+    "node_state": lambda s, n: s.node_state(n),
+    "drain": lambda s, n: s.drain(n),
+    "resume": lambda s, n: s.resume(n),
+    "fail_node": lambda s, n: s.fail_node(n),
+    "reserve_spare": lambda s, n: s.reserve_spare(n),
+    "release_spare": lambda s, n: s.release_spare(n),
+    "resume_to_spare": lambda s, n: s.resume_to_spare(n),
+    "running_job_on": lambda s, n: s.running_job_on(n),
+    "replace_node(dead)": lambda s, n: s.replace_node(n, 15),
+    "replace_node(spare)": lambda s, n: s.replace_node(0, n),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+@pytest.mark.parametrize("call", sorted(NODE_CALLS))
+def test_out_of_range_node_ids_are_unknown(call, bad):
+    """Node -1 must not wrap around to the last node, nor n_nodes raise
+    an IndexError: both are unknown nodes, and nothing changes."""
+    s = scheduler(16)
+    s.reserve_spare(15)          # the last node: what -1 would wrap to
+    s.fail_node(14)
+    j = s.submit(JobRequest(8, 100.0))
+    before = [s.node_state(n) for n in range(16)]
+    with pytest.raises(SchedulerError, match=f"unknown node {bad}"):
+        NODE_CALLS[call](s, bad)
+    assert [s.node_state(n) for n in range(16)] == before
+    assert s.job(j).state is JobState.RUNNING

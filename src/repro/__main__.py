@@ -381,10 +381,10 @@ def _parse_axes(pairs: list[str]) -> dict[str, tuple]:
 def _cmd_sweep(args: "argparse.Namespace") -> int:
     from repro.errors import ReproError
     from repro.obs.export import render_metrics
-    from repro.sweep import (SweepConfig, SweepPlan, prune_artifacts,
+    from repro.sweep import (SWEEP_LEDGER, SweepConfig, SweepPlan,
                              results_table, run_sweep)
     if args.gc:
-        report = prune_artifacts(args.out)
+        report = SWEEP_LEDGER.prune(args.out)
         print(f"sweep --gc {args.out}: {report.counts_line()}")
         return 0
     try:

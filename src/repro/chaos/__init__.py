@@ -9,10 +9,9 @@ See :mod:`repro.chaos.engine` for the accounting model and
 gate.
 """
 
-from repro.chaos.engine import (CHAOS_SCHEMA_VERSION, ChaosConfig,
-                                ChaosResult, DEFAULT_CHAOS_DIR, JobReport,
-                                chaos_artifact_path, chaos_run_id,
-                                load_chaos_artifact, run_chaos,
+from repro.chaos.engine import (CHAOS_LEDGER, CHAOS_SCHEMA_VERSION,
+                                ChaosConfig, ChaosResult, DEFAULT_CHAOS_DIR,
+                                JobReport, chaos_run_id, run_chaos,
                                 run_chaos_cached, validation_config,
                                 validation_spec)
 from repro.chaos.events import (DEFAULT_MTTR_HOURS, EVENT_KINDS, ChaosEvent,
@@ -28,8 +27,8 @@ from repro.chaos.heal import (INTERVAL_TOLERANCE, HealReport,
 
 __all__ = [
     "ChaosConfig", "ChaosResult", "JobReport", "run_chaos",
-    "run_chaos_cached", "chaos_run_id", "chaos_artifact_path",
-    "load_chaos_artifact", "validation_config", "validation_spec",
+    "run_chaos_cached", "chaos_run_id", "CHAOS_LEDGER",
+    "validation_config", "validation_spec",
     "CHAOS_SCHEMA_VERSION", "DEFAULT_CHAOS_DIR",
     "ChaosEvent", "ChaosTimeline", "sample_timeline", "DEFAULT_MTTR_HOURS",
     "EVENT_KINDS",

@@ -29,15 +29,14 @@ checkpoint cost (the partial cycle at the boundary is forfeited — a
 conservative, documented bias that vanishes as segments grow).
 
 Results persist as resumable artifacts under ``benchmarks/out/chaos/``
-keyed by a content hash of (spec, config), in the same spirit as
-:mod:`repro.sweep.artifacts`: re-running the same configuration loads
-the finished document instead of re-simulating.
+keyed by a content hash of (spec, config), kept in a
+:class:`~repro.ledger.Ledger` with the same trust contract as the sweep
+engine's: re-running the same configuration loads the finished document
+instead of re-simulating.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -46,8 +45,10 @@ import numpy as np
 
 from repro import obs
 from repro.chaos.events import ChaosTimeline, sample_timeline
-from repro.core.scenario import MachineSpec
+from repro.core.scenario import MachineSpec, decode_block, off_default
 from repro.errors import ConfigurationError
+from repro.ledger import Ledger
+from repro.ledger import run_id as chaos_run_id
 from repro.obs.export import write_json
 from repro.resilience.blast_radius import FailureDomainModel
 from repro.resilience.checkpoint import CheckpointPlan, checkpoint_efficiency
@@ -56,8 +57,8 @@ from repro.resilience.mtti import MttiModel
 from repro.rng import RngLike
 
 __all__ = ["ChaosConfig", "JobReport", "ChaosResult", "run_chaos",
-           "chaos_run_id", "chaos_artifact_path", "load_chaos_artifact",
-           "run_chaos_cached", "DEFAULT_CHAOS_DIR", "CHAOS_SCHEMA_VERSION"]
+           "chaos_run_id", "run_chaos_cached", "CHAOS_LEDGER",
+           "DEFAULT_CHAOS_DIR", "CHAOS_SCHEMA_VERSION"]
 
 CHAOS_SCHEMA_VERSION = 1
 
@@ -93,8 +94,8 @@ class ChaosConfig:
     max_fabric_endpoints: int = 4096
     #: FIT-inventory scale the *operator's model* assumes when adaptive
     #: checkpointing is on (reality runs at ``degradation.failure_scale``).
-    #: ``1.0`` = the unscaled inventory; serialized only off-default so
-    #: existing run ids stay byte-stable.
+    #: ``1.0`` = the unscaled inventory; serialized only off-default
+    #: (:func:`~repro.core.scenario.off_default`).
     adaptive_prior_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -116,7 +117,7 @@ class ChaosConfig:
         object.__setattr__(self, "job_fractions", fracs)
 
     def to_dict(self) -> dict[str, Any]:
-        doc = {
+        return {
             "horizon_h": self.horizon_h,
             "seed": self.seed,
             "checkpoint_cost_s": self.checkpoint_cost_s,
@@ -127,21 +128,11 @@ class ChaosConfig:
             "job_fractions": list(self.job_fractions),
             "measure_fabric": self.measure_fabric,
             "max_fabric_endpoints": self.max_fabric_endpoints,
-        }
-        if self.adaptive_prior_scale != 1.0:
-            doc["adaptive_prior_scale"] = self.adaptive_prior_scale
-        return doc
+        } | off_default(self, ("adaptive_prior_scale",))
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ChaosConfig":
-        known = {f: doc[f] for f in (
-            "horizon_h", "seed", "checkpoint_cost_s", "restart_s",
-            "storage_slowdown", "uniform_blast", "mttr_scale",
-            "measure_fabric", "max_fabric_endpoints",
-            "adaptive_prior_scale") if f in doc}
-        if "job_fractions" in doc:
-            known["job_fractions"] = tuple(doc["job_fractions"])
-        return cls(**known)
+        return decode_block(cls, doc, "chaos config")
 
 
 @dataclass(frozen=True)
@@ -693,36 +684,9 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
 
 # -- resumable artifacts ------------------------------------------------------
 
-
-def chaos_run_id(spec: MachineSpec, config: ChaosConfig) -> str:
-    """Content hash identifying one (spec, config) chaos run."""
-    blob = json.dumps({"spec": spec.to_dict(), "config": config.to_dict()},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def chaos_artifact_path(out_dir: str, run_id: str) -> str:
-    return os.path.join(out_dir, f"chaos-{run_id}.json")
-
-
-def load_chaos_artifact(out_dir: str, run_id: str) -> dict[str, Any] | None:
-    """The finished artifact for ``run_id``, or ``None``.
-
-    Only a well-formed document with ``status == "ok"`` and a matching
-    embedded run id is trusted (same contract as the sweep engine's
-    resume: a crashed or foreign file re-runs rather than poisoning).
-    """
-    path = chaos_artifact_path(out_dir, run_id)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("status") != "ok":
-        return None
-    if doc.get("run_id") != run_id or doc.get("schema") != CHAOS_SCHEMA_VERSION:
-        return None
-    return doc
+#: Chaos runs: ``chaos-<run_id>.json``, id at ``run_id``.
+CHAOS_LEDGER = Ledger(prefix="chaos-", schema=CHAOS_SCHEMA_VERSION,
+                      id_key="run_id")
 
 
 def run_chaos_cached(spec: MachineSpec, config: ChaosConfig | None = None, *,
@@ -734,12 +698,11 @@ def run_chaos_cached(spec: MachineSpec, config: ChaosConfig | None = None, *,
     """
     config = config if config is not None else ChaosConfig()
     run_id = chaos_run_id(spec, config)
-    path = chaos_artifact_path(out_dir, run_id)
-    if not fresh:
-        doc = load_chaos_artifact(out_dir, run_id)
-        if doc is not None:
-            obs.counter("chaos.artifacts_resumed").inc()
-            return doc, path, True
+    path = CHAOS_LEDGER.path(out_dir, run_id)
+    doc = None if fresh else CHAOS_LEDGER.resume(out_dir, run_id)
+    if doc is not None:
+        obs.counter("chaos.artifacts_resumed").inc()
+        return doc, path, True
     doc = run_chaos(spec, config).to_doc()
     write_json(path, doc)
     obs.counter("chaos.artifacts_written").inc()

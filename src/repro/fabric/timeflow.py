@@ -48,14 +48,13 @@ from is kept in ``tests/fabric/timeflow_oracle.py`` as the reference
 every column must match bit for bit.
 
 Results persist as resumable content-hash artifacts under
-``benchmarks/out/congest/`` (same contract as :mod:`repro.chaos`), via
-``python -m repro congest``.
+``benchmarks/out/congest/``, via ``python -m repro congest``, in a
+:class:`~repro.ledger.Ledger` with the same trust contract as the sweep
+and chaos artifacts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -68,6 +67,8 @@ from repro import obs
 from repro.errors import ConfigurationError, SimulationError
 from repro.fabric.batchroute import BatchPaths
 from repro.fabric.congestion import CongestionControl
+from repro.ledger import Ledger
+from repro.ledger import run_id as congest_run_id
 from repro.rng import RngLike, as_generator
 
 __all__ = [
@@ -77,8 +78,8 @@ __all__ = [
     "ImpactValidation", "validate_victim_impact",
     "CongestConfig", "congest_spec", "congest_scenario",
     "run_congest", "run_congest_cached", "run_congest_grid",
-    "congest_run_id", "congest_artifact_path", "load_congest_artifact",
-    "DEFAULT_CONGEST_DIR", "CONGEST_SCHEMA_VERSION",
+    "congest_run_id", "CONGEST_LEDGER", "DEFAULT_CONGEST_DIR",
+    "CONGEST_SCHEMA_VERSION",
 ]
 
 #: Default artifact directory (mirrors the sweep/chaos layout).
@@ -86,6 +87,10 @@ DEFAULT_CONGEST_DIR = os.path.join("benchmarks", "out", "congest")
 
 #: Artifact schema (bumped on incompatible document changes).
 CONGEST_SCHEMA_VERSION = 1
+
+#: Congest studies: ``congest-<run_id>.json``, id at ``run_id``.
+CONGEST_LEDGER = Ledger(prefix="congest-", schema=CONGEST_SCHEMA_VERSION,
+                        id_key="run_id")
 
 #: Fraction of line rate a single uncontrolled stream sustains (protocol
 #: overheads; matches ``repro.fabric.network.STREAM_EFFICIENCY``).
@@ -1312,38 +1317,6 @@ def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
     return doc
 
 
-def congest_run_id(spec, config: CongestConfig) -> str:
-    """Content hash identifying one (spec, config) congest study."""
-    blob = json.dumps({"spec": spec.to_dict(), "config": config.to_dict()},
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def congest_artifact_path(out_dir: str, run_id: str) -> str:
-    return os.path.join(out_dir, f"congest-{run_id}.json")
-
-
-def load_congest_artifact(out_dir: str, run_id: str) -> dict[str, Any] | None:
-    """The finished artifact for ``run_id``, or ``None``.
-
-    Same trust contract as the sweep/chaos ledgers: only a well-formed
-    ``status == "ok"`` document with matching run id and schema resumes;
-    anything else re-runs.
-    """
-    path = congest_artifact_path(out_dir, run_id)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("status") != "ok":
-        return None
-    if (doc.get("run_id") != run_id
-            or doc.get("schema") != CONGEST_SCHEMA_VERSION):
-        return None
-    return doc
-
-
 def run_congest_cached(spec, config: CongestConfig | None = None, *,
                        out_dir: str = DEFAULT_CONGEST_DIR,
                        fresh: bool = False
@@ -1352,12 +1325,11 @@ def run_congest_cached(spec, config: CongestConfig | None = None, *,
     from repro.obs.export import write_json
     config = config if config is not None else CongestConfig()
     run_id = congest_run_id(spec, config)
-    path = congest_artifact_path(out_dir, run_id)
-    if not fresh:
-        doc = load_congest_artifact(out_dir, run_id)
-        if doc is not None:
-            obs.counter("fabric.timeflow.artifacts_resumed").inc()
-            return doc, path, True
+    path = CONGEST_LEDGER.path(out_dir, run_id)
+    doc = None if fresh else CONGEST_LEDGER.resume(out_dir, run_id)
+    if doc is not None:
+        obs.counter("fabric.timeflow.artifacts_resumed").inc()
+        return doc, path, True
     doc = run_congest(spec, config)
     write_json(path, doc)
     obs.counter("fabric.timeflow.artifacts_written").inc()

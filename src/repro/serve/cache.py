@@ -10,8 +10,9 @@ engine share results in both directions:
   over the same grid point (served misses are written back as ordinary
   artifacts).
 
-Only ``status == "ok"`` documents are cached: errors are transient by
-assumption (the sweep engine's resume semantics retry them too), so a
+Only documents :meth:`repro.ledger.Ledger.resume` trusts are cached
+(``status == "ok"``, the check a resumed sweep makes): errors are
+transient by assumption (a resumed sweep retries them too), so a
 failed probe is re-evaluated on the next request rather than replayed
 forever.  The in-memory level is a bounded LRU — a long-lived service
 over an unbounded request stream must not grow without limit; the ledger
@@ -24,7 +25,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro import obs
-from repro.sweep.artifacts import artifact_path, load_artifact, write_artifact
+from repro.sweep.artifacts import SWEEP_LEDGER, write_artifact
 
 __all__ = ["ResponseCache"]
 
@@ -54,8 +55,8 @@ class ResponseCache:
             obs.counter("serve.cache_hits").inc()
             obs.counter("serve.cache_hits_memory").inc()
             return doc
-        doc = load_artifact(artifact_path(self.out_dir, task_id))
-        if doc is not None and doc.get("status") == "ok":
+        doc = SWEEP_LEDGER.resume(self.out_dir, task_id)
+        if doc is not None:
             self._remember(task_id, doc)
             obs.counter("serve.cache_hits").inc()
             obs.counter("serve.cache_hits_disk").inc()

@@ -24,15 +24,13 @@ Typical use::
 
 The CLI verb is ``python -m repro sweep``; see :mod:`repro.sweep.plan`
 for task identity/hashing, :mod:`repro.sweep.runner` for the execution
-policy, :mod:`repro.sweep.artifacts` for the artifact schema and resume
-semantics, and :mod:`repro.sweep.probes` for what can be evaluated at
-each grid point.
+policy, :mod:`repro.sweep.artifacts` for the artifact schema,
+:mod:`repro.ledger` for resume and pruning, and :mod:`repro.sweep.probes`
+for what can be evaluated at each grid point.
 """
 
-from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, PruneReport,
-                                   artifact_path, completed_ids,
-                                   iter_artifacts, load_artifact,
-                                   prune_artifacts, write_artifact)
+from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, SWEEP_LEDGER,
+                                   write_artifact)
 from repro.sweep.plan import (AXES, SweepPlan, SweepTask, apply_axes,
                               derive_seed, scaled_fraction, task_hash)
 from repro.sweep.probes import SWEEP_PROBES
@@ -41,9 +39,7 @@ from repro.sweep.runner import (ExecPolicy, SweepConfig, SweepSummary,
                                 results_table, run_sweep)
 
 __all__ = [
-    "ARTIFACT_SCHEMA_VERSION", "PruneReport", "artifact_path",
-    "completed_ids", "iter_artifacts", "load_artifact", "prune_artifacts",
-    "write_artifact",
+    "ARTIFACT_SCHEMA_VERSION", "SWEEP_LEDGER", "write_artifact",
     "AXES", "SweepPlan", "SweepTask", "apply_axes", "derive_seed",
     "scaled_fraction", "task_hash",
     "SWEEP_PROBES",

@@ -1,4 +1,4 @@
-"""One JSON artifact per sweep task; the resume ledger is the directory.
+"""One JSON artifact per sweep task, kept in the sweep's :class:`Ledger`.
 
 Artifact layout (``<out_dir>/<task_id>.json``, written atomically via
 :func:`repro.obs.export.write_json` so a killed sweep can never leave a
@@ -15,31 +15,27 @@ truncated artifact that a resume would trust)::
       "metrics": {...}                          # worker registry snapshot
     }
 
-Resume semantics: a task whose ``status == "ok"`` artifact is on disk is
-skipped; **error artifacts do not count as completed**, so re-running a
-sweep retries exactly the failures.  Anything unreadable, off-schema, or
-whose embedded task id disagrees with its filename is ignored rather
-than trusted.
+Resume and pruning follow :mod:`repro.ledger`: a task whose trusted
+``status == "ok"`` artifact is on disk is skipped; **error artifacts do
+not count as completed**, so re-running a sweep retries exactly the
+failures.  The scenario service's response cache reads and writes the
+same ledger.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
+from repro.ledger import Ledger
 from repro.obs.export import write_json
 
-__all__ = ["ARTIFACT_SCHEMA_VERSION", "artifact_path", "write_artifact",
-           "load_artifact", "completed_ids", "iter_artifacts",
-           "PruneReport", "prune_artifacts"]
+__all__ = ["ARTIFACT_SCHEMA_VERSION", "SWEEP_LEDGER", "write_artifact"]
 
 ARTIFACT_SCHEMA_VERSION = 1
 
-
-def artifact_path(out_dir: str, task_id: str) -> str:
-    return os.path.join(out_dir, f"{task_id}.json")
+#: Sweep tasks (and served requests): ``<task_id>.json``, id at ``task.id``.
+SWEEP_LEDGER = Ledger(prefix="", schema=ARTIFACT_SCHEMA_VERSION,
+                      id_key="task.id")
 
 
 def write_artifact(out_dir: str, doc: dict[str, Any]) -> str:
@@ -48,101 +44,4 @@ def write_artifact(out_dir: str, doc: dict[str, Any]) -> str:
     ``write_json`` creates ``out_dir`` (nested) on demand and goes
     through a temp file + ``os.replace``.
     """
-    return write_json(artifact_path(out_dir, doc["task"]["id"]), doc)
-
-
-def load_artifact(path: str) -> dict[str, Any] | None:
-    """The parsed artifact, or ``None`` if it is not a trustable one."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict):
-        return None
-    if doc.get("schema") != ARTIFACT_SCHEMA_VERSION:
-        return None
-    task = doc.get("task")
-    if not isinstance(task, dict) or "id" not in task:
-        return None
-    stem = os.path.splitext(os.path.basename(path))[0]
-    if task["id"] != stem:
-        return None
-    return doc
-
-
-def iter_artifacts(out_dir: str) -> Iterator[dict[str, Any]]:
-    """Every trustable artifact under ``out_dir``, sorted by task id."""
-    if not os.path.isdir(out_dir):
-        return
-    for name in sorted(os.listdir(out_dir)):
-        if not name.endswith(".json"):
-            continue
-        doc = load_artifact(os.path.join(out_dir, name))
-        if doc is not None:
-            yield doc
-
-
-def completed_ids(out_dir: str) -> set[str]:
-    """Task ids a resumed sweep may skip (``status == "ok"`` only)."""
-    return {doc["task"]["id"] for doc in iter_artifacts(out_dir)
-            if doc.get("status") == "ok"}
-
-
-@dataclass
-class PruneReport:
-    """What :func:`prune_artifacts` found and removed."""
-
-    scanned: int = 0       #: ``*.json`` files examined
-    kept: int = 0          #: trustable ``status == "ok"`` artifacts left alone
-    errors: int = 0        #: ``status == "error"`` artifacts deleted
-    stale: int = 0         #: off-schema / id-mismatched artifacts deleted
-    unreadable: int = 0    #: unparseable files left alone (never delete blind)
-
-    @property
-    def removed(self) -> int:
-        return self.errors + self.stale
-
-    def counts_line(self) -> str:
-        return (f"scanned: {self.scanned}  removed: {self.removed} "
-                f"(errors: {self.errors}, stale: {self.stale})  "
-                f"kept: {self.kept}  unreadable: {self.unreadable}")
-
-
-def prune_artifacts(out_dir: str) -> PruneReport:
-    """Delete dead ledger entries so long-lived services don't accrete them.
-
-    Removes artifacts whose ``status == "error"`` (a re-run or a served
-    request will retry them anyway) and *stale* ones — parseable JSON
-    objects that fail :func:`load_artifact`'s trust checks (wrong schema
-    version, missing or filename-mismatched task id).  Files that are not
-    parseable JSON at all are counted but **left in place**: they may not
-    be ours, and deleting blind from a shared directory is how ledgers
-    eat data.
-    """
-    report = PruneReport()
-    if not os.path.isdir(out_dir):
-        return report
-    for name in sorted(os.listdir(out_dir)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(out_dir, name)
-        report.scanned += 1
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            report.unreadable += 1
-            continue
-        if not isinstance(raw, dict):
-            report.unreadable += 1
-            continue
-        if load_artifact(path) is None:
-            os.remove(path)
-            report.stale += 1
-        elif raw.get("status") == "error":
-            os.remove(path)
-            report.errors += 1
-        else:
-            report.kept += 1
-    return report
+    return write_json(SWEEP_LEDGER.path(out_dir, doc["task"]["id"]), doc)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.scenario import MachineSpec
+from repro.core.scenario import MachineSpec, off_default
 
 if TYPE_CHECKING:
     from repro.sweep.plan import SweepTask
@@ -224,22 +224,13 @@ def _congest_neutral_dict(spec: MachineSpec) -> dict[str, Any]:
     the seed source for the scenario build, so every ECN variant draws
     the identical network and flow set.
     """
-    from repro.core.scenario import CongestionSpec
-    defaults = CongestionSpec()
     doc = spec.to_dict()
-    cong = dict(doc.get("congestion", {}))
-    cong.pop("ecn", None)
-    cong.pop("ecn_k", None)
-    # An all-defaults CongestionSpec serialises to *no* congestion entry,
-    # while any off-default knob serialises every field; normalise the
-    # remainder to off-default-only so both spellings key identically.
-    for name, value in list(cong.items()):
-        if getattr(defaults, name, object()) == value:
-            del cong[name]
+    doc.pop("congestion", None)
+    # The remaining knobs key per field, so an all-defaults spec and one
+    # that spells the defaults out key identically.
+    cong = off_default(spec.congestion, ("burst_duty", "incast_fanin"))
     if cong:
         doc["congestion"] = cong
-    else:
-        doc.pop("congestion", None)
     return doc
 
 

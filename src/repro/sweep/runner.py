@@ -18,8 +18,9 @@ artifact per task:
   a running function, so the overdue worker is *abandoned*: its slot
   stays busy until the task returns, and shutdown stops waiting for it —
   a deliberate trade for keeping one warm pool across the whole sweep;
-* **resume** — tasks whose ``status == "ok"`` artifact already exists
-  under ``out_dir`` are skipped (their artifacts still feed the summary);
+* **resume** — tasks whose trusted ``status == "ok"`` artifact already
+  exists under ``out_dir`` are skipped (their artifacts still feed the
+  summary); each planned task reads only its own artifact, once;
 * **telemetry merge** — each worker runs with its own freshly-reset
   metrics registry and ships the snapshot home in the artifact; the
   parent folds them via :meth:`MetricsRegistry.merge` into
@@ -49,8 +50,7 @@ from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.reporting import Table
 from repro.rng import spawn
-from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, artifact_path,
-                                   completed_ids, load_artifact,
+from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, SWEEP_LEDGER,
                                    write_artifact)
 from repro.sweep.plan import SweepPlan, SweepTask
 
@@ -201,19 +201,17 @@ def run_sweep(plan: SweepPlan, config: SweepConfig | None = None, *,
     summary = SweepSummary(planned=len(plan))
     start = time.perf_counter()
     with obs.span("sweep.run", tasks=len(plan), workers=config.workers):
-        done = completed_ids(config.out_dir) if config.resume else set()
         pending: list[SweepTask] = []
         for task in plan.tasks:
-            if task.task_id in done:
-                summary.skipped += 1
-                obs.counter("sweep.tasks_skipped").inc()
-                doc = load_artifact(artifact_path(config.out_dir,
-                                                  task.task_id))
-                if doc is not None:
-                    summary.artifacts[task.task_id] = doc
-                say(f"skip {task.task_id} {task.probe} (artifact exists)")
-            else:
+            doc = (SWEEP_LEDGER.resume(config.out_dir, task.task_id)
+                   if config.resume else None)
+            if doc is None:
                 pending.append(task)
+                continue
+            summary.skipped += 1
+            obs.counter("sweep.tasks_skipped").inc()
+            summary.artifacts[task.task_id] = doc
+            say(f"skip {task.task_id} {task.probe} (artifact exists)")
         if pending:
             def on_timeout(task: SweepTask) -> None:
                 summary.timed_out += 1

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from repro.chaos import (EFFICIENCY_TOLERANCE, MIN_EVENTS, RATE_TOLERANCE,
-                         ChaosConfig, chaos_artifact_path, chaos_run_id,
-                         cross_validate, load_chaos_artifact, run_chaos,
-                         run_chaos_cached, validation_config, validation_spec)
+from repro.chaos import (CHAOS_LEDGER, EFFICIENCY_TOLERANCE, MIN_EVENTS,
+                         RATE_TOLERANCE, ChaosConfig, chaos_run_id,
+                         cross_validate, run_chaos, run_chaos_cached,
+                         validation_config, validation_spec)
 from repro.errors import ConfigurationError
 from repro.sweep.plan import task_hash
 
@@ -120,21 +120,21 @@ class TestArtifacts:
         _, path, _ = run_chaos_cached(self.SPEC, self.CONFIG, out_dir=out)
         with open(path, "w") as fh:
             fh.write("{ truncated")
-        assert load_chaos_artifact(out, run_id) is None
+        assert CHAOS_LEDGER.resume(out, run_id) is None
         _, _, resumed = run_chaos_cached(self.SPEC, self.CONFIG, out_dir=out)
         assert not resumed
 
     def test_foreign_or_failed_artifact_distrusted(self, tmp_path):
         out = str(tmp_path)
         run_id = chaos_run_id(self.SPEC, self.CONFIG)
-        path = chaos_artifact_path(out, run_id)
+        path = CHAOS_LEDGER.path(out, run_id)
         for doc in ({"status": "error", "run_id": run_id, "schema": 1},
                     {"status": "ok", "run_id": "deadbeefdeadbeef",
                      "schema": 1},
                     {"status": "ok", "run_id": run_id, "schema": 999}):
             with open(path, "w") as fh:
                 json.dump(doc, fh)
-            assert load_chaos_artifact(out, run_id) is None
+            assert CHAOS_LEDGER.resume(out, run_id) is None
 
     def test_run_id_tracks_spec_and_config(self):
         base = chaos_run_id(self.SPEC, self.CONFIG)

@@ -73,6 +73,38 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigurationError, match="warp_factor"):
             MachineSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"congestion": {"bogus": 1}}, "bogus"),
+        ({"storage": {"ssu_count": "x"}}, "ssu_count"),
+        ({"degradation": {"failed_links": 5}}, "failed_links"),
+        ({"degradation": {"failed_links": ["a"]}}, "degradation"),
+        ({"degradation": {"typo_scale": 60}}, "typo_scale"),
+        ({"degradation": {"checkpoint_policy": "fixed",
+                          "checkpoint_interval_s": "x"}}, "degradation"),
+        ({"node_cout": 5}, "node_cout"),
+        ({"node_count": True}, "node_count"),
+        ({"name": 7}, "name"),
+        ({"storage": 5}, "storage"),
+        ({"congestion": {"ecn": "false"}}, "ecn"),
+        ({"congestion": {"ecn_k": 10.5}}, "ecn_k"),
+        ({"resilience": {"spare_fraction": "lots"}}, "spare_fraction"),
+        ({"fabric": {"kind": "dragonfly", "groups": "x"}}, "groups"),
+        ({"fabric": []}, "fabric"),
+    ])
+    def test_malformed_blocks_rejected(self, doc, match):
+        """Unknown keys and wrong-typed values in any block are a
+        ConfigurationError, never a bare TypeError or a silent default."""
+        with pytest.raises(ConfigurationError, match=match):
+            MachineSpec.from_dict(doc)
+
+    def test_int_valued_floats_accepted(self):
+        doc = frontier_spec().to_dict()
+        doc["degradation"]["failure_scale"] = 60
+        doc["fabric"]["link_rate"] = 25_000_000_000
+        spec = MachineSpec.from_dict(doc)
+        assert spec.degradation.failure_scale == 60.0
+        assert spec.fabric == frontier_spec().fabric
+
 
 class TestValidation:
     def test_endpoint_capacity_enforced(self):

@@ -10,9 +10,9 @@ from repro import obs
 from repro.core.scenario import frontier_spec
 from repro.errors import ConfigurationError
 from repro.fabric.maxmin import maxmin_allocate
-from repro.fabric.timeflow import (CongestConfig, FlowSpec, TimeflowConfig,
-                                   TimeflowEngine, congest_run_id, fct_stats,
-                                   incast_pattern, load_congest_artifact,
+from repro.fabric.timeflow import (CONGEST_LEDGER, CongestConfig, FlowSpec,
+                                   TimeflowConfig, TimeflowEngine,
+                                   congest_run_id, fct_stats, incast_pattern,
                                    run_congest, run_congest_cached,
                                    validate_victim_impact)
 
@@ -301,7 +301,7 @@ class TestCongestStudy:
         _, path, _ = run_congest_cached(spec, config, out_dir=str(tmp_path))
         with open(path, "w") as fh:
             fh.write("{not json")
-        assert load_congest_artifact(str(tmp_path),
+        assert CONGEST_LEDGER.resume(str(tmp_path),
                                      congest_run_id(spec, config)) is None
 
     def test_config_knobs_change_the_run_id(self):

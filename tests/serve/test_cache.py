@@ -6,7 +6,7 @@ import os
 
 from repro import obs
 from repro.serve.cache import ResponseCache
-from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, artifact_path,
+from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, SWEEP_LEDGER,
                                    write_artifact)
 
 
@@ -38,7 +38,7 @@ class TestCache:
         cache = ResponseCache(str(tmp_path))
         cache.put(make_doc("aaaa000011112222"))
         assert os.path.exists(
-            artifact_path(str(tmp_path), "aaaa000011112222"))
+            SWEEP_LEDGER.path(str(tmp_path), "aaaa000011112222"))
 
     def test_disk_hit_from_a_sweep_artifact(self, tmp_path):
         """A spec already swept is a cache hit on its first request."""
@@ -52,7 +52,7 @@ class TestCache:
         cache.put(make_doc("cccc000011112222", status="error"))
         # persisted as an ordinary artifact (the --gc target) ...
         assert os.path.exists(
-            artifact_path(str(tmp_path), "cccc000011112222"))
+            SWEEP_LEDGER.path(str(tmp_path), "cccc000011112222"))
         # ... but the next identical request re-evaluates
         assert cache.get("cccc000011112222") is None
 

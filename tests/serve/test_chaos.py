@@ -16,7 +16,7 @@ import os
 
 from repro.core.scenario import frontier_spec
 from repro.serve import ScenarioRequest, ScenarioService, ServeConfig
-from repro.sweep.artifacts import artifact_path
+from repro.sweep.artifacts import SWEEP_LEDGER
 
 SMALL = frontier_spec().scaled(6, 4, 4)
 
@@ -65,7 +65,7 @@ class TestFailureMidBatch:
         first, again = asyncio.run(run())
         assert first.status == "error"
         # the ledger keeps the structured failure for post-mortems...
-        path = artifact_path(str(tmp_path / "ledger"), first.task_id)
+        path = SWEEP_LEDGER.path(str(tmp_path / "ledger"), first.task_id)
         assert os.path.exists(path)
         with open(path) as fh:
             doc = json.load(fh)

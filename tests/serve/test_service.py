@@ -251,12 +251,15 @@ class TestTcpFrontend:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(b"garbage\n")
             writer.write(encode_line({"probe": "nope", "id": "bad"}))
+            writer.write(encode_line({
+                "probe": "storage", "id": "bad-spec",
+                "spec": {"congestion": {"bogus": 1}}}))
             writer.write(encode_line(
                 request(seed=0, rid="good").to_wire()))
             await writer.drain()
             docs = [decode_line(await asyncio.wait_for(reader.readline(),
                                                        10.0))
-                    for _ in range(3)]
+                    for _ in range(4)]
             writer.close()
             await writer.wait_closed()
             server.close()
@@ -269,6 +272,8 @@ class TestTcpFrontend:
         assert by_id["good"]["status"] == "ok"
         assert by_id["bad"]["status"] == "error"
         assert by_id["bad"]["error"]["code"] == 400
+        assert by_id["bad-spec"]["error"]["code"] == 400
+        assert "bogus" in by_id["bad-spec"]["error"]["message"]
         assert by_id[""]["error"]["code"] == 400
 
 

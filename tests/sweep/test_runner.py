@@ -17,7 +17,7 @@ from repro.core.scenario import frontier_spec
 from repro.sweep import (ExecPolicy, SweepConfig, SweepPlan, backoff_delay,
                          execute_task, execute_tasks, results_table,
                          run_sweep)
-from repro.sweep.artifacts import artifact_path
+from repro.sweep.artifacts import SWEEP_LEDGER
 
 SMALL = frontier_spec().scaled(6, 4, 4)
 
@@ -68,7 +68,7 @@ class TestInlineSweep:
         assert summary.skipped == summary.failed == 0
         assert sorted(summary.artifacts) == sorted(plan.task_ids())
         for tid in plan.task_ids():
-            assert os.path.exists(artifact_path(str(tmp_path), tid))
+            assert os.path.exists(SWEEP_LEDGER.path(str(tmp_path), tid))
         assert all(d["status"] == "ok" for d in summary.artifacts.values())
 
     def test_resume_skips_completed(self, tmp_path):

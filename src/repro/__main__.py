@@ -94,6 +94,7 @@ import json
 import sys
 from typing import Any
 
+from repro.errors import ConfigurationError, ReproError
 from repro.reporting import Table, render_kv
 
 __all__ = ["main"]
@@ -273,10 +274,23 @@ def _cmd_trace(args: "argparse.Namespace") -> int:
     return 0
 
 
+class _SpecFileError(ConfigurationError):
+    """A ``--spec FILE`` that cannot be read as a machine spec.
+
+    :func:`main` prints it as one line and exits 2 (``sweep`` reports it
+    through its own ``ReproError`` handler, with the same result).
+    """
+
+
 def _load_spec(path: str | None):
     """The MachineSpec a CLI run works from (canonical Frontier default)."""
     from repro.core.scenario import MachineSpec, frontier_spec
-    return MachineSpec.load(path) if path else frontier_spec()
+    if not path:
+        return frontier_spec()
+    try:
+        return MachineSpec.load(path)
+    except (ReproError, OSError) as exc:
+        raise _SpecFileError(f"--spec {path}: {exc}") from None
 
 
 def _cmd_scenario(args: "argparse.Namespace") -> int:
@@ -295,13 +309,15 @@ def _cmd_mpigraph(args: "argparse.Namespace") -> int:
     from repro.microbench.mpigraph import (frontier_mpigraph_histogram,
                                            simulate_mpigraph,
                                            summit_mpigraph_histogram)
+    from repro.sweep.probes import FLOW_SIM_MAX_ENDPOINTS
 
     spec = _load_spec(args.spec)
-    # Flow-level simulation plans and solves one O(endpoints)-flow shift
-    # phase per offset (~28 offsets); keep it for reduced-scale scenarios
-    # and use the paper's full-scale analytic accounting beyond that (or
-    # on request).
-    flow_feasible = spec.fabric_config().total_endpoints <= 4096
+    # Same switch as the sweep probe: flow-level simulation (every shift
+    # offset of the run planned and solved as one stack) up to the
+    # probe's endpoint cap, the paper's full-scale analytic accounting
+    # beyond it or on request.
+    flow_feasible = (spec.fabric_config().total_endpoints
+                     <= FLOW_SIM_MAX_ENDPOINTS)
     if args.analytic or not flow_feasible:
         if spec.fabric.kind == "dragonfly":
             hist = frontier_mpigraph_histogram(spec, rng=args.seed)
@@ -367,7 +383,6 @@ def _parse_axis_value(raw: str):
 
 def _parse_axes(pairs: list[str]) -> dict[str, tuple]:
     """``["scale=0.1", "routing=minimal,ugal"]`` -> axis mapping."""
-    from repro.errors import ConfigurationError
     axes: dict[str, tuple] = {}
     for pair in pairs:
         key, sep, values = pair.partition("=")
@@ -379,7 +394,6 @@ def _parse_axes(pairs: list[str]) -> dict[str, tuple]:
 
 
 def _cmd_sweep(args: "argparse.Namespace") -> int:
-    from repro.errors import ReproError
     from repro.obs.export import render_metrics
     from repro.sweep import (SWEEP_LEDGER, SweepConfig, SweepPlan,
                              results_table, run_sweep)
@@ -545,7 +559,6 @@ def _cmd_chaos(args: "argparse.Namespace") -> int:
 
 def _cmd_compare(args: "argparse.Namespace") -> int:
     from repro.core.compare import compare_machines
-    from repro.errors import ReproError
 
     try:
         names = tuple(n for n in args.families.split(",") if n)
@@ -742,7 +755,6 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
 def _cmd_query(args: "argparse.Namespace") -> int:
     import asyncio
 
-    from repro.errors import ReproError
     from repro.serve import ScenarioRequest, query, run_local
 
     base: dict[str, Any] = {"probe": args.probe}
@@ -1098,6 +1110,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _SpecFileError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: "argparse.Namespace") -> int:
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "metrics":

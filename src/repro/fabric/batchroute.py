@@ -31,6 +31,17 @@ This module plans a whole phase at once on the flat-array topology views
   scalar call order, so the RNG stream stays aligned with the scalar
   router across chunk sizes.
 
+**Phase stacks.**  Both planners also accept ``P`` equal-length phases
+at once, pairs shaped ``(P, n, 2)``; a single ``(n, 2)`` phase is the
+``P = 1`` case of the same loop.  Each phase keeps its own load row of
+a ``(P, n_links)`` array, every row starting from the router's load at
+call time, and chunk ``j`` of every phase is planned in one loop
+iteration (the chunk size is still per phase).  Requests of different
+phases never share a water-fill group, and the Valiant draws are taken
+up front in phase-major flow order, so a stack's paths, the RNG state
+and the final load (the last phase's row) are bit-identical to ``P``
+sequential ``reset_load(); paths(phase)`` calls.
+
 Failed links are honoured the same way the scalar router honours them:
 gateway candidates are filtered per ordered group pair, minimal routing
 fails over to Valiant when a bundle is fully down, and intra-group
@@ -48,7 +59,7 @@ import numpy as np
 from repro import obs
 from repro.errors import RoutingError, TopologyError
 
-__all__ = ["BatchPaths", "DEFAULT_BATCH_CHUNK", "auto_chunk"]
+__all__ = ["BatchPaths", "DEFAULT_BATCH_CHUNK", "auto_chunk", "phase_flows"]
 
 #: Default UGAL round size for explicit callers: small enough that
 #: adaptive decisions see reasonably fresh loads, large enough to
@@ -114,12 +125,43 @@ class BatchPaths:
         return [self.path(f) for f in range(len(self))]
 
 
-def _as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Normalise ``[(src, dst), ...]`` or an ``(n, 2)`` array to columns."""
+def phase_flows(pairs) -> int:
+    """Flows per phase of one ``(n, 2)`` phase or a ``(P, n, 2)`` stack."""
+    shape = np.shape(pairs)
+    return shape[1] if len(shape) == 3 else len(pairs)
+
+
+def _as_pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray, int]:
+    """Normalise ``[(src, dst), ...]``, an ``(n, 2)`` array or a
+    ``(P, n, 2)`` stack to phase-major columns plus the phase count."""
     arr = np.asarray(pairs, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if arr.ndim == 3 and arr.shape[2] == 2:
+        n_phases, arr = arr.shape[0], arr.reshape(-1, 2)
+    elif arr.ndim == 2 and arr.shape[1] == 2:
+        n_phases = 1
+    else:
         raise RoutingError("pairs must be a sequence of (src, dst) tuples")
-    return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
+    return (np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1]),
+            n_phases)
+
+
+def _phase_loads(counts: np.ndarray, n_phases: int) -> np.ndarray:
+    """``(P, n_links)`` load rows, each a copy of the router's ``counts``.
+
+    A single phase charges the router's own array through a view, so its
+    load is live as it is charged, as with a one-phase planner.
+    """
+    return counts[None] if n_phases == 1 else np.tile(counts, (n_phases, 1))
+
+
+def _charge(loads: np.ndarray, block: np.ndarray, phase: np.ndarray) -> None:
+    """Charge each row of a ``-1``-padded path block to its phase's load."""
+    valid = block >= 0
+    if valid.any():
+        n_links = loads.shape[1]
+        flat = loads.reshape(-1)
+        flat += np.bincount((block + (phase * n_links)[:, None])[valid],
+                            minlength=flat.size)
 
 
 def _check_endpoints(flat, eps: np.ndarray) -> None:
@@ -135,33 +177,39 @@ def _check_endpoints(flat, eps: np.ndarray) -> None:
 
 
 def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
-                       order: np.ndarray, register: bool
+                       order: np.ndarray, register: bool,
+                       phase: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sequential-equivalent least-loaded picks for one chunk of requests.
 
     ``table`` is a padded ``(n_pids, m)`` candidate-link table, ``loads``
     the per-link load snapshot, ``pid`` the candidate-row id per request,
     and ``order`` the global flow order (requests of one pid are served
-    in ascending ``order``).  Returns, aligned with the request arrays:
-    the picked candidate column, the pick-time implied load, and the
-    picked link index.  ``register=False`` (unregistered queries) gives
-    every request the plain snapshot argmin, matching a scalar router
-    that never charges the load tracker.
+    in ascending ``order``).  With ``phase`` given, ``loads`` is a
+    ``(P, n_links)`` stack and each request reads its own phase's row;
+    requests of different phases never share a group.  Returns, aligned
+    with the request arrays: the picked candidate column, the pick-time
+    implied load, and the picked link index.  ``register=False``
+    (unregistered queries) gives every request the plain snapshot argmin,
+    matching a scalar router that never charges the load tracker.
     """
-    sort = np.lexsort((order, pid))
-    spid = pid[sort]
-    starts = np.empty(len(spid), dtype=bool)
-    starts[0], starts[1:] = True, spid[1:] != spid[:-1]
+    key = pid if phase is None else phase * len(table) + pid
+    sort = np.lexsort((order, key))
+    skey = key[sort]
+    starts = np.empty(len(skey), dtype=bool)
+    starts[0], starts[1:] = True, skey[1:] != skey[:-1]
     grp = np.cumsum(starts) - 1
-    rank = np.arange(len(spid)) - np.flatnonzero(starts)[grp]
+    rank = np.arange(len(skey)) - np.flatnonzero(starts)[grp]
     if not register:
         rank = np.zeros_like(rank)
-    upid = spid[starts]
+    upid = pid[sort][starts]
 
     links = table[upid]                                   # (p, m)
     m = links.shape[1]
-    cand_loads = np.where(links >= 0,
-                          loads[np.clip(links, 0, None)], _PAD_LOAD)
+    clipped = np.clip(links, 0, None)
+    if phase is not None:
+        clipped = (phase[sort][starts][:, None], clipped)
+    cand_loads = np.where(links >= 0, loads[clipped], _PAD_LOAD)
     # The t-th sequential pick of a row is the t-th lexicographically
     # smallest (load + s, candidate) over s >= 0, in closed form.  With
     # the row's loads sorted, Ls[0] <= ... <= Ls[m-1], the level Ls[i] is
@@ -183,7 +231,7 @@ def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
     out_implied = np.empty(len(pid), dtype=np.int64)
     out_implied[sort] = level
     out_link = np.empty(len(pid), dtype=np.int64)
-    out_link[sort] = table[spid, cand_req]
+    out_link[sort] = table[pid[sort], cand_req]
     return out_cand, out_implied, out_link
 
 
@@ -279,11 +327,12 @@ class DragonflyBatchState:
 
 def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
                    chunk: int, register: bool = True) -> BatchPaths:
-    """Plan every flow of a traffic phase on a dragonfly (see module doc)."""
+    """Plan every flow of a traffic phase, or of a ``(P, n, 2)`` stack of
+    phases, on a dragonfly (see module doc); paths are phase-major."""
     from repro.fabric.routing import RoutingPolicy
 
-    src, dst = _as_pair_arrays(pairs)
-    n = len(src)
+    src, dst, n_phases = _as_pair_arrays(pairs)
+    n = len(src) // max(n_phases, 1)
     flat, config = state.flat, state.config
     _check_endpoints(flat, src)
     _check_endpoints(flat, dst)
@@ -309,10 +358,12 @@ def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
 
     policy = router.policy
     counts = router._load.counts
+    loads = _phase_loads(counts, n_phases)
+    phase = np.repeat(np.arange(n_phases), n)
     G = config.groups
     val_is_min = G <= 2          # no intermediate groups: Valiant == minimal
 
-    M = np.full((n, _W), -1, dtype=np.int64)
+    M = np.full((len(src), _W), -1, dtype=np.int64)
     M[:, _UP] = up
     M[:, _DOWN] = down
     local = g_s == g_d
@@ -323,21 +374,42 @@ def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
         # flows, so adaptive decisions see them in scalar order.
         M[li, _SEG_A:_SEG_A + 2] = state.segment_cols(sw_s[li], sw_d[li])
 
+    # Valiant intermediate groups: Router._valiant_path draws one
+    # rng.random() per flow and rotates from that start.  Which flows
+    # draw depends only on the policy and the surviving group pairs, so
+    # every draw is taken here in one call, in phase-major flow order:
+    # rng.random(a) then rng.random(b) is the stream of rng.random(a + b),
+    # which keeps the batch RNG-aligned with the scalar router at every
+    # chunk size and phase count.
+    if val_is_min:
+        draws = np.zeros(len(src), dtype=bool)
+    elif policy is RoutingPolicy.MINIMAL:
+        draws = ~local & ~state.pair_ok[g_s, g_d]
+    else:
+        draws = ~local
+    start = np.zeros(len(src), dtype=np.int64)
+    if draws.any():
+        start[draws] = (router.rng.random(int(draws.sum()))
+                        * (G - 2)).astype(np.int64)
+
     n_routed = {"local": int(li.size), "minimal": 0, "valiant": 0,
                 "ugal_minimal": 0, "ugal_diverted": 0, "failover_valiant": 0}
 
     n_chunks = 0
+    offsets = np.arange(n_phases)[:, None] * n
     for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
-        n_chunks += 1
-        ii = lo + np.flatnonzero(~local[sl])
+        # chunk j of every phase, phase-major
+        rows = (offsets + np.arange(lo, min(lo + chunk, n))).ravel()
+        n_chunks += n_phases
+        ii = rows[~local[rows]]
         if ii.size:
-            _plan_inter_chunk(router, state, M, ii, sw_s, sw_d, g_s, g_d,
-                              counts, policy, val_is_min, register,
+            _plan_inter_chunk(state, M, ii, phase[ii], sw_s, sw_d, g_s, g_d,
+                              start, loads, policy, val_is_min, register,
                               n_routed)
         if register:
-            block = M[sl]
-            router._load.add_paths(block[block >= 0])
+            _charge(loads, M[rows], phase[rows])
+    if register and n_phases > 1:
+        counts[:] = loads[-1]
 
     paths = BatchPaths.from_matrix(M)
     state.topo.validate_paths(paths.indices, paths.indptr)
@@ -353,16 +425,21 @@ def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
     for key in keys:
         if n_routed[key]:
             obs.counter(f"fabric.routes.{key}").inc(n_routed[key])
-    obs.counter("fabric.batch_route.flows").inc(n)
+    obs.counter("fabric.batch_route.flows").inc(len(src))
     obs.counter("fabric.batch_route.chunks").inc(n_chunks)
     return paths
 
 
-def _plan_inter_chunk(router, state: DragonflyBatchState, M: np.ndarray,
-                      ii: np.ndarray, sw_s, sw_d, g_s, g_d, counts,
-                      policy, val_is_min: bool, register: bool,
+def _plan_inter_chunk(state: DragonflyBatchState, M: np.ndarray,
+                      ii: np.ndarray, ph: np.ndarray, sw_s, sw_d, g_s, g_d,
+                      start: np.ndarray, loads: np.ndarray, policy,
+                      val_is_min: bool, register: bool,
                       n_routed: dict) -> None:
-    """Plan one chunk's inter-group flows into rows ``ii`` of ``M``."""
+    """Plan one chunk's inter-group flows into rows ``ii`` of ``M``.
+
+    ``ph`` is each row's phase (its row of ``loads``), ``start`` the
+    pre-drawn Valiant rotation start per row.
+    """
     from repro.fabric.routing import RoutingPolicy
 
     G = state.n_groups
@@ -387,26 +464,22 @@ def _plan_inter_chunk(router, state: DragonflyBatchState, M: np.ndarray,
     else:
         need_val = np.ones(len(ii), dtype=bool)
 
-    # Valiant intermediate groups: Router._valiant_path draws one
-    # rng.random() per flow and rotates from that start; rng.random(k)
-    # consumes the identical stream, so one vectorised draw per chunk
-    # keeps batch and scalar RNG-aligned at every chunk size.
     vi = np.flatnonzero(need_val)
     mids = np.empty(len(vi), dtype=np.int64)
     if len(vi):
         m = G - 2
-        start = (router.rng.random(len(vi)) * m).astype(np.int64)
+        first = start[ii[vi]]
         lo = np.minimum(gs[vi], gd[vi])
         hi = np.maximum(gs[vi], gd[vi])
         # position -> group id over range(G) minus the two excluded ids
-        mids = start + (start >= lo)
+        mids = first + (first >= lo)
         mids += mids >= hi
         if not state.all_ok:
             ok = state.pair_ok[gs[vi], mids] & state.pair_ok[mids, gd[vi]]
             for slot in np.flatnonzero(~ok):
                 a, b = int(gs[vi[slot]]), int(gd[vi[slot]])
                 for t in range(1, m):
-                    p = (int(start[slot]) + t) % m
+                    p = (int(first[slot]) + t) % m
                     g_mid = p + (p >= lo[slot])
                     g_mid += g_mid >= hi[slot]
                     if state.pair_ok[a, g_mid] and state.pair_ok[g_mid, b]:
@@ -424,7 +497,8 @@ def _plan_inter_chunk(router, state: DragonflyBatchState, M: np.ndarray,
                           mids * G + gd[vi]))
     order = np.concatenate((ii[mi], ii[vi], ii[vi]))
     cand, implied, _link = _grouped_waterfill(
-        state.gw_link, counts, pid, order, register)
+        state.gw_link, loads, pid, order, register,
+        phase=np.concatenate((ph[mi], ph[vi], ph[vi])))
     gl = state.gw_link[pid, cand]
     gw_a = state.gw_src[pid, cand]
     gw_b = state.gw_dst[pid, cand]
@@ -485,11 +559,11 @@ def _plan_inter_chunk(router, state: DragonflyBatchState, M: np.ndarray,
         n_routed["failover_valiant"] += failover
         return
     min_loads = np.where(rows_min >= 0,
-                         counts[np.clip(rows_min, 0, None)], -1)
+                         loads[ph[mi, None], np.clip(rows_min, 0, None)], -1)
     min_loads[:, _GL1] = implied[:nm]
     min_load = min_loads.max(axis=1)
     val_loads = np.where(rows_val >= 0,
-                         counts[np.clip(rows_val, 0, None)], -1)
+                         loads[ph[vi, None], np.clip(rows_val, 0, None)], -1)
     val_loads[:, _GL1] = implied[nm:nm + nv]
     val_loads[:, _GL2] = implied[nm + nv:]
     val_load = val_loads.max(axis=1)
@@ -545,9 +619,10 @@ class FatTreeBatchState:
 
 def plan_fattree(router, state: FatTreeBatchState, pairs, *,
                  chunk: int, register: bool = True) -> BatchPaths:
-    """Plan every flow of a traffic phase on the folded Clos (ECMP)."""
-    src, dst = _as_pair_arrays(pairs)
-    n = len(src)
+    """Plan every flow of a traffic phase, or of a ``(P, n, 2)`` stack of
+    phases, on the folded Clos (ECMP); paths are phase-major."""
+    src, dst, n_phases = _as_pair_arrays(pairs)
+    n = len(src) // max(n_phases, 1)
     flat = state.flat
     _check_endpoints(flat, src)
     _check_endpoints(flat, dst)
@@ -566,17 +641,21 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
         raise RoutingError(
             f"edge link of endpoint pair ({int(src[f])}, {int(dst[f])}) "
             "is failed")
-    M = np.full((n, 4), -1, dtype=np.int64)
+    M = np.full((len(src), 4), -1, dtype=np.int64)
     M[:, 0] = edge_up
     M[:, 3] = edge_down
     cross = sw_s != sw_d
     counts = router._load.counts
+    loads = _phase_loads(counts, n_phases)
+    phase = np.repeat(np.arange(n_phases), n)
 
     n_chunks = 0
+    offsets = np.arange(n_phases)[:, None] * n
     for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
-        n_chunks += 1
-        ci = lo + np.flatnonzero(cross[sl])
+        # chunk j of every phase, phase-major
+        rows = (offsets + np.arange(lo, min(lo + chunk, n))).ravel()
+        n_chunks += n_phases
+        ci = rows[cross[rows]]
         if ci.size:
             edges = sw_s[ci]
             if not state.has_uplink[edges].all():
@@ -584,7 +663,7 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
                 raise RoutingError(
                     f"edge switch {e} has no surviving uplinks")
             cand, _implied, up = _grouped_waterfill(
-                state.up_link, counts, edges, ci, register)
+                state.up_link, loads, edges, ci, register, phase=phase[ci])
             core = state.up_core[edges, cand]
             downlink = flat.sw_link[core, sw_d[ci]].astype(np.int64)
             if (downlink < 0).any():
@@ -601,11 +680,12 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
             M[ci, 1] = up
             M[ci, 2] = downlink
         if register:
-            block = M[sl]
-            router._load.add_paths(block[block >= 0])
+            _charge(loads, M[rows], phase[rows])
+    if register and n_phases > 1:
+        counts[:] = loads[-1]
 
     paths = BatchPaths.from_matrix(M)
     state.topo.validate_paths(paths.indices, paths.indptr)
-    obs.counter("fabric.batch_route.flows").inc(n)
+    obs.counter("fabric.batch_route.flows").inc(len(src))
     obs.counter("fabric.batch_route.chunks").inc(n_chunks)
     return paths

@@ -13,6 +13,15 @@ blocks of a blocked minimum index over the links' saturation levels.
 One full-Frontier mpiGraph shift phase (37,888 flows over 170,792 links,
 ~2,700 freeze events) solves in ~0.14 s on one core of a shared 2-vCPU
 VM.
+
+Independent phases of flows solve as one problem: tile the capacities
+``P`` times and offset phase ``p``'s link ids by ``p * n_links``
+(:meth:`repro.fabric.network.FabricNetwork.phase_bandwidths` does this
+for a whole mpiGraph run).  The problem is block-diagonal, so each
+phase's freeze events, levels and per-link sums are those of its lone
+solve and the rates, bottlenecks and utilisation are byte-equal; equal
+levels of different phases merge into one event, which is where the
+stack saves its per-event cost.
 """
 
 from __future__ import annotations

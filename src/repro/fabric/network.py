@@ -26,6 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.fabric.batchroute import BatchPaths
 from repro.fabric.collectives import allreduce_latency, alltoall_per_node_bandwidth
 from repro.fabric.dragonfly import DragonflyConfig, build_dragonfly, clear_dragonfly_cache
 from repro.fabric.fattree import FatTreeConfig, build_fattree, clear_fattree_cache
@@ -36,12 +37,19 @@ from repro.fabric.topology import Topology
 from repro.rng import RngLike
 
 __all__ = ["FabricNetwork", "SlingshotNetwork", "FatTreeNetwork",
-           "clear_fabric_caches"]
+           "STACK_LINK_SLOTS", "clear_fabric_caches"]
 
 #: Protocol efficiency of a single stream relative to line rate: headers,
 #: credits, and software overheads.  17.5/25 GB/s for intra-group pairs in
 #: Figure 6 corresponds to ~0.70.
 STREAM_EFFICIENCY = 0.70
+
+#: Most link slots (phases x links) one stacked plan-and-solve holds:
+#: :meth:`FabricNetwork.phase_bandwidths` splits a longer stack to bound
+#: its working set.  2^19 keeps a whole mpiGraph run on a 16x8x16
+#: fabric (~30 offsets x 6,192 links) in one stack and holds three
+#: full-Frontier phases, whose per-call cost is already amortised.
+STACK_LINK_SLOTS = 1 << 19
 
 
 def clear_fabric_caches() -> None:
@@ -162,28 +170,81 @@ class FabricNetwork:
 
         Routing goes through the router's batch planner
         (``router.paths``); ``chunk`` is forwarded to it (``chunk=1``
-        reproduces the historical scalar loop exactly).
+        reproduces the historical scalar loop exactly).  This is the
+        one-phase case of :meth:`phase_bandwidths`.
         """
         if len(pairs) == 0:
             raise ConfigurationError("no flows given")
-        with obs.span("fabric.flow_bandwidths", n_flows=len(pairs),
-                      topology=self.topology_label,
-                      policy=self._policy_label):
-            self.router.reset_load()
-            paths = self.router.paths(pairs, chunk=chunk)
-            if demand_per_flow is None:
-                demand_per_flow = STREAM_EFFICIENCY * self.config.link_rate
-            demands = [demand_per_flow] * len(pairs)
-            result = maxmin_allocate(self.topology.capacities(), paths, demands)
-        obs.counter("fabric.paths_computed").inc(len(pairs))
-        obs.histogram("fabric.link_utilisation").observe_many(
-            result.link_utilisation)
-        obs.histogram("fabric.flow_bandwidth_bytes_per_s").observe_many(
-            result.rates)
         ends = np.asarray(pairs, dtype=np.int64)
+        stacked = self.phase_bandwidths(ends[None], demand_per_flow,
+                                        chunk=chunk)
+        result = MaxMinResult(stacked.rates[0], stacked.link_utilisation[0],
+                              stacked.bottleneck_link[0])
         flows = list(map(FlowResult, ends[:, 0].tolist(), ends[:, 1].tolist(),
                          result.rates.tolist()))
         return flows, result
+
+    def phase_bandwidths(self, phases,
+                         demand_per_flow: float | None = None,
+                         chunk: int | None = None) -> MaxMinResult:
+        """Max-min rates for ``P`` independent phases of simultaneous flows.
+
+        ``phases`` is a ``(P, n, 2)`` stack of endpoint pairs; the flows
+        of one phase share the fabric, different phases do not.  Returns
+        a :class:`MaxMinResult` whose ``rates`` and ``bottleneck_link``
+        are ``(P, n)`` arrays and ``link_utilisation`` is ``(P, n_links)``,
+        each row bit-identical to ``flow_bandwidths(phases[p])`` run
+        phase after phase on this network (RNG and final router load
+        included).
+
+        The whole stack is planned in one batch-planner call and solved
+        as one block-diagonal max-min problem: capacities tiled ``P``
+        times and phase ``p``'s link ids offset by ``p * n_links``.  A
+        stack above :data:`STACK_LINK_SLOTS` phase-links is split into
+        consecutive sub-stacks.
+        """
+        stack = np.asarray(phases, dtype=np.int64)
+        if stack.ndim != 3 or stack.shape[2] != 2 or stack.size == 0:
+            raise ConfigurationError(
+                "phases must be a non-empty (P, n, 2) stack of flows")
+        n_phases, n = stack.shape[:2]
+        if demand_per_flow is None:
+            demand_per_flow = STREAM_EFFICIENCY * self.config.link_rate
+        capacities = self.topology.capacities()
+        n_links = len(capacities)
+        per_stack = max(1, STACK_LINK_SLOTS // n_links)
+        rates = np.empty((n_phases, n))
+        utilisation = np.empty((n_phases, n_links))
+        bottleneck = np.empty((n_phases, n), dtype=np.int64)
+        with obs.span("fabric.flow_bandwidths", n_flows=n,
+                      n_phases=n_phases, topology=self.topology_label,
+                      policy=self._policy_label):
+            for lo in range(0, n_phases, per_stack):
+                part = stack[lo:lo + per_stack]
+                k = len(part)
+                self.router.reset_load()
+                paths = self.router.paths(part, chunk=chunk)
+                caps = capacities
+                if k > 1:
+                    # block-diagonal: phase p owns links [p * L, (p + 1) * L)
+                    shift = np.repeat(np.repeat(np.arange(k) * n_links, n),
+                                      paths.lengths())
+                    paths = BatchPaths(paths.indices + shift, paths.indptr)
+                    caps = np.tile(capacities, k)
+                result = maxmin_allocate(
+                    caps, paths, np.full(k * n, float(demand_per_flow)))
+                rates[lo:lo + k] = result.rates.reshape(k, n)
+                utilisation[lo:lo + k] = result.link_utilisation.reshape(
+                    k, n_links)
+                links = result.bottleneck_link.reshape(k, n)
+                bottleneck[lo:lo + k] = np.where(links >= 0, links % n_links,
+                                                 -1)
+        obs.counter("fabric.paths_computed").inc(n_phases * n)
+        obs.histogram("fabric.link_utilisation").observe_many(
+            utilisation.ravel())
+        obs.histogram("fabric.flow_bandwidth_bytes_per_s").observe_many(
+            rates.ravel())
+        return MaxMinResult(rates, utilisation, bottleneck)
 
     def shift_pairs(self, offset_endpoints: int) -> np.ndarray:
         """mpiGraph's pattern as ``(N, 2)`` endpoint pairs: endpoint i

@@ -73,11 +73,6 @@ class _LoadTracker:
     def add_path(self, path: list[int]) -> None:
         np.add.at(self.counts, path, 1)
 
-    def add_paths(self, links: np.ndarray) -> None:
-        """Charge a whole batch of concatenated path link indices at once."""
-        if links.size:
-            self.counts += np.bincount(links, minlength=self.counts.size)
-
     def load(self, idx: int) -> int:
         return int(self.counts[idx])
 
@@ -153,11 +148,18 @@ class Router:
         the scalar loop, and minimal/Valiant paths are identical at any
         chunk).  With ``register=False`` nothing is charged to the load
         tracker and results bypass the path cache.
+
+        ``pairs`` may also be a ``(P, n, 2)`` stack of independent
+        phases: the paths are phase-major and equal those of ``P``
+        sequential ``reset_load(); paths(phase)`` calls, each phase
+        starting from the load at call time (the default chunk is sized
+        per phase).
         """
+        n_flows = batchroute.phase_flows(pairs)
         if chunk is None:
             chunk = self.batch_chunk
         if chunk is None:
-            chunk = batchroute.auto_chunk(len(pairs))
+            chunk = batchroute.auto_chunk(n_flows)
         if chunk < 1:
             raise RoutingError(f"chunk must be >= 1, got {chunk}")
         state = self._batch_state
@@ -165,7 +167,7 @@ class Router:
             state = batchroute.DragonflyBatchState(
                 self.topo, self.config, self._gateways, self.disabled)
             self._batch_state = state
-        with obs.span("fabric.batch_route", n_flows=len(pairs), chunk=chunk,
+        with obs.span("fabric.batch_route", n_flows=n_flows, chunk=chunk,
                       policy=self.policy.value):
             return batchroute.plan_dragonfly(self, state, pairs, chunk=chunk,
                                              register=register)
@@ -379,10 +381,11 @@ class FatTreeRouter:
         edge switch, so batch paths match the scalar loop at *any* chunk
         size (sequential-equivalent water-filling per edge switch).
         """
+        n_flows = batchroute.phase_flows(pairs)
         if chunk is None:
             chunk = self.batch_chunk
         if chunk is None:
-            chunk = batchroute.auto_chunk(len(pairs))
+            chunk = batchroute.auto_chunk(n_flows)
         if chunk < 1:
             raise RoutingError(f"chunk must be >= 1, got {chunk}")
         state = self._batch_state
@@ -390,7 +393,7 @@ class FatTreeRouter:
             state = batchroute.FatTreeBatchState(self.topo, self.config,
                                                  self.disabled)
             self._batch_state = state
-        with obs.span("fabric.batch_route", n_flows=len(pairs), chunk=chunk,
+        with obs.span("fabric.batch_route", n_flows=n_flows, chunk=chunk,
                       policy="ecmp"):
             return batchroute.plan_fattree(self, state, pairs, chunk=chunk,
                                            register=register)

@@ -7,6 +7,11 @@ that contract for one kind, built from its file-name prefix (``""``,
 ``"chaos-"``, ``"congest-"``), its schema version and the path of the
 document's own id (``"task.id"`` or ``"run_id"``).
 
+Every id is a content hash, 16 lowercase hex characters, so a ledger
+claims only the files named ``<prefix><16 hex>.json``: the sweep
+ledger's empty prefix does not make another kind's ``chaos-<id>.json``
+its own.
+
 A document is **trusted** when it is a JSON object on the current schema
 whose embedded id matches the one asked for; only trusted
 ``status == "ok"`` documents resume.  Writes stay with the callers,
@@ -19,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -36,7 +42,7 @@ def run_id(spec: Any, config: Any) -> str:
 class PruneReport:
     """What :meth:`Ledger.prune` found and removed."""
 
-    scanned: int = 0       #: ``<prefix>*.json`` files examined
+    scanned: int = 0       #: ``<prefix><id>.json`` files examined
     kept: int = 0          #: trusted non-error documents left alone
     errors: int = 0        #: trusted ``status == "error"`` documents deleted
     stale: int = 0         #: off-schema / id-mismatched documents deleted
@@ -50,6 +56,10 @@ class PruneReport:
         return (f"scanned: {self.scanned}  removed: {self.removed} "
                 f"(errors: {self.errors}, stale: {self.stale})  "
                 f"kept: {self.kept}  unreadable: {self.unreadable}")
+
+
+#: The shape of every ledger id (:func:`run_id` and the sweep task hash).
+_ID_SHAPE = re.compile(r"[0-9a-f]{16}")
 
 
 def _read(path: str) -> Any:
@@ -93,23 +103,33 @@ class Ledger:
         doc = self.load(out_dir, doc_id)
         return doc if doc is not None and doc.get("status") == "ok" else None
 
+    def _doc_id(self, name: str) -> str | None:
+        """The id in a ``<prefix><id>.json`` file name, or ``None`` when
+        the name is not one this ledger writes."""
+        if not (name.startswith(self.prefix) and name.endswith(".json")):
+            return None
+        doc_id = name[len(self.prefix):-len(".json")]
+        return doc_id if _ID_SHAPE.fullmatch(doc_id) else None
+
     def prune(self, out_dir: str) -> PruneReport:
-        """Delete error and stale (untrusted) documents among
-        ``<prefix>*.json``; files that are not JSON objects are counted
-        but **left in place**: they may not be ours, and deleting blind
-        from a shared directory is how ledgers eat data."""
+        """Delete error and stale (untrusted) documents among this
+        ledger's ``<prefix><id>.json`` files; other names are not looked
+        at, and files that are not JSON objects are counted but **left in
+        place**: they may not be ours, and deleting blind from a shared
+        directory is how ledgers eat data."""
         report = PruneReport()
         if not os.path.isdir(out_dir):
             return report
         for name in sorted(os.listdir(out_dir)):
-            if not (name.startswith(self.prefix) and name.endswith(".json")):
+            doc_id = self._doc_id(name)
+            if doc_id is None:
                 continue
             path = os.path.join(out_dir, name)
             report.scanned += 1
             doc = _read(path)
             if not isinstance(doc, dict):
                 report.unreadable += 1
-            elif not self._trusts(doc, name[len(self.prefix):-len(".json")]):
+            elif not self._trusts(doc, doc_id):
                 os.remove(path)
                 report.stale += 1
             elif doc.get("status") == "error":

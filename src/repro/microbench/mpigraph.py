@@ -160,6 +160,12 @@ def simulate_mpigraph(network: SlingshotNetwork | FatTreeNetwork,
     ``chunk`` is forwarded to the batch planner (``chunk=1`` reproduces
     the historical per-flow routing loop exactly; the default scales the
     UGAL round size with the phase).
+
+    The offsets are independent phases of one shape, so they are stacked:
+    :meth:`~repro.fabric.network.FabricNetwork.phase_bandwidths` plans
+    every offset in one batch-planner call and solves them as one
+    block-diagonal max-min problem.  The pooled rates are bit-identical
+    to running ``flow_bandwidths`` offset after offset.
     """
     n = network.config.total_endpoints
     if offsets is None:
@@ -168,10 +174,7 @@ def simulate_mpigraph(network: SlingshotNetwork | FatTreeNetwork,
             g = network.config.endpoints_per_group
             raw |= {max(1, g // 2), g - 1, g, g + 1, min(n - 1, 2 * g)}
         offsets = sorted(raw)
-    rates: list[np.ndarray] = []
-    for k in offsets:
-        _, result = network.flow_bandwidths(network.shift_pairs(k),
-                                            chunk=chunk)
-        rates.append(result.rates)
+    phases = np.stack([network.shift_pairs(k) for k in offsets])
+    result = network.phase_bandwidths(phases, chunk=chunk)
     name = type(network).__name__
-    return MpiGraphHistogram(bandwidths=np.concatenate(rates), system=name)
+    return MpiGraphHistogram(bandwidths=result.rates.ravel(), system=name)

@@ -26,6 +26,7 @@ the caller wrote them down.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -277,8 +278,9 @@ class SweepTask:
     #: only — identity is (spec, probe, seed).
     axes: tuple[tuple[str, Any], ...] = ()
 
-    @property
+    @functools.cached_property
     def task_id(self) -> str:
+        """Content hash of (spec, probe, seed), computed once per task."""
         return task_hash(self.spec, self.probe, self.seed)
 
     def to_dict(self) -> dict[str, Any]:

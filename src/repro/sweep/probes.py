@@ -36,9 +36,10 @@ __all__ = ["SWEEP_PROBES", "SweepProbe", "congest_ensemble_key",
 
 SweepProbe = Callable[[MachineSpec, np.random.Generator], Mapping[str, Any]]
 
-#: Beyond this many fabric endpoints the flow-level max-min solve is
-#: O(endpoints^2) per shift offset; fall back to the paper's analytic
-#: accounting (same switch as ``python -m repro mpigraph``).
+#: Largest fabric (in endpoints) the ``mpigraph`` probe and
+#: ``python -m repro mpigraph`` simulate flow by flow; beyond it both use
+#: the paper's analytic accounting.  The flow-level run plans and solves
+#: every shift offset as one stack, ~28 phases of one flow per endpoint.
 FLOW_SIM_MAX_ENDPOINTS = 4096
 
 

@@ -108,9 +108,11 @@ class TestFlowLevelSimulation:
         paths = small_network.router.paths
 
         def spy(pairs, chunk=None):
-            seen.append(chunk)
+            seen.append((np.shape(pairs), chunk))
             return paths(pairs, chunk=chunk)
 
         monkeypatch.setattr(small_network.router, "paths", spy)
         simulate_mpigraph(small_network, offsets=[1, 8], chunk=3)
-        assert seen == [3, 3]
+        # both offsets go to the planner as one stack, with the chunk
+        n = small_network.config.total_endpoints
+        assert seen == [((2, n, 2), 3)]

@@ -145,15 +145,20 @@ class TestPrune:
         assert "removed: 3" in report.counts_line()
 
     def test_unreadable_files_are_counted_not_deleted(self, tmp_path):
-        (tmp_path / "junk.json").write_text("{not json")
-        (tmp_path / "list.json").write_text('["not", "ours"]')
+        (tmp_path / "0000aaaa0000aaaa.json").write_text("{not json")
+        (tmp_path / "0000bbbb0000bbbb.json").write_text('["not", "ours"]')
+        # names that are not <16 hex>.json are not the ledger's to judge
         (tmp_path / "notes.txt").write_text("ignored entirely")
+        (tmp_path / "junk.json").write_text("{not json")
+        (tmp_path / "chaos-0000cccc0000cccc.json").write_text(
+            json.dumps({"schema": 1, "run_id": "0000cccc0000cccc"}))
         report = SWEEP_LEDGER.prune(str(tmp_path))
         assert report.scanned == 2
         assert report.unreadable == 2
         assert report.removed == 0
         assert sorted(os.listdir(str(tmp_path))) == [
-            "junk.json", "list.json", "notes.txt"]
+            "0000aaaa0000aaaa.json", "0000bbbb0000bbbb.json",
+            "chaos-0000cccc0000cccc.json", "junk.json", "notes.txt"]
 
     def test_missing_directory_is_a_noop(self, tmp_path):
         report = SWEEP_LEDGER.prune(str(tmp_path / "never"))

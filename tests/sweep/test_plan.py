@@ -143,6 +143,25 @@ class TestTaskIdentity:
         assert derive_seed(BASE, "mpigraph", 0) != \
             derive_seed(BASE, "mpigraph", 1)
 
+    def test_task_id_serializes_the_spec_once(self, monkeypatch):
+        from repro.core.scenario import MachineSpec
+        task = SweepTask(spec=BASE.scaled(8, 4, 4), probe="mpigraph", seed=3)
+        calls = []
+        to_dict = MachineSpec.to_dict
+
+        def counting(spec):
+            calls.append(spec)
+            return to_dict(spec)
+
+        monkeypatch.setattr(MachineSpec, "to_dict", counting)
+        ids = {task.task_id for _ in range(6)}
+        assert ids == {task_hash(task.spec, "mpigraph", 3)}
+        # task_hash above serialized once more; task_id only the first time
+        assert len(calls) == 2
+        # the cached id is not a field: equality and hashing ignore it
+        twin = SweepTask(spec=BASE.scaled(8, 4, 4), probe="mpigraph", seed=3)
+        assert twin == task and hash(twin) == hash(task)
+
 
 class TestGrid:
     def test_expansion_size_and_determinism(self):

@@ -145,11 +145,54 @@ class TestScenarioVerbs:
         assert "flow-level" in out
         assert "spread" in out
 
+    def test_mpigraph_matches_the_committed_histogram(self, tmp_path,
+                                                      capsys):
+        # the CI smoke's 16x8x16 run, written by the per-offset simulator
+        fixture = (Path(__file__).parent / "fixtures"
+                   / "mpigraph-16x8x16.txt")
+        spec = tmp_path / "spec.json"
+        assert main(["scenario", "--scaled", "16", "8", "16",
+                     "--out", str(spec)]) == 0
+        capsys.readouterr()
+        assert main(["mpigraph", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == fixture.read_text()
+
     def test_mpigraph_full_scale_uses_analytic_accounting(self, capsys):
         assert main(["mpigraph"]) == 0
         out = capsys.readouterr().out
         assert "analytic" in out
         assert "frontier" in out
+
+
+class TestMalformedSpecFile:
+    """Every verb taking ``--spec FILE`` answers a bad file with one line
+    on stderr and exit 2, as ``sweep`` does."""
+
+    @pytest.mark.parametrize("verb", ["chaos", "congest", "mpigraph",
+                                      "scenario"])
+    def test_unknown_field_is_a_one_line_error(self, verb, tmp_path,
+                                               capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"degradation": {"typo_scale": 2.0}}))
+        assert main([verb, "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{verb}: --spec {path}: ")
+        assert "typo_scale" in lines[0]
+
+    @pytest.mark.parametrize("verb", ["chaos", "congest", "mpigraph",
+                                      "scenario", "sweep"])
+    def test_unreadable_file_is_a_one_line_error(self, verb, tmp_path,
+                                                 capsys):
+        for path, text in ((tmp_path / "cut.json", '{"name": '),
+                           (tmp_path / "absent.json", None)):
+            if text is not None:
+                path.write_text(text)
+            assert main([verb, "--spec", str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"{verb}: --spec ")
 
 
 class TestSweepVerb:
@@ -386,6 +429,18 @@ class TestSweepGc:
     def test_gc_on_missing_directory(self, tmp_path, capsys):
         assert main(["sweep", "--gc", "--out", str(tmp_path / "never")]) == 0
         assert "scanned: 0" in capsys.readouterr().out
+
+    def test_gc_keeps_other_ledgers_files(self, tmp_path, capsys):
+        # sweep (prefix ""), chaos- and congest- artifacts in one directory
+        fixtures = Path(__file__).parent / "fixtures" / "ledger"
+        names = sorted(p.name for p in fixtures.glob("*.json"))
+        assert len(names) == 3
+        for name in names:
+            (tmp_path / name).write_bytes((fixtures / name).read_bytes())
+        assert main(["sweep", "--gc", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "scanned: 1  removed: 0 (" in out and "kept: 1" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 class TestServeQueryVerbs:

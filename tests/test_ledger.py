@@ -143,12 +143,17 @@ class TestTrust:
         for name, how in ((doc_id, "failed"), (FOREIGN_ID, "foreign"),
                           ("5555aaaa5555aaaa", "wrong_schema")):
             Path(ledger.path(out, name)).write_text(json.dumps(copies[how]))
-        truncated = Path(ledger.path(out, "truncated"))
+        # an id-shaped name: the ledger reads it, finds no JSON, keeps it
+        truncated = Path(ledger.path(out, "7777bbbb7777bbbb"))
         truncated.write_text('{"schema": 1,')
+        # not an id: the ledger does not look at it at all
+        foreign = Path(ledger.path(out, "notes"))
+        foreign.write_text(json.dumps(copies["wrong_schema"]))
         report = ledger.prune(out)
         assert (report.scanned, report.errors, report.stale,
                 report.unreadable, report.kept) == (4, 1, 2, 1, 0)
-        assert os.listdir(out) == [truncated.name]
+        assert sorted(os.listdir(out)) == sorted([truncated.name,
+                                                  foreign.name])
 
     def test_prune_keeps_the_trusted_fixture(self, kind, tmp_path):
         ledger, doc_id = KINDS[kind]

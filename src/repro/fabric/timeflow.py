@@ -39,13 +39,15 @@ Cross-validation (``tests/fabric/test_timeflow.py`` and the
 One step loop serves every caller: :meth:`TimeflowEngine.run_ensemble`
 integrates S scenarios over one path plan as the columns of
 ``(flows, S)`` / ``(links, S)`` arrays, and :meth:`TimeflowEngine.run`
-is its one-column case.  The loop runs the sparse matmul only on steps
-where injections change (starts, burst edges, ECN control) and
-fast-forwards the quiet steps between them with one in-place add; a
-finite flow's partial last step or completion touches only its own
-path rows in its own column.  The plain per-flow loop it was derived
-from is kept in ``tests/fabric/timeflow_oracle.py`` as the reference
-every column must match bit for bit.
+is its one-column case.  The loop runs the full sparse matmul only at
+step 0 and after each ECN control step, where every rate may move; a
+flow start or burst edge re-derives only the switching flows' path
+rows, a finite flow's partial last step or completion only its own
+path rows in its own column, and the quiet steps between are one
+in-place add.  Queues are integrated only on links whose flows' rate
+caps can exceed capacity.  The plain per-flow loop it was derived from
+is kept in ``tests/fabric/timeflow_oracle.py`` as the reference every
+column must match bit for bit.
 
 Results persist as resumable content-hash artifacts under
 ``benchmarks/out/congest/``, via ``python -m repro congest``, in a
@@ -55,6 +57,7 @@ and chaos artifacts.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -126,27 +129,45 @@ try:
                          A.indptr, A.indices, A.data,
                          x.ravel(), out.ravel())
         return out
+
+    def _csr_parts_matmul(indptr: np.ndarray, indices: np.ndarray,
+                          data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``M @ x`` for the CSR matrix ``(data, indices, indptr)``.
+
+        The same ``csr_matvecs`` kernel as :func:`_csr_matmul_into`, on
+        rows gathered from a larger matrix without building a scipy
+        matrix: fancy row indexing of one costs ~80 µs per call on the
+        full fabric, some thirty times the product.
+        """
+        out = np.zeros((indptr.size - 1, x.shape[1]))
+        _spt.csr_matvecs(indptr.size - 1, x.shape[0], x.shape[1], indptr,
+                         indices, data, x.ravel(), out.ravel())
+        return out
 except ImportError:  # pragma: no cover - scipy internals moved
     def _csr_matmul_into(A: "sparse.csr_matrix", x: np.ndarray,
                          out: np.ndarray) -> np.ndarray:
         out[...] = A @ x
         return out
 
+    def _csr_parts_matmul(indptr: np.ndarray, indices: np.ndarray,
+                          data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return sparse.csr_matrix((data, indices, indptr),
+                                 shape=(indptr.size - 1, x.shape[0])) @ x
+
 
 class _Path(NamedTuple):
     """One finite flow's path, as the step loop's column events use it.
 
-    ``rows`` are its active rows in the order of the delay sum ``AT_act
-    @ (q / caps)``, and ``incidence`` their incidence rows; ``head`` is
-    those rows cut before the flow's own term.  ``delay_terms`` holds
-    per row ``(row * S, weight, capacity)``; ``row_terms`` per row
-    ``(row * S, flows * S, weights, capacity, own weight, [(flow * S,
-    weight) after the flow's own term])``, flows in CSR order (``* S``:
-    flat offsets into the ``(rows, S)`` and ``(flows, S)`` arrays).
+    ``head`` is its active path rows' incidence (in the order of the
+    delay sum ``AT_act @ (q / caps)``) cut before the flow's own term.
+    ``delay_terms`` holds per queue row ``(row * S, weight,
+    capacity)``; ``row_terms`` per row ``(row * S, flows * S, weights,
+    capacity, own weight, [(flow * S, weight) after the flow's own
+    term], queues)``, flows in CSR order (``* S``: flat offsets into the
+    ``(rows, S)`` and ``(flows, S)`` arrays; ``queues``: the row is a
+    queue row).
     """
 
-    rows: np.ndarray
-    incidence: sparse.csr_matrix
     head: sparse.csr_matrix
     delay_terms: list
     row_terms: list
@@ -182,8 +203,9 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.size_bytes is not None and not self.size_bytes > 0:
             raise ConfigurationError("flow size must be positive (or None)")
-        if self.start_s < 0:
-            raise ConfigurationError("start_s must be non-negative")
+        # A NaN start would never be reached: the step planner hangs.
+        if not 0.0 <= self.start_s < math.inf:
+            raise ConfigurationError("start_s must be finite and non-negative")
         if self.rate_limit is not None and not self.rate_limit > 0:
             raise ConfigurationError("rate_limit must be positive")
         if not 0.0 < self.burst_duty <= 1.0:
@@ -231,8 +253,9 @@ class TimeflowConfig:
             raise ConfigurationError("backoff must be in (0, 1)")
         if not 0.0 < self.growth_frac <= 1.0:
             raise ConfigurationError("growth_frac must be in (0, 1]")
-        if self.ecn_k < 0:
-            raise ConfigurationError("ecn_k must be non-negative")
+        # A NaN threshold never marks, silently running ECN as FIFO.
+        if not 0.0 <= self.ecn_k < math.inf:
+            raise ConfigurationError("ecn_k must be finite and non-negative")
         # A floor above the cap would pin every rate at the cap, silently
         # turning an ECN arm into FIFO.
         if not 0.0 <= self.min_rate_frac <= 1.0:
@@ -391,6 +414,126 @@ class TimeflowEngine:
         else:
             self.base_latency = hops * self.config.mtu_bytes / min_cap
 
+        # Step-loop invariants: they depend only on the flows, the paths
+        # and the ENSEMBLE_SHARED_AXES, so every integration shares them.
+        self._st = self._flow_arrays()
+        self._n_steps = int(round(self.config.horizon_s / self.config.dt_s))
+        self._control_every = max(1, int(round(
+            self.config.control_interval_s / self.config.dt_s)))
+        self._partition_rows()
+        self._switches = self._plan_switches()
+
+    def _partition_rows(self) -> None:
+        """The active rows, queue rows first, and their incidences.
+
+        Only links on some flow's path ever see arrivals; everywhere else
+        the queue is pinned at zero and contributes exact zeros to every
+        max, mark, and delay sum, so the loop integrates the *active*
+        rows only.  CSR row/column slicing keeps each surviving row's
+        accumulation order, and every dropped term is an exact ``0.0``.
+
+        Of those, only a *queue row* can ever hold a queue.  Every
+        injection stays at most its flow's ``rate_cap`` (FIFO never moves
+        a rate, ECN clips it to the cap, a partial step is below the
+        rate), and a sequential float sum is monotone in each term, so a
+        row whose CSR-order sum of rate caps is within capacity has
+        ``diff <= 0`` at every step and its clamped queue is always 0.
+        The stable partition puts the ``nq`` queue rows first in their
+        original relative order, which keeps the order of every per-flow
+        delay sum.
+        """
+        active = np.flatnonzero(np.diff(self.A.indptr))
+        load_cap = _csr_matmul_into(self.A, self.rate_cap[:, None],
+                                    np.empty((len(self.caps), 1)))[active, 0]
+        queues = load_cap > self.caps[active]
+        active = active[np.argsort(~queues, kind="stable")]
+        self._active = active
+        self._nq = int(queues.sum())
+        self._A_act = self.A[active]
+        self._AT_act = self._A_act.T.tocsr()
+        #: flow x queue-row incidence: which flows a marked queue marks.
+        self._AT_mark = self._A_act[:self._nq].T.tocsr()
+        self._caps_act = self.caps[active][:, None]
+        # Every flow's path rows with their CSR slices, flow-major, so a
+        # sub-matmul over a few flows' rows gathers contiguous slices.
+        A, AT = self._A_act, self._AT_act
+        lens = np.diff(A.indptr)[AT.indices]
+        ptr = np.zeros(lens.size + 1, dtype=A.indptr.dtype)
+        np.cumsum(lens, out=ptr[1:])
+        pos = (np.arange(ptr[-1])
+               + np.repeat(A.indptr[AT.indices] - ptr[:-1], lens))
+        self._blocks = (lens, ptr, A.indices[pos], A.data[pos])
+
+    def _path_rows(self, flows: Sequence[int]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, indptr, indices, data)``: the active path rows of
+        ``flows`` (a row shared by two flows appears twice) as a CSR
+        matrix, for :func:`_csr_parts_matmul`."""
+        lens, ptr, ix, w = self._blocks
+        fp = self._AT_act.indptr
+        if len(flows) == 1:
+            a, b = fp[flows[0]], fp[flows[0] + 1]
+            return (self._AT_act.indices[a:b], ptr[a:b + 1] - ptr[a],
+                    ix[ptr[a]:ptr[b]], w[ptr[a]:ptr[b]])
+        spans = [(fp[f], fp[f + 1]) for f in flows]
+        row_lens = np.concatenate([lens[a:b] for a, b in spans])
+        indptr = np.zeros(row_lens.size + 1, dtype=ptr.dtype)
+        np.cumsum(row_lens, out=indptr[1:])
+        return (np.concatenate([self._AT_act.indices[a:b] for a, b in spans]),
+                indptr,
+                np.concatenate([ix[ptr[a]:ptr[b]] for a, b in spans]),
+                np.concatenate([w[ptr[a]:ptr[b]] for a, b in spans]))
+
+    def _plan_switches(self) -> dict[int, np.ndarray]:
+        """Per step, the flows whose ``on`` state can flip there.
+
+        A flow's gate is ``~done & (start <= t)`` and, for a bursty
+        flow, the burst phase test; ``done`` only changes at column
+        events, so outside those the gate flips only at the flow's first
+        step ``start <= step * dt`` and at its burst edges.  Both are
+        found with the loop's own float expressions, so they are exact;
+        the burst phases are evaluated :data:`PLAN_CHUNK` elements at a
+        time to bound the buffer.  Sorted flow ids per step.
+        """
+        st, n_steps, dt = self._st, self._n_steps, self.config.dt_s
+        start = st["start"]
+        # First step whose ``t = step * dt`` reaches the start: a ceil
+        # guess, then nudged onto the float comparison the loop makes.
+        first = np.minimum(np.ceil(start / dt), n_steps).astype(np.int64)
+        while True:
+            late = (first > 0) & ((first - 1) * dt >= start)
+            early = (first < n_steps) & (first * dt < start)
+            if not (late.any() or early.any()):
+                break
+            first = first - late + early
+        live = first < n_steps
+        steps = [first[live]]
+        flows = [np.flatnonzero(live)]
+        b_idx = st["b_idx"]
+        if b_idx.size:
+            start_b, period_b, on_b = st["start_b"], st["period_b"], st["on_b"]
+            rows = max(1, PLAN_CHUNK // b_idx.size)
+            prev = None
+            for k0 in range(0, n_steps, rows):
+                t = np.arange(k0, min(n_steps, k0 + rows)) * dt
+                off = np.mod(t[:, None] - start_b, period_b) >= on_b
+                if prev is not None:
+                    flip = np.flatnonzero(off[0] != prev)
+                    steps.append(np.full(flip.size, k0))
+                    flows.append(b_idx[flip])
+                k, b = np.nonzero(off[1:] != off[:-1])
+                steps.append(k0 + 1 + k)
+                flows.append(b_idx[b])
+                prev = off[-1]
+        steps_a, flows_a = np.concatenate(steps), np.concatenate(flows)
+        if not steps_a.size:
+            return {}
+        order = np.lexsort((flows_a, steps_a))
+        steps_a, flows_a = steps_a[order], flows_a[order]
+        cut = np.flatnonzero(np.diff(steps_a)) + 1
+        return {int(s[0]): np.unique(f)
+                for s, f in zip(np.split(steps_a, cut), np.split(flows_a, cut))}
+
     def _flow_arrays(self) -> dict[str, Any]:
         """Static per-flow arrays the step loop reads.
 
@@ -410,7 +553,8 @@ class TimeflowEngine:
         cls_names = sorted({f.cls for f in flows})
         return {
             "size": size, "start": start, "finite": np.isfinite(size),
-            "b_idx": b_idx, "start_b": start[b_idx],
+            "b_idx": b_idx, "bursty": duty < 1.0, "period": period,
+            "on_len": duty * period, "start_b": start[b_idx],
             "period_b": period[b_idx],
             "on_b": duty[b_idx] * period[b_idx],
             "cls_names": cls_names,
@@ -518,51 +662,29 @@ class TimeflowEngine:
         obs.counter("fabric.timeflow.ensemble_scenarios").inc(len(configs))
         return results
 
-    def _plan_steps(self, st: dict[str, Any], n_steps: int, dt: float,
-                    control_every: int, any_ecn: bool
-                    ) -> tuple[list[int], list[bool], list[bool]]:
+    def _plan_steps(self, any_ecn: bool
+                    ) -> tuple[list[int], list[np.ndarray | None], list[bool]]:
         """The steps the loop cannot fast-forward over, in order.
 
-        Returns ``(steps, dense, control)``.  A *dense* step may change
-        any flow's injection in every column: step 0, a flow start, a
-        burst edge, and the step after an ECN control step.  A *control*
-        step runs the marking law.  Start and burst steps are found with
-        the loop's own expressions (``start <= step * dt`` and the burst
-        phase test), so they are exact; the burst phases are evaluated
-        :data:`PLAN_CHUNK` elements at a time to bound the buffer.
+        Returns ``(steps, switching, control)``.  A *full* step
+        (``switching`` is ``None``) may change any flow's injection in
+        every column: step 0 and, with ECN, the step after each control
+        step, where rates move.  Otherwise ``switching`` lists the flows
+        whose gate can flip there (:meth:`_plan_switches`: starts and
+        burst edges), and only those flows' injections can change; it is
+        empty at a control step with no switch.  A *control* step runs
+        the marking law.
         """
-        start = st["start"]
-        # First step whose ``t = step * dt`` reaches the start: a ceil
-        # guess, then nudged onto the float comparison the loop makes.
-        first = np.minimum(np.ceil(start / dt), n_steps).astype(np.int64)
-        while True:
-            late = (first > 0) & ((first - 1) * dt >= start)
-            early = (first < n_steps) & (first * dt < start)
-            if not (late.any() or early.any()):
-                break
-            first = first - late + early
-        dense = [np.zeros(1, dtype=np.int64), first[first < n_steps]]
-        b_idx = st["b_idx"]
-        if b_idx.size:
-            start_b, period_b, on_b = st["start_b"], st["period_b"], st["on_b"]
-            rows = max(1, PLAN_CHUNK // b_idx.size)
-            prev = None
-            for k0 in range(0, n_steps, rows):
-                t = np.arange(k0, min(n_steps, k0 + rows)) * dt
-                off = np.mod(t[:, None] - start_b, period_b) >= on_b
-                if prev is not None and (off[0] != prev).any():
-                    dense.append(np.array([k0]))
-                dense.append(k0 + 1 + np.flatnonzero(
-                    (off[1:] != off[:-1]).any(axis=1)))
-                prev = off[-1]
-        control = (np.arange(0, n_steps, control_every) if any_ecn
-                   else np.zeros(0, dtype=np.int64))
-        dense.append(control + 1)
-        dense_steps = np.unique(np.concatenate(dense))
-        dense_steps = dense_steps[dense_steps < n_steps]
-        steps = np.union1d(dense_steps, control)
-        return (steps.tolist(), np.isin(steps, dense_steps).tolist(),
-                np.isin(steps, control).tolist())
+        n_steps = self._n_steps
+        control = (range(0, n_steps, self._control_every) if any_ecn
+                   else range(0))
+        full = {0} | {j + 1 for j in control if j + 1 < n_steps}
+        steps = sorted(full | set(control) | self._switches.keys())
+        none = np.zeros(0, dtype=np.int64)
+        return (steps,
+                [None if j in full else self._switches.get(j, none)
+                 for j in steps],
+                [j % self._control_every == 0 and any_ecn for j in steps])
 
     def _integrate(self, configs: tuple[TimeflowConfig, ...]
                    ) -> tuple[TimeflowResult, ...]:
@@ -577,43 +699,44 @@ class TimeflowEngine:
         constant ``diff`` the unclamped running sum, clamped once, equals
         the per-step clamped sequence, and ``q`` is monotone in between.
 
-        Two kinds of event interrupt the quiet runs.  A *dense* step
-        (:meth:`_plan_steps`: a start, a burst edge, an ECN control
-        step's successor) recomputes every injection with the full
-        matmul.  A *column event* touches one finite (flow, column)
-        entry: its partial last step, completion, restart or stop.  A
-        one-step deviation (the partial last step of a repeating
-        transfer) is applied to that column's path rows alone, in scalar
-        arithmetic in CSR order; a lasting change re-derives the flow's
-        path rows with a sub-matmul.  Both are bit-identical to the full
-        matmul's rows.  Each finite entry's next event step comes from a
-        calendar that replays its scalar ``remaining`` sequence; a
-        repeating transfer always restarts from ``size``, so replays are
-        cached by state.
+        Three kinds of event interrupt the quiet runs.  A *full* step
+        (:meth:`_plan_steps`: step 0 and an ECN control step's
+        successor, where rates move) recomputes every injection with the
+        full matmul.  A *switch* step (a start or a burst edge)
+        recomputes the gate and injection of the flows that switch there
+        only, and re-derives the union of their path rows with one
+        sub-matmul (:func:`switch_flows`).  A *column event* touches one
+        finite (flow, column) entry: its partial last step, completion,
+        restart or stop.  A one-step deviation (the partial last step of
+        a repeating transfer) is applied to that column's path rows
+        alone, in scalar arithmetic in CSR order; a lasting change
+        re-derives the flow's path rows with a sub-matmul.  All are
+        bit-identical to the full matmul's rows.  Each finite entry's
+        next event step comes from a calendar that replays its scalar
+        ``remaining`` sequence; a repeating transfer always restarts
+        from ``size``, so replays are cached by state.
+
+        Only the ``nq`` queue rows (:meth:`_partition_rows`) carry
+        ``q``, ``diff`` and the peak; the other active rows integrate
+        their arrivals only.
         """
         S = len(configs)
         n = len(self.flows)
         n_links = len(self.caps)
         dt = self.config.dt_s
-        n_steps = int(round(self.config.horizon_s / dt))
-        control_every = max(1, int(round(self.config.control_interval_s / dt)))
+        n_steps = self._n_steps
 
-        st = self._flow_arrays()
+        st = self._st
         size, start, finite = st["size"], st["start"], st["finite"]
+        bursty, period, on_len = st["bursty"], st["period"], st["on_len"]
         b_idx, start_b = st["b_idx"], st["start_b"]
         period_b, on_b = st["period_b"], st["on_b"]
         cls_of, repeats = st["cls_of"], st["repeats"]
 
-        # Only links on some flow's path ever see arrivals; everywhere
-        # else the queue is pinned at zero and contributes exact zeros
-        # to every max, mark, and delay sum.  Restricting the
-        # integration to those rows keeps the per-step arrays tiny and
-        # is bit-identity-preserving: CSR row/column slicing keeps each
-        # surviving row's accumulation order, and every dropped term is
-        # an exact ``0.0`` (adding it could not change any float sum).
-        active = np.flatnonzero(np.diff(self.A.indptr))
-        A_act = self.A[active]
-        AT_act = A_act.T.tocsr()
+        active, nq = self._active, self._nq
+        A_act, AT_act, AT_mark = self._A_act, self._AT_act, self._AT_mark
+        caps_act = self._caps_act
+        caps_q = caps_act[:nq]
         na = active.size
 
         # Per-column (scenario) control parameters, broadcast-ready.
@@ -637,15 +760,17 @@ class TimeflowEngine:
         # subtrahend is exact, so the last is ``remaining -= inj*dt``).
         # Flow state is (flows, S): column s IS scenario s, and the
         # injections stay C-contiguous for the matmul.
-        nas, ns = na * S, n * S
-        V = np.zeros(2 * nas + 2 * ns)
+        nas, nqs, ns = na * S, nq * S, n * S
+        V = np.zeros(nas + nqs + 2 * ns)
         D = np.zeros_like(V)
-        arr_sum, q = V[:nas].reshape(na, S), V[nas:2 * nas].reshape(na, S)
-        injected = V[2 * nas:2 * nas + ns].reshape(n, S)
-        remaining = V[2 * nas + ns:].reshape(n, S)
-        arrivals, diff = D[:nas].reshape(na, S), D[nas:2 * nas].reshape(na, S)
-        inj_dt = D[2 * nas:2 * nas + ns].reshape(n, S)
-        neg_inj_dt = D[2 * nas + ns:].reshape(n, S)
+        arr_sum = V[:nas].reshape(na, S)
+        q = V[nas:nas + nqs].reshape(nq, S)
+        injected = V[nas + nqs:nas + nqs + ns].reshape(n, S)
+        remaining = V[nas + nqs + ns:].reshape(n, S)
+        arrivals = D[:nas].reshape(na, S)
+        diff = D[nas:nas + nqs].reshape(nq, S)
+        inj_dt = D[nas + nqs:nas + nqs + ns].reshape(n, S)
+        neg_inj_dt = D[nas + nqs + ns:].reshape(n, S)
         remaining[...] = size[:, None]
 
         start_col = start[:, None]
@@ -654,12 +779,11 @@ class TimeflowEngine:
         on = np.zeros((n, S), dtype=bool)
         done = np.zeros((n, S), dtype=bool)
         completed = np.zeros((n, S), dtype=np.int64)
-        qpeak = np.zeros((na, S))
-        arr_flat, q_flat = V[:nas], V[nas:2 * nas]
-        injected_flat = V[2 * nas:2 * nas + ns]
-        remaining_flat = V[2 * nas + ns:]
+        qpeak = np.zeros((nq, S))
+        arr_flat, q_flat = V[:nas], V[nas:nas + nqs]
+        injected_flat = V[nas + nqs:nas + nqs + ns]
+        remaining_flat = V[nas + nqs + ns:]
         inj_flat, qpeak_flat = inj.ravel(), qpeak.ravel()
-        caps_act = self.caps[active][:, None]
         fct = [{c: [] for c in st["cls_names"]} for _ in range(S)]
         wire = [{c: [] for c in st["cls_names"]} for _ in range(S)]
         marks = np.zeros(S, dtype=np.int64)
@@ -671,6 +795,8 @@ class TimeflowEngine:
         # ``due`` moved on is stale and skipped.
         fin = np.flatnonzero(finite)
         fin_l = fin.tolist()
+        fin_pos = np.full(n, -1)        # flow -> calendar index
+        fin_pos[fin] = np.arange(fin.size)
         due: list[list[int | None]] = [[None] * S for _ in fin_l]
         # Per entry: completions, the current transfer's start, and the
         # sample lists its completions append to.
@@ -693,6 +819,7 @@ class TimeflowEngine:
                 rows = AT_act.indices[lo:hi]
                 caps_r = caps_act[rows, 0].tolist()
                 rows_S = (rows * S).tolist()
+                n_q = int(np.searchsorted(rows, nq))    # queue rows lead
                 ip, ix, w = A_act.indptr, A_act.indices, A_act.data
                 own = [ip[r] + int(np.flatnonzero(ix[ip[r]:ip[r + 1]] == f)[0])
                        for r in rows.tolist()]
@@ -700,18 +827,17 @@ class TimeflowEngine:
                     [np.arange(ip[r], c) for r, c in zip(rows.tolist(), own)]
                     + [np.zeros(0, dtype=np.int64)])
                 p = paths[f] = _Path(
-                    rows=rows, incidence=A_act[rows],
                     head=sparse.csr_matrix(
                         (w[before], ix[before], np.concatenate(
                             ([0], np.cumsum(np.array(own) - ip[rows])))),
                         shape=(rows.size, n)),
-                    delay_terms=list(zip(rows_S, AT_act.data[lo:hi].tolist(),
-                                         caps_r)),
+                    delay_terms=list(zip(rows_S[:n_q], AT_act.data[
+                        lo:lo + n_q].tolist(), caps_r[:n_q])),
                     row_terms=[
                         (rS, (ix[ip[r]:ip[r + 1]] * S).tolist(),
                          w[ip[r]:ip[r + 1]].tolist(), cap, float(w[c]),
                          list(zip((ix[c + 1:ip[r + 1]] * S).tolist(),
-                                  w[c + 1:ip[r + 1]].tolist())))
+                                  w[c + 1:ip[r + 1]].tolist())), r < nq)
                         for r, rS, cap, c in zip(rows.tolist(), rows_S,
                                                  caps_r, own)])
             return p
@@ -782,8 +908,8 @@ class TimeflowEngine:
                     inj[f, s] = v
             cells, entries = [], []
             for (f, s, v, cur), h in zip(blips, row_heads):
-                for k, (rS, flowsS, weights, cap, w_f, tail) in enumerate(
-                        path_of(f).row_terms):
+                for k, (rS, flowsS, weights, cap, w_f, tail, queues) in \
+                        enumerate(path_of(f).row_terms):
                     if h is None:
                         acc = 0.0
                         for gS, w in zip(flowsS, weights):
@@ -793,6 +919,9 @@ class TimeflowEngine:
                         for gS, w in tail:
                             acc += w * inj_flat.item(gS + s)
                     c = rS + s
+                    if not queues:
+                        cells.append((c, arr_flat.item(c) + acc, None, None))
+                        continue
                     qr = q_flat.item(c)
                     if not qr > 0.0:    # close the row's constant run
                         qr = 0.0
@@ -807,28 +936,68 @@ class TimeflowEngine:
                                 remaining_flat.item(fs) + -x))
             return cells, entries
 
-        def refresh_rows(f: int) -> None:
-            """Recompute the arrivals and increments on flow ``f``'s rows
-            from the current injections, closing their constant runs."""
-            path = path_of(f)
-            rows = path.rows
-            out = _csr_matmul_into(path.incidence, inj,
-                                   np.empty((rows.size, S)))
-            qr = q[rows]
-            np.maximum(qr, 0.0, out=qr)
-            q[rows] = qr
-            pk = qpeak[rows]
-            np.maximum(pk, qr, out=pk)
-            qpeak[rows] = pk
+        def refresh_rows(flows: Sequence[int]) -> None:
+            """Recompute the arrivals and increments on ``flows``' path
+            rows from the current injections, closing their constant
+            runs."""
+            rows, indptr, ix, w = self._path_rows(flows)
+            out = _csr_parts_matmul(indptr, ix, w, inj)
             arrivals[rows] = out
-            out -= caps_act[rows]
+            queues = rows < nq
+            qrows, out = rows[queues], out[queues]
+            qr = q[qrows]
+            np.maximum(qr, 0.0, out=qr)
+            q[qrows] = qr
+            pk = qpeak[qrows]
+            np.maximum(pk, qr, out=pk)
+            qpeak[qrows] = pk
+            out -= caps_q[qrows]
             out *= dt
-            diff[rows] = out
+            diff[qrows] = out
 
-        plan, plan_dense, plan_control = self._plan_steps(
-            st, n_steps, dt, control_every, any_ecn)
+        def switch_flows(j: int, fl: np.ndarray) -> None:
+            """A switch step: re-gate and re-inject flows ``fl``, the only
+            ones whose gate can flip at step ``j``, with the full step's
+            expressions restricted to their rows.
+
+            Every other injection stands: rates move only at control
+            steps, whose successors are full steps, and a finite entry's
+            own changes are column events.  Changed finite entries are
+            booked on the calendar for this step (a flow starting here
+            is no blip: its ``inj`` already holds this step's value), and
+            the changed flows' path rows are re-derived.
+            """
+            nonlocal d_version
+            t = j * dt
+            on_f = ~done[fl] & (start_col[fl] <= t)
+            b = np.flatnonzero(bursty[fl])
+            if b.size:
+                fb = fl[b]
+                on_f[b[np.mod(t - start[fb], period[fb]) >= on_len[fb]]] = \
+                    False
+            on[fl] = on_f
+            new = np.where(on_f, np.minimum(rate[fl], remaining[fl] / dt),
+                           0.0)
+            changed = new != inj[fl]
+            moved = changed.any(axis=1)
+            if not moved.any():
+                return
+            for k, s in zip(*np.nonzero(changed)):
+                i = fin_pos[fl[k]]
+                if i >= 0:
+                    due[i][s] = j
+                    heappush(heap, (j, int(i), int(s)))
+            fl, new = fl[moved], new[moved]
+            inj[fl] = new
+            x = new * dt
+            inj_dt[fl] = x
+            neg_inj_dt[fl] = -x
+            d_version += 1
+            refresh_rows(fl.tolist())
+
+        plan, plan_switching, plan_control = self._plan_steps(any_ecn)
         n_plan, nxt_plan = len(plan), 0
-        n_dense = n_events = 0
+        n_full = n_switch = n_events = 0
         add = np.add
         step = 0
         with obs.span("fabric.timeflow.ensemble", scenarios=S,
@@ -845,14 +1014,18 @@ class TimeflowEngine:
                     add(V, D, out=V)
                 if j >= n_steps:
                     break
-                dense = control = False
+                full = control = False
                 if nxt_plan < n_plan and plan[nxt_plan] == j:
-                    dense = plan_dense[nxt_plan]
+                    switching = plan_switching[nxt_plan]
+                    full = switching is None
                     control = plan_control[nxt_plan]
                     nxt_plan += 1
+                    if not full and switching.size:
+                        n_switch += 1
+                        switch_flows(j, switching)
 
-                if dense:
-                    n_dense += 1
+                if full:
+                    n_full += 1
                     t = j * dt
                     on = ~done & (start_col <= t)
                     if b_idx.size:
@@ -871,7 +1044,7 @@ class TimeflowEngine:
                     _csr_matmul_into(A_act, inj, arrivals)
                     np.maximum(q, 0.0, out=q)
                     np.maximum(qpeak, q, out=qpeak)
-                    np.subtract(arrivals, caps_act, out=diff)
+                    np.subtract(arrivals[:nq], caps_q, out=diff)
                     diff *= dt
                     np.multiply(inj, dt, out=inj_dt)
                     np.negative(inj_dt, out=neg_inj_dt)
@@ -892,9 +1065,9 @@ class TimeflowEngine:
                 # one-step *blip*: :func:`blip_cells` gives its path
                 # cells in its column after this step, written back after
                 # the add, so ``D`` only changes when the constant
-                # injection does.  (A dense step set every injection.)
+                # injection does.  (A full step set every injection.)
                 blips = []
-                for i, s in events if not dense else ():
+                for i, s in events if not full else ():
                     f = fin_l[i]
                     v = 0.0
                     if on.item(f, s):   # ``min(rate, remaining / dt)``
@@ -911,6 +1084,8 @@ class TimeflowEngine:
 
                 for c, a_new, q_new, pk in cells:
                     arr_flat[c] = a_new
+                    if q_new is None:
+                        continue
                     if not q_new > 0.0:
                         q_new = 0.0
                     q_flat[c] = q_new
@@ -921,7 +1096,7 @@ class TimeflowEngine:
 
                 if control:
                     marked = q > threshold[None, :]
-                    fm = (AT_act @ marked.astype(np.int8)) > 0
+                    fm = (AT_mark @ marked.astype(np.int8)) > 0
                     fm &= on
                     fm &= ecn_row
                     marks += fm.sum(axis=0)
@@ -984,19 +1159,21 @@ class TimeflowEngine:
                         m = replay(R, r, v, span)
                         due[i][s] = j + 1 + m
                         heappush(heap, (j + 1 + m, i, s))
-                    for f in sorted(dirty):
-                        refresh_rows(f)
-                    d_version += len(dirty)
+                    if dirty:
+                        refresh_rows(sorted(dirty))
+                        d_version += 1
                 step = j + 1
 
         # Close every row's open constant run.
         np.maximum(q, 0.0, out=q)
         np.maximum(qpeak, q, out=qpeak)
-        obs.counter("fabric.timeflow.dense_steps").inc(n_dense)
+        obs.counter("fabric.timeflow.dense_steps").inc(n_full)
+        obs.counter("fabric.timeflow.start_steps").inc(n_switch)
         obs.counter("fabric.timeflow.column_events").inc(n_events)
+        obs.counter("fabric.timeflow.queue_rows").inc(nq)
         if fin_l:
             completed[fin] = n_done
-        max_q = qpeak.max(axis=0) if na else np.zeros(S)
+        max_q = qpeak.max(axis=0) if nq else np.zeros(S)
         arr_sum_full = np.zeros((n_links, S))
         arr_sum_full[active] = arr_sum
         return tuple(
@@ -1201,7 +1378,7 @@ class CongestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if any(k < 1 for k in self.ks):
+        if any(not k >= 1 for k in self.ks):
             raise ConfigurationError("ECN thresholds must be >= 1 MTU")
         # Dedupe, keeping first-occurrence order: a duplicated k used to
         # silently double the study's work.

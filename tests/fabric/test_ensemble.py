@@ -185,6 +185,10 @@ class TestCongestConfigValidation:
         with pytest.raises(ConfigurationError):
             CongestConfig(ks=(10, 0))
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigurationError):
+            CongestConfig(ks=(float("nan"),))
+
     def test_no_arms_rejected(self):
         with pytest.raises(ConfigurationError):
             CongestConfig(ks=(), include_fifo=False)

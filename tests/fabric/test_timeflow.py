@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ class TestFlowSpec:
         with pytest.raises(ConfigurationError):
             FlowSpec(src=0, dst=1, repeat=True)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), -1e-9])
+    def test_start_must_be_finite_and_non_negative(self, start):
+        # A NaN start used to be accepted and hang the step planner.
+        with pytest.raises(ConfigurationError, match="start_s"):
+            FlowSpec(src=0, dst=1, start_s=start)
+
 
 class TestTimeflowConfig:
     @pytest.mark.parametrize("knobs", [
@@ -56,6 +63,12 @@ class TestTimeflowConfig:
     def test_rejects_bad_knobs(self, knobs):
         with pytest.raises(ConfigurationError):
             TimeflowConfig(**knobs)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_ecn_threshold_must_be_finite(self, k):
+        # A NaN threshold never marks: the ECN arm silently ran as FIFO.
+        with pytest.raises(ConfigurationError, match="ecn_k"):
+            TimeflowConfig(ecn_k=k)
 
     def test_accepts_edge_values(self):
         TimeflowConfig(min_rate_frac=0.0, warmup_s=0.0, base_latency_s=0.0)
@@ -149,10 +162,14 @@ class TestEngine:
         assert metrics["fabric.timeflow.flows"] == 5
         assert metrics["fabric.timeflow.completions"] > 0
         assert metrics["fabric.timeflow.marks"] > 0
-        # Why a run's cost per step moved: full-matmul steps (step 0,
-        # the elephants' and congestors' starts, one after each ECN
-        # control step) and the finite entries' column events.
+        # Why a run's cost per step moved: full-matmul steps (step 0 and
+        # one after each ECN control step), switch steps (starts, burst
+        # edges), the finite entries' column events and the queue rows.
         assert 1 <= metrics["fabric.timeflow.dense_steps"] < 1000
+        # every flow starts at step 0, a full step; the victim's link
+        # is oversubscribed
+        assert metrics["fabric.timeflow.start_steps"] == 0
+        assert metrics["fabric.timeflow.queue_rows"] >= 1
         assert metrics["fabric.timeflow.column_events"] >= \
             metrics["fabric.timeflow.completions"]
 
@@ -267,6 +284,17 @@ class TestCongestStudy:
         assert set(doc["fifo_vs_ecn_p99"]) == {"10", "60"}
         assert all(r > 1.0 for r in doc["fifo_vs_ecn_p99"].values())
         assert doc["status"] == "ok"
+
+    def test_recomputes_a_parent_written_artifact(self):
+        """The engine's output pinned across commits: a fresh run equals
+        ``congest --scaled 8 4 4 --horizon-us 150`` as an earlier build
+        wrote it (``reference_run`` only checks against the same build).
+        """
+        fixture = (Path(__file__).parents[1] / "fixtures" / "ledger"
+                   / "congest-20ae383396dc03f0.json")
+        doc = run_congest(frontier_spec().scaled(8, 4, 4),
+                          CongestConfig(horizon_s=150e-6))
+        assert json.loads(json.dumps(doc)) == json.loads(fixture.read_text())
 
     def test_full_scale_spec_reduces_automatically(self):
         config = CongestConfig(ks=(), include_fifo=True, horizon_s=2e-5)

@@ -14,12 +14,20 @@ cover every event kind the fast-forward has to find:
 * non-repeating finite flows that finish mid-run;
 * bursty flows whose edges land on control steps;
 * a ``rate_limit`` below the ECN rate floor.
+
+A second generator aims at the switch steps and the queue-row partition:
+several flows starting in one step, starts on control steps, their
+successors, burst edges and another flow's transfer boundary, bursty
+flows that start in an off phase, rate limits that put a link exactly
+at capacity or one ulp above it, and layouts where no link or every
+link can queue.
 """
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scenario import frontier_spec
@@ -132,6 +140,167 @@ class TestStepLoopMatchesOracle:
     def test_every_column_is_bit_identical(self, net, scenario):
         flows, configs = scenario
         engine = TimeflowEngine(net, flows, configs[0])
+        ensemble = engine.run_ensemble(configs)
+        for cfg, column in zip(configs, ensemble):
+            reference = result_doc(reference_run(engine, cfg))
+            assert result_doc(column) == reference
+            assert result_doc(engine.run(cfg)) == reference
+
+
+#: ``(period, duty)`` in steps whose on-window is shorter than half a
+#: step: a flow starting half a step before the grid enters off, and
+#: the non-integer period brings its window back onto the grid later.
+OFF_PHASE = ((2.7, 0.1), (3.3, 0.1), (4.6, 0.05))
+PEAK = 0.7 * LINK_RATE          # rate cap of an unlimited flow
+
+
+@st.composite
+def timed_flow(draw, src, dst, rate, anchors, control_every, n_steps):
+    """One flow from ``src`` to ``dst`` capped at ``rate``, starting on
+    one of the ``anchors`` (steps where something else happens) or at a
+    fresh step; adds the steps where it switches or ends a transfer."""
+    step = draw(st.sampled_from(sorted(anchors)) | st.integers(0, n_steps // 2))
+    lead = draw(st.sampled_from((0.0, 0.0, 0.5, 0.63))) if step else 0.0
+    start = (step - lead) * DT
+    kind = draw(st.sampled_from(("elephant", "exact", "partial", "substep",
+                                 "bursty", "offphase")))
+    per_step = (rate if rate is not None else PEAK) * DT
+    if kind == "elephant":
+        return FlowSpec(src=src, dst=dst, start_s=start, rate_limit=rate)
+    if kind in ("exact", "partial", "substep"):
+        # whole steps, a partial last step (a blip), or under one step
+        m = draw(st.integers(1, 12))
+        size = {"exact": m, "partial": m + draw(st.floats(0.05, 0.95)),
+                "substep": draw(st.floats(0.05, 0.95))}[kind] * per_step
+        m += kind == "partial"
+        for k in range(1, 4):       # transfer boundaries (approximately)
+            anchors.update((step + k * m - 1, step + k * m))
+        return FlowSpec(src=src, dst=dst, start_s=start, size_bytes=size,
+                        rate_limit=rate, repeat=draw(st.booleans()))
+    if kind == "bursty":
+        period = draw(st.integers(2, 6)) * draw(st.sampled_from(
+            (1, control_every)))
+        on = draw(st.integers(1, 3)) * period // 4 or 1
+        anchors.update((step + on, step + period, step + period + on))
+        size = draw(st.sampled_from((None, 3e4)))
+        return FlowSpec(src=src, dst=dst, start_s=start, size_bytes=size,
+                        rate_limit=rate, burst_duty=on / period,
+                        burst_period_s=period * DT,
+                        repeat=size is not None and draw(st.booleans()))
+    period, duty = draw(st.sampled_from(OFF_PHASE))
+    size = draw(st.sampled_from((None, 3e4)))
+    return FlowSpec(src=src, dst=dst, start_s=(max(step, 1) - 0.5) * DT,
+                    size_bytes=size, rate_limit=rate, burst_duty=duty,
+                    burst_period_s=period * DT,
+                    repeat=size is not None and draw(st.booleans()))
+
+
+def _sources(dst):
+    """Endpoints off ``dst``'s switch (4 endpoints per switch)."""
+    return [e for e in range(128) if e // 4 != dst // 4]
+
+
+@st.composite
+def switching_scenarios(draw):
+    control_every = draw(st.sampled_from((3, 10)))
+    n_steps = draw(st.integers(40, 240))
+    layout = draw(st.sampled_from(("mixed", "at_capacity", "above_capacity",
+                                   "no_queue", "all_queue")))
+    anchors = set(range(0, n_steps, control_every)) \
+        | set(range(1, n_steps, control_every))
+    dst = draw(st.sampled_from(TARGETS))
+    if layout == "mixed":
+        fracs = st.sampled_from((None,) + RATE_FRACS)
+        ends = []
+        for frac in draw(st.lists(fracs, min_size=2, max_size=6)):
+            d = draw(st.sampled_from(TARGETS))      # one or two hotspots
+            ends.append((draw(st.sampled_from(_sources(d))), d,
+                         frac and frac * LINK_RATE))
+    elif layout in ("at_capacity", "above_capacity"):
+        # k flows whose rate caps sum to exactly the line rate (k * cap/k
+        # is exact for these k), or one ulp of it above
+        k = draw(st.sampled_from((2, 4, 5)))
+        share = LINK_RATE / k
+        rates = [share] * k
+        if layout == "above_capacity":
+            rates[-1] = share + float(np.spacing(LINK_RATE))
+        srcs = draw(st.lists(st.sampled_from(_sources(dst)), min_size=k,
+                             max_size=k, unique=True))
+        ends = [(s, dst, r) for s, r in zip(srcs, rates)]
+    elif layout == "no_queue":
+        ends = [(draw(st.sampled_from(_sources(dst))), dst,
+                 draw(st.sampled_from(RATE_FRACS[:3])) * LINK_RATE)
+                for _ in range(draw(st.integers(1, 3)))]
+    else:
+        # same-switch pairs, each twice and unlimited: every link on a
+        # path (injection, ejection) carries two or more flows at peak
+        switch = draw(st.integers(0, 31))
+        eps = draw(st.permutations(range(4 * switch, 4 * switch + 4)))
+        ends = [(s, eps[0], None) for s in eps[1:draw(st.integers(2, 4))]
+                for _ in range(2)]
+    flows = [draw(timed_flow(s, d, r, anchors, control_every, n_steps))
+             for s, d, r in ends]
+    # Later flows start on earlier flows' boundaries; shuffling puts the
+    # switching flow before the blipping one in CSR order, too.
+    flows = draw(st.permutations(flows))
+    shared = dict(dt_s=DT, horizon_s=n_steps * DT,
+                  control_interval_s=control_every * DT)
+    configs = []
+    for _ in range(draw(st.integers(1, 3))):
+        warmup = draw(st.sampled_from((0.0, 0.3))) * n_steps * DT
+        if draw(st.booleans()):     # all-FIFO: no full step after step 0
+            configs.append(TimeflowConfig(ecn=False, warmup_s=warmup,
+                                          **shared))
+        else:
+            configs.append(TimeflowConfig(
+                ecn=True, ecn_k=draw(st.sampled_from((0.0, 0.5, 4.0))),
+                backoff=draw(st.sampled_from((0.25, 0.5))),
+                min_rate_frac=draw(st.sampled_from((0.0, 0.2))),
+                warmup_s=warmup, **shared))
+    return layout, flows, configs
+
+
+def _config(n_steps, **knobs):
+    return TimeflowConfig(dt_s=DT, horizon_s=n_steps * DT,
+                          control_interval_s=10 * DT, **knobs)
+
+
+#: An elephant switching on ahead of a blipping canary in CSR order on
+#: their shared queue, between two of the canary's own lasting changes:
+#: the canary's cached row sums go stale unless the switch step
+#: invalidates them.
+STALE_HEAD = ("mixed", [
+    FlowSpec(src=40, dst=0, start_s=24 * DT),
+    FlowSpec(src=50, dst=0, size_bytes=3.5 * 0.1 * LINK_RATE * DT,
+             rate_limit=0.1 * LINK_RATE, repeat=True),
+    FlowSpec(src=60, dst=0)], [_config(100)])
+#: Two flows switching on in one step, the second onto its own hotspot.
+TWO_HOTSPOTS = ("mixed", [
+    FlowSpec(src=40, dst=0, start_s=10 * DT),
+    FlowSpec(src=50, dst=77, start_s=9.5 * DT),
+    FlowSpec(src=60, dst=77)],
+    [_config(60), _config(60, ecn=True, ecn_k=0.5)])
+
+
+class TestSwitchStepsAndQueueRows:
+    @given(switching_scenarios())
+    @example(STALE_HEAD)
+    @example(TWO_HOTSPOTS)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    def test_every_column_is_bit_identical(self, net, scenario):
+        layout, flows, configs = scenario
+        engine = TimeflowEngine(net, flows, configs[0])
+        n_active = engine._active.size
+        if layout == "no_queue":
+            assert engine._nq == 0
+        elif layout == "all_queue":
+            assert engine._nq == n_active
+        elif layout == "at_capacity":
+            assert engine._nq < n_active
+        elif layout == "above_capacity":
+            assert engine._nq >= 1
         ensemble = engine.run_ensemble(configs)
         for cfg, column in zip(configs, ensemble):
             reference = result_doc(reference_run(engine, cfg))

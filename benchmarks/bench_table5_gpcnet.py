@@ -56,7 +56,7 @@ def test_dynamic_incast_arm(benchmark):
     (pinned near the marking threshold) under ECN.
     """
     from repro.core.scenario import frontier_spec
-    from repro.fabric.timeflow import CongestConfig, run_congest
+    from repro.fabric.congest import CongestConfig, run_congest
 
     def run_study():
         return run_congest(frontier_spec(), CongestConfig(ks=(30,)))

@@ -274,23 +274,20 @@ def _cmd_trace(args: "argparse.Namespace") -> int:
     return 0
 
 
-class _SpecFileError(ConfigurationError):
-    """A ``--spec FILE`` that cannot be read as a machine spec.
-
-    :func:`main` prints it as one line and exits 2 (``sweep`` reports it
-    through its own ``ReproError`` handler, with the same result).
-    """
-
-
 def _load_spec(path: str | None):
-    """The MachineSpec a CLI run works from (canonical Frontier default)."""
+    """The MachineSpec a CLI run works from (canonical Frontier default).
+
+    A file that cannot be read as a spec is a :class:`ConfigurationError`,
+    which :func:`main` prints as one line with exit 2 (``sweep`` reports
+    it through its own ``ReproError`` handler, with the same result).
+    """
     from repro.core.scenario import MachineSpec, frontier_spec
     if not path:
         return frontier_spec()
     try:
         return MachineSpec.load(path)
     except (ReproError, OSError) as exc:
-        raise _SpecFileError(f"--spec {path}: {exc}") from None
+        raise ConfigurationError(f"--spec {path}: {exc}") from None
 
 
 def _cmd_scenario(args: "argparse.Namespace") -> int:
@@ -618,10 +615,18 @@ def _cmd_compare(args: "argparse.Namespace") -> int:
     return 0
 
 
+def _csv(kind: type):
+    """An argparse ``type=``: a comma-separated list of ``kind``."""
+    def parse(raw: str) -> tuple:
+        return tuple(kind(v) for v in raw.split(",") if v)
+    parse.__name__ = f"comma-separated {kind.__name__}"   # for the error
+    return parse
+
+
 def _cmd_congest(args: "argparse.Namespace") -> int:
-    from repro.fabric.timeflow import (CongestConfig, run_congest_cached,
-                                       run_congest_grid,
-                                       validate_victim_impact)
+    from repro.fabric.congest import (CongestConfig, run_congest_cached,
+                                      run_congest_grid)
+    from repro.fabric.timeflow import validate_victim_impact
 
     if args.validate:
         val = validate_victim_impact()
@@ -639,18 +644,16 @@ def _cmd_congest(args: "argparse.Namespace") -> int:
     if args.scaled:
         spec = spec.scaled(*args.scaled)
     config = CongestConfig(
-        ks=tuple(int(k) for k in args.k.split(",") if k),
-        include_fifo=not args.no_fifo, fanin=args.fanin, duty=args.duty,
-        elephants=args.elephants, horizon_s=args.horizon_us * 1e-6,
-        seed=args.seed)
+        ks=args.k, include_fifo=not args.no_fifo, fanin=args.fanin,
+        duty=args.duty, elephants=args.elephants,
+        horizon_s=args.horizon_us * 1e-6, seed=args.seed)
     if args.backoffs:
-        backoffs = tuple(float(b) for b in args.backoffs.split(",") if b)
-        doc = run_congest_grid(spec, config, backoffs=backoffs)
+        doc = run_congest_grid(spec, config, backoffs=args.backoffs)
         if args.json:
             print(json.dumps(doc, indent=2, sort_keys=True))
             return 0
         print(f"congest grid: {doc['network']} | "
-              f"{len(config.ks)} k x {len(backoffs)} backoff cells | "
+              f"{len(config.ks)} k x {len(args.backoffs)} backoff cells | "
               f"{config.horizon_s * 1e6:g} us horizon (one ensemble)")
         table = Table(["Cell", "Victim p50 us", "Victim p99 us",
                        "Completed", "Congestor GB/s", "Max queue MTUs",
@@ -989,7 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
     congest.add_argument("--scaled", nargs=3, type=int,
                          metavar=("GROUPS", "SWITCHES", "ENDPOINTS"),
                          help="reduced-scale variant (taper preserved)")
-    congest.add_argument("--k", default="10,30,60", metavar="K1,K2",
+    congest.add_argument("--k", default="10,30,60",
+                         type=_csv(int), metavar="K1,K2",
                          help="ECN marking thresholds in MTUs "
                               "(default 10,30,60)")
     congest.add_argument("--no-fifo", action="store_true",
@@ -1006,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "microseconds (default 300)")
     congest.add_argument("--seed", type=int, default=0,
                          help="RNG seed (elephant start times; default 0)")
-    congest.add_argument("--backoffs", metavar="B1,B2",
+    congest.add_argument("--backoffs", type=_csv(float), metavar="B1,B2",
                          help="run the k x backoff ablation grid with "
                               "these multiplicative-decrease factors "
                               "(e.g. 0.25,0.5,0.75) instead of the "
@@ -1112,7 +1116,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except _SpecFileError as exc:
+    except ConfigurationError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

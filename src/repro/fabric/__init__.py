@@ -15,6 +15,8 @@
 * :mod:`repro.fabric.network` — the Slingshot facade used by benchmarks.
 * :mod:`repro.fabric.timeflow` — fluid time-stepped congestion engine
   (incast/bursty sources, ECN-style backpressure, FCT percentiles).
+* :mod:`repro.fabric.congest` — the k-sweep incast study on that engine,
+  its ablation grid, and its resumable artifacts.
 """
 
 from repro.fabric.topology import LinkKind, Topology, NodeId

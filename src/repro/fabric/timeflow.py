@@ -39,39 +39,30 @@ Cross-validation (``tests/fabric/test_timeflow.py`` and the
 One step loop serves every caller: :meth:`TimeflowEngine.run_ensemble`
 integrates S scenarios over one path plan as the columns of
 ``(flows, S)`` / ``(links, S)`` arrays, and :meth:`TimeflowEngine.run`
-is its one-column case.  The loop runs the full sparse matmul only at
-step 0 and after each ECN control step, where every rate may move; a
-flow start or burst edge re-derives only the switching flows' path
-rows, a finite flow's partial last step or completion only its own
-path rows in its own column, and the quiet steps between are one
-in-place add.  Queues are integrated only on links whose flows' rate
-caps can exceed capacity.  The plain per-flow loop it was derived from
-is kept in ``tests/fabric/timeflow_oracle.py`` as the reference every
-column must match bit for bit.
-
-Results persist as resumable content-hash artifacts under
-``benchmarks/out/congest/``, via ``python -m repro congest``, in a
-:class:`~repro.ledger.Ledger` with the same trust contract as the sweep
-and chaos artifacts.
+is its one-column case.  It walks named parts of one per-integration
+state (:class:`_Integration`): step plan, quiet run, re-gate (full and
+switch steps alike), column events, control law, finalise.  The plain
+per-flow loop it was derived from is kept in
+``tests/fabric/timeflow_oracle.py`` as the reference every column must
+match bit for bit.  The congest study built on the engine lives in
+:mod:`repro.fabric.congest`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools as _spt
 
 from repro import obs
 from repro.errors import ConfigurationError, SimulationError
 from repro.fabric.batchroute import BatchPaths
 from repro.fabric.congestion import CongestionControl
-from repro.ledger import Ledger
-from repro.ledger import run_id as congest_run_id
 from repro.rng import RngLike, as_generator
 
 __all__ = [
@@ -79,21 +70,7 @@ __all__ = [
     "TimeflowEngine", "ENSEMBLE_SHARED_AXES",
     "fct_stats", "incast_pattern",
     "ImpactValidation", "validate_victim_impact",
-    "CongestConfig", "congest_spec", "congest_scenario",
-    "run_congest", "run_congest_cached", "run_congest_grid",
-    "congest_run_id", "CONGEST_LEDGER", "DEFAULT_CONGEST_DIR",
-    "CONGEST_SCHEMA_VERSION",
 ]
-
-#: Default artifact directory (mirrors the sweep/chaos layout).
-DEFAULT_CONGEST_DIR = os.path.join("benchmarks", "out", "congest")
-
-#: Artifact schema (bumped on incompatible document changes).
-CONGEST_SCHEMA_VERSION = 1
-
-#: Congest studies: ``congest-<run_id>.json``, id at ``run_id``.
-CONGEST_LEDGER = Ledger(prefix="congest-", schema=CONGEST_SCHEMA_VERSION,
-                        id_key="run_id")
 
 #: Fraction of line rate a single uncontrolled stream sustains (protocol
 #: overheads; matches ``repro.fabric.network.STREAM_EFFICIENCY``).
@@ -111,48 +88,44 @@ CALENDAR_SPAN = 4096
 REPLAY_CACHE = 4096
 
 
-try:
-    from scipy.sparse import _sparsetools as _spt
+def _csr_matmul_into(A: "sparse.csr_matrix", x: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """``out[...] = A @ x`` into a preallocated dense buffer.
 
-    def _csr_matmul_into(A: "sparse.csr_matrix", x: np.ndarray,
-                         out: np.ndarray) -> np.ndarray:
-        """``out[...] = A @ x`` into a preallocated dense buffer.
+    Calls the same ``csr_matvecs`` kernel scipy's ``@`` dispatches to (so
+    per-column accumulation order — and therefore bits — match the
+    scalar matvec exactly) but skips the per-call result allocation and
+    dispatch that dominate small-operand matmuls in the ensemble step
+    loop.
+    """
+    out.fill(0.0)
+    _spt.csr_matvecs(A.shape[0], A.shape[1], x.shape[1],
+                     A.indptr, A.indices, A.data, x.ravel(), out.ravel())
+    return out
 
-        Calls the same ``csr_matvecs`` kernel scipy's ``@`` dispatches
-        to (so per-column accumulation order — and therefore bits —
-        match the scalar matvec exactly) but skips the per-call result
-        allocation and dispatch that dominate small-operand matmuls in
-        the ensemble step loop.
-        """
-        out.fill(0.0)
-        _spt.csr_matvecs(A.shape[0], A.shape[1], x.shape[1],
-                         A.indptr, A.indices, A.data,
-                         x.ravel(), out.ravel())
-        return out
 
-    def _csr_parts_matmul(indptr: np.ndarray, indices: np.ndarray,
-                          data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``M @ x`` for the CSR matrix ``(data, indices, indptr)``.
+def _csr_parts_matmul(indptr: np.ndarray, indices: np.ndarray,
+                      data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for the CSR matrix ``(data, indices, indptr)``.
 
-        The same ``csr_matvecs`` kernel as :func:`_csr_matmul_into`, on
-        rows gathered from a larger matrix without building a scipy
-        matrix: fancy row indexing of one costs ~80 µs per call on the
-        full fabric, some thirty times the product.
-        """
-        out = np.zeros((indptr.size - 1, x.shape[1]))
-        _spt.csr_matvecs(indptr.size - 1, x.shape[0], x.shape[1], indptr,
-                         indices, data, x.ravel(), out.ravel())
-        return out
-except ImportError:  # pragma: no cover - scipy internals moved
-    def _csr_matmul_into(A: "sparse.csr_matrix", x: np.ndarray,
-                         out: np.ndarray) -> np.ndarray:
-        out[...] = A @ x
-        return out
+    The same ``csr_matvecs`` kernel as :func:`_csr_matmul_into`, on rows
+    gathered from a larger matrix without building a scipy matrix: fancy
+    row indexing of one costs ~80 µs per call on the full fabric, some
+    thirty times the product.
+    """
+    out = np.zeros((indptr.size - 1, x.shape[1]))
+    _spt.csr_matvecs(indptr.size - 1, x.shape[0], x.shape[1], indptr,
+                     indices, data, x.ravel(), out.ravel())
+    return out
 
-    def _csr_parts_matmul(indptr: np.ndarray, indices: np.ndarray,
-                          data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return sparse.csr_matrix((data, indices, indptr),
-                                 shape=(indptr.size - 1, x.shape[0])) @ x
+
+def _injection(running: bool, R: float, r: float, dt: float) -> float:
+    """A finite entry's injection this step: the full step's
+    ``min(rate, remaining / dt)`` in scalar form while it runs, else 0."""
+    if not running:
+        return 0.0
+    v = R / dt
+    return v if v < r else r
 
 
 class _Path(NamedTuple):
@@ -535,14 +508,9 @@ class TimeflowEngine:
                 for s, f in zip(np.split(steps_a, cut), np.split(flows_a, cut))}
 
     def _flow_arrays(self) -> dict[str, Any]:
-        """Static per-flow arrays the step loop reads.
-
-        Everything here is loop-invariant: sizes, start times, the
-        bursty index set with its precomputed on-window lengths, each
-        flow's class name and repeat flag.  Hoisting it out of the step
-        loop is a pure-overhead win (the per-step ``np.flatnonzero`` and
-        attribute lookups it replaces dominated the per-step profile).
-        """
+        """Static per-flow arrays the step loop reads: sizes, start
+        times, the bursty index set with its on-window lengths, each
+        flow's class name and repeat flag."""
         flows = self.flows
         size = np.array([f.size_bytes if f.size_bytes is not None
                          else np.inf for f in flows])
@@ -567,8 +535,11 @@ class TimeflowEngine:
                   injected: np.ndarray, completed: np.ndarray,
                   fct: dict[str, list[float]], wire: dict[str, list[float]],
                   arr_sum: np.ndarray, max_q: float, marks: int,
-                  n_steps: int) -> TimeflowResult:
-        """One scenario's (one column's) statistics + counters."""
+                  n_steps: int, caps: np.ndarray | None = None
+                  ) -> TimeflowResult:
+        """One scenario's (one column's) statistics + counters; ``arr_sum``
+        is per row of ``caps`` (default: every link; rows left out carry
+        no arrivals, so their utilisation is an exact 0)."""
         horizon = n_steps * cfg.dt_s
         mean_rates = injected / horizon
         classes: dict[str, ClassReport] = {}
@@ -591,12 +562,13 @@ class TimeflowEngine:
             if wire_arr[c].size:
                 obs.histogram("fabric.timeflow.latency_s").observe_many(
                     wire_arr[c])
-        util = arr_sum / n_steps / self.caps
+        util = arr_sum / n_steps / (self.caps if caps is None else caps)
         return TimeflowResult(
             config=cfg, classes=classes, fct_samples=fct_arr,
             latency_samples=wire_arr, mean_rates=mean_rates,
             max_queue_bytes=max_q,
-            max_link_utilisation=float(np.minimum(util, 1.0).max()),
+            max_link_utilisation=float(
+                np.minimum(util, 1.0).max(initial=0.0)),
             marks=marks, steps=n_steps)
 
     def _check_shared_axes(self, cfg: TimeflowConfig) -> None:
@@ -634,15 +606,12 @@ class TimeflowEngine:
         """Integrate ``S = len(configs)`` scenarios as one batched run.
 
         Rates, queues, and AIMD state become ``(flows, S)`` /
-        ``(links, S)`` arrays and the arrival matvec becomes one sparse
-        matmul, so the whole ensemble costs one step loop instead of S
-        (quiet steps are one add for all columns; a column event costs
-        only its own column's path rows).  Per-scenario control
-        parameters (``ecn``, ``ecn_k``, ``backoff``, ``growth_frac``,
-        ``min_rate_frac``, ``warmup_s``)
-        live in per-column vectors; the axes that shape the time grid
-        and the precompute (:data:`ENSEMBLE_SHARED_AXES`) must match
-        this engine's config.
+        ``(links, S)`` arrays, so the whole ensemble costs one step loop
+        instead of S.  Per-scenario control parameters (``ecn``,
+        ``ecn_k``, ``backoff``, ``growth_frac``, ``min_rate_frac``,
+        ``warmup_s``) live in per-column vectors; the axes that shape
+        the time grid and the precompute (:data:`ENSEMBLE_SHARED_AXES`)
+        must match this engine's config.
 
         Contract (the ``chunk=1`` idiom of :mod:`repro.fabric.batchroute`,
         pinned by ``tests/fabric/test_ensemble.py``): every returned
@@ -688,500 +657,471 @@ class TimeflowEngine:
 
     def _integrate(self, configs: tuple[TimeflowConfig, ...]
                    ) -> tuple[TimeflowResult, ...]:
-        """The step loop behind :meth:`run` and :meth:`run_ensemble`.
+        """The step loop behind :meth:`run` and :meth:`run_ensemble`: the
+        step plan (:meth:`_plan_steps`) walked over the parts of one
+        :class:`_Integration`."""
+        run = _Integration(self, configs)
+        plan, switching, control = self._plan_steps(run.any_ecn)
+        n_plan, n_steps = len(plan), self._n_steps
+        k = step = 0
+        with obs.span("fabric.timeflow.ensemble", scenarios=len(configs),
+                      n_flows=len(self.flows), steps=n_steps):
+            while True:
+                j = run.quiet(step, plan[k] if k < n_plan else n_steps)
+                if j >= n_steps:
+                    break
+                full = ctrl = False
+                if k < n_plan and plan[k] == j:
+                    fl, ctrl = switching[k], control[k]
+                    full = fl is None
+                    k += 1
+                    if full or fl.size:
+                        run.regate(j, fl)
+                events = run.advance(j, full)
+                if ctrl:
+                    run.control()
+                if events:
+                    run.settle(j, events)
+                step = j + 1
+        return run.finalise()
 
-        Between discrete events every injection is bitwise constant, so
-        the link arrivals ``A @ inj`` and the queue increments ``diff``
-        are too, and a *quiet* step is one in-place add of the constant
-        increments onto the packed state (``arr_sum``, ``q``,
-        ``injected``, ``remaining``).  The ``q >= 0`` clamp and the peak
-        queue are deferred to the end of each row's constant run: with a
-        constant ``diff`` the unclamped running sum, clamped once, equals
-        the per-step clamped sequence, and ``q`` is monotone in between.
 
-        Three kinds of event interrupt the quiet runs.  A *full* step
-        (:meth:`_plan_steps`: step 0 and an ECN control step's
-        successor, where rates move) recomputes every injection with the
-        full matmul.  A *switch* step (a start or a burst edge)
-        recomputes the gate and injection of the flows that switch there
-        only, and re-derives the union of their path rows with one
-        sub-matmul (:func:`switch_flows`).  A *column event* touches one
-        finite (flow, column) entry: its partial last step, completion,
-        restart or stop.  A one-step deviation (the partial last step of
-        a repeating transfer) is applied to that column's path rows
-        alone, in scalar arithmetic in CSR order; a lasting change
-        re-derives the flow's path rows with a sub-matmul.  All are
-        bit-identical to the full matmul's rows.  Each finite entry's
-        next event step comes from a calendar that replays its scalar
-        ``remaining`` sequence; a repeating transfer always restarts
-        from ``size``, so replays are cached by state.
+class _Integration:
+    """One :meth:`TimeflowEngine._integrate` call: its state and the
+    parts of its step loop (DESIGN.md, "Fast-forwarding quiet steps").
 
-        Only the ``nq`` queue rows (:meth:`_partition_rows`) carry
-        ``q``, ``diff`` and the peak; the other active rows integrate
-        their arrivals only.
-        """
-        S = len(configs)
-        n = len(self.flows)
-        n_links = len(self.caps)
-        dt = self.config.dt_s
-        n_steps = self._n_steps
+    Flow state is ``(flows, S)``, row state ``(rows, S)``: column ``s``
+    is scenario ``s``.  A quiet step is ONE add, ``V += D``: ``arr_sum
+    += arrivals; q += diff; injected += inj*dt; remaining += -(inj*dt)``
+    (negating the subtrahend is exact).  ``arr_sum`` covers the active
+    rows, ``q``, ``diff`` and ``qpeak`` the ``nq`` queue rows.  The
+    ``q >= 0`` clamp and the peak wait for the end of each row's
+    constant run (exact: ``q`` is monotone within it), which comes when
+    the row is re-derived (:meth:`rederive`), a blip crosses it, or the
+    horizon ends.  The calendar: ``due[i][s]`` is the next step at which
+    finite flow ``fin_l[i]`` in column ``s`` may change its injection or
+    finish, and ``heap`` orders the pending ``(step, i, s)``; an entry
+    whose ``due`` moved on is stale.  Per-column control parameters
+    mirror the scalar expressions element for element, so columns stay
+    bit-identical.
+    """
 
-        st = self._st
-        size, start, finite = st["size"], st["start"], st["finite"]
-        bursty, period, on_len = st["bursty"], st["period"], st["on_len"]
-        b_idx, start_b = st["b_idx"], st["start_b"]
-        period_b, on_b = st["period_b"], st["on_b"]
-        cls_of, repeats = st["cls_of"], st["repeats"]
+    def __init__(self, engine: TimeflowEngine,
+                 configs: tuple[TimeflowConfig, ...]):
+        self.engine, self.configs = engine, configs
+        S = self.S = len(configs)
+        n, na, nq = len(engine.flows), engine._active.size, engine._nq
+        self.nq, self.n_steps = nq, engine._n_steps
+        self.dt = engine.config.dt_s
+        st = self.st = engine._st
 
-        active, nq = self._active, self._nq
-        A_act, AT_act, AT_mark = self._A_act, self._AT_act, self._AT_mark
-        caps_act = self._caps_act
-        caps_q = caps_act[:nq]
-        na = active.size
+        def row(name: str) -> np.ndarray:
+            return np.array([getattr(c, name) for c in configs])[None, :]
+        self.ecn_row = row("ecn").astype(bool)
+        self.any_ecn = bool(self.ecn_row.any())
+        self.threshold = row("ecn_k") * row("mtu_bytes")
+        self.keep = 1.0 - row("backoff")
+        self.growth = engine.peak[:, None] * row("growth_frac")
+        self.rate_floor = engine.peak[:, None] * row("min_rate_frac")
+        self.warmup = [c.warmup_s for c in configs]
 
-        # Per-column (scenario) control parameters, broadcast-ready.
-        # Products mirror the scalar expressions element-for-element
-        # (``c.ecn_k * c.mtu_bytes``, ``1.0 - c.backoff``,
-        # ``c.growth_frac * peak[f]``) so columns stay bit-identical.
-        ecn_row = np.array([c.ecn for c in configs], dtype=bool)[None, :]
-        any_ecn = bool(ecn_row.any())
-        threshold = np.array([c.ecn_k * c.mtu_bytes for c in configs])
-        keep = np.array([1.0 - c.backoff for c in configs])[None, :]
-        growth = (self.peak[:, None]
-                  * np.array([c.growth_frac for c in configs])[None, :])
-        rate_floor = (self.peak[:, None]
-                      * np.array([c.min_rate_frac for c in configs])[None, :])
-        rate_cap_col = self.rate_cap[:, None]
-        warmup = [c.warmup_s for c in configs]
+        cut = np.cumsum([0, na, nq, n, n]) * S
+        self.V = V = np.zeros(cut[-1])
+        self.D = D = np.zeros_like(V)
+        (self.arr_flat, self.q_flat, self.injected_flat,
+         self.remaining_flat) = (V[a:b] for a, b in zip(cut, cut[1:]))
+        self.arr_sum, self.q, self.injected, self.remaining = (
+            flat.reshape(-1, S) for flat in (self.arr_flat, self.q_flat,
+                                             self.injected_flat,
+                                             self.remaining_flat))
+        self.arrivals, self.diff, self.inj_dt, self.neg_inj_dt = (
+            D[a:b].reshape(-1, S) for a, b in zip(cut, cut[1:]))
+        self.remaining[...] = st["size"][:, None]
 
-        # The state a quiet step advances, packed so that the step is ONE
-        # add: ``V += D`` is ``arr_sum += arrivals; q += diff;
-        # injected += inj*dt; remaining += -(inj*dt)`` (negating the
-        # subtrahend is exact, so the last is ``remaining -= inj*dt``).
-        # Flow state is (flows, S): column s IS scenario s, and the
-        # injections stay C-contiguous for the matmul.
-        nas, nqs, ns = na * S, nq * S, n * S
-        V = np.zeros(nas + nqs + 2 * ns)
-        D = np.zeros_like(V)
-        arr_sum = V[:nas].reshape(na, S)
-        q = V[nas:nas + nqs].reshape(nq, S)
-        injected = V[nas + nqs:nas + nqs + ns].reshape(n, S)
-        remaining = V[nas + nqs + ns:].reshape(n, S)
-        arrivals = D[:nas].reshape(na, S)
-        diff = D[nas:nas + nqs].reshape(nq, S)
-        inj_dt = D[nas + nqs:nas + nqs + ns].reshape(n, S)
-        neg_inj_dt = D[nas + nqs + ns:].reshape(n, S)
-        remaining[...] = size[:, None]
+        self.rate = np.repeat(engine.rate_cap[:, None], S, axis=1)
+        self.inj = np.zeros((n, S))
+        self.on = np.zeros((n, S), dtype=bool)
+        self.done = np.zeros((n, S), dtype=bool)
+        self.qpeak = np.zeros((nq, S))
+        self.inj_flat, self.qpeak_flat = self.inj.ravel(), self.qpeak.ravel()
+        self.fct = [{c: [] for c in st["cls_names"]} for _ in range(S)]
+        self.wire = [{c: [] for c in st["cls_names"]} for _ in range(S)]
+        self.marks = np.zeros(S, dtype=np.int64)
 
-        start_col = start[:, None]
-        rate = np.repeat(rate_cap_col, S, axis=1)
-        inj = np.zeros((n, S))
-        on = np.zeros((n, S), dtype=bool)
-        done = np.zeros((n, S), dtype=bool)
-        completed = np.zeros((n, S), dtype=np.int64)
-        qpeak = np.zeros((nq, S))
-        arr_flat, q_flat = V[:nas], V[nas:nas + nqs]
-        injected_flat = V[nas + nqs:nas + nqs + ns]
-        remaining_flat = V[nas + nqs + ns:]
-        inj_flat, qpeak_flat = inj.ravel(), qpeak.ravel()
-        fct = [{c: [] for c in st["cls_names"]} for _ in range(S)]
-        wire = [{c: [] for c in st["cls_names"]} for _ in range(S)]
-        marks = np.zeros(S, dtype=np.int64)
-
-        # The column-event calendar: ``due[i][s]`` is the next step at
-        # which finite flow ``fin[i]`` in column ``s`` may change its
-        # injection or finish (no other step touches that entry), and
-        # ``heap`` orders the pending ``(step, i, s)``; an entry whose
-        # ``due`` moved on is stale and skipped.
-        fin = np.flatnonzero(finite)
-        fin_l = fin.tolist()
-        fin_pos = np.full(n, -1)        # flow -> calendar index
-        fin_pos[fin] = np.arange(fin.size)
-        due: list[list[int | None]] = [[None] * S for _ in fin_l]
+        fin = np.flatnonzero(st["finite"])
+        fin_l = self.fin_l = fin.tolist()
+        self.fin_pos = np.full(n, -1)        # flow -> calendar index
+        self.fin_pos[fin] = np.arange(fin.size)
+        self.due: list[list[int | None]] = [[None] * S for _ in fin_l]
         # Per entry: completions, the current transfer's start, and the
         # sample lists its completions append to.
-        n_done = [[0] * S for _ in fin_l]
-        xfer = [[float(start[f])] * S for f in fin_l]
-        samples = [[(fct[s][cls_of[f]], wire[s][cls_of[f]]) for s in range(S)]
-                   for f in fin_l]
-        heap: list[tuple[int, int, int]] = []
-        size_l, repeats_l = size.tolist(), repeats.tolist()
-        base_latency = self.base_latency.tolist()
-        replays: dict[tuple[float, float, float], tuple[int, bool]] = {}
-        paths: dict[int, _Path] = {}
-        heads: dict[int, tuple] = {}
-        d_version = 0    # bumped whenever ``D``'s injections change
+        self.n_done = [[0] * S for _ in fin_l]
+        self.xfer = [[float(st["start"][f])] * S for f in fin_l]
+        cls_of = st["cls_of"]
+        self.samples = [[(self.fct[s][cls_of[f]], self.wire[s][cls_of[f]])
+                         for s in range(S)] for f in fin_l]
+        self.heap: list[tuple[int, int, int]] = []
+        self.size_l, self.repeats_l = st["size"].tolist(), st["repeats"].tolist()
+        self.base_latency = engine.base_latency.tolist()
+        self.replays: dict[tuple[float, float, float], tuple[int, bool]] = {}
+        self.paths: dict[int, _Path] = {}
+        self.heads: dict[int, tuple] = {}
+        self.d_version = 0    # bumped whenever ``D``'s injections change
+        self.n_full = self.n_switch = self.n_events = 0
 
-        def path_of(f: int) -> _Path:
-            p = paths.get(f)
-            if p is None:
-                lo, hi = AT_act.indptr[f], AT_act.indptr[f + 1]
-                rows = AT_act.indices[lo:hi]
-                caps_r = caps_act[rows, 0].tolist()
-                rows_S = (rows * S).tolist()
-                n_q = int(np.searchsorted(rows, nq))    # queue rows lead
-                ip, ix, w = A_act.indptr, A_act.indices, A_act.data
-                own = [ip[r] + int(np.flatnonzero(ix[ip[r]:ip[r + 1]] == f)[0])
-                       for r in rows.tolist()]
-                before = np.concatenate(
-                    [np.arange(ip[r], c) for r, c in zip(rows.tolist(), own)]
-                    + [np.zeros(0, dtype=np.int64)])
-                p = paths[f] = _Path(
-                    head=sparse.csr_matrix(
-                        (w[before], ix[before], np.concatenate(
-                            ([0], np.cumsum(np.array(own) - ip[rows])))),
-                        shape=(rows.size, n)),
-                    delay_terms=list(zip(rows_S[:n_q], AT_act.data[
-                        lo:lo + n_q].tolist(), caps_r[:n_q])),
-                    row_terms=[
-                        (rS, (ix[ip[r]:ip[r + 1]] * S).tolist(),
-                         w[ip[r]:ip[r + 1]].tolist(), cap, float(w[c]),
-                         list(zip((ix[c + 1:ip[r + 1]] * S).tolist(),
-                                  w[c + 1:ip[r + 1]].tolist())), r < nq)
-                        for r, rS, cap, c in zip(rows.tolist(), rows_S,
-                                                 caps_r, own)])
-            return p
+    def path_of(self, f: int) -> _Path:
+        p = self.paths.get(f)
+        if p is None:
+            eng, S, nq = self.engine, self.S, self.nq
+            A_act, AT_act = eng._A_act, eng._AT_act
+            lo, hi = AT_act.indptr[f], AT_act.indptr[f + 1]
+            rows = AT_act.indices[lo:hi]
+            caps_r = eng._caps_act[rows, 0].tolist()
+            rows_S = (rows * S).tolist()
+            n_q = int(np.searchsorted(rows, nq))    # queue rows lead
+            ip, ix, w = A_act.indptr, A_act.indices, A_act.data
+            own = [ip[r] + int(np.flatnonzero(ix[ip[r]:ip[r + 1]] == f)[0])
+                   for r in rows.tolist()]
+            before = np.concatenate(
+                [np.arange(ip[r], c) for r, c in zip(rows.tolist(), own)]
+                + [np.zeros(0, dtype=np.int64)])
+            p = self.paths[f] = _Path(
+                head=sparse.csr_matrix(
+                    (w[before], ix[before], np.concatenate(
+                        ([0], np.cumsum(np.array(own) - ip[rows])))),
+                    shape=(rows.size, len(eng.flows))),
+                delay_terms=list(zip(rows_S[:n_q], AT_act.data[
+                    lo:lo + n_q].tolist(), caps_r[:n_q])),
+                row_terms=[
+                    (rS, (ix[ip[r]:ip[r + 1]] * S).tolist(),
+                     w[ip[r]:ip[r + 1]].tolist(), cap, float(w[c]),
+                     list(zip((ix[c + 1:ip[r + 1]] * S).tolist(),
+                              w[c + 1:ip[r + 1]].tolist())), r < nq)
+                    for r, rS, cap, c in zip(rows.tolist(), rows_S,
+                                             caps_r, own)])
+        return p
 
-        def heads_of(f: int) -> np.ndarray:
-            """Per path row and column, flow ``f``'s row sum up to (not
-            including) its own term, under the current ``D``."""
-            h = heads.get(f)
-            if h is None or h[0] != d_version:
-                head = path_of(f).head
-                h = heads[f] = (d_version, _csr_matmul_into(
-                    head, inj, np.empty((head.shape[0], S))))
-            return h[1]
+    def heads_of(self, f: int) -> np.ndarray:
+        """Per path row and column, flow ``f``'s row sum up to (not
+        including) its own term, under the current ``D``."""
+        h = self.heads.get(f)
+        if h is None or h[0] != self.d_version:
+            head = self.path_of(f).head
+            h = self.heads[f] = (self.d_version, _csr_matmul_into(
+                head, self.inj, np.empty((head.shape[0], self.S))))
+        return h[1]
 
-        def replay(R: float, r: float, cur: float, span: int) -> int:
-            """Leading steps (at most ``span``) that inject ``cur`` from
-            ``remaining = R`` at rate ``r`` without finishing.
+    def replay(self, R: float, r: float, cur: float, span: int) -> int:
+        """Leading steps (at most ``span``) that inject ``cur`` from
+        ``remaining = R`` at rate ``r`` without finishing.
 
-            Replays the loop's own arithmetic: ``R`` falls by ``x =
-            cur * dt`` per step, one sequential subtraction at a time
-            (``np.add.accumulate`` is sequential), over a window sized
-            from ``R / x`` and doubled until the run ends.  Cached by
-            ``(R, r, cur)``: a repeating transfer restarts from ``size``
-            at the same few rates.
-            """
-            key = (R, r, cur)
-            hit = replays.get(key)
-            if hit is not None and (hit[1] or hit[0] >= span):
-                return min(hit[0], span)
-            x = cur * dt
-            n_try = span if x <= 0.0 else min(span, int(R / x) + 4)
-            while True:
-                seq = np.full(n_try + 1, -x)
-                seq[0] = R
-                seq = np.add.accumulate(seq)
-                ok = np.minimum(r, seq[:-1] / dt) == cur
-                ok &= seq[1:] > 1e-9
-                if not ok.all():
-                    m = int(ok.argmin())
-                    break
-                if n_try >= span:
-                    m = span
-                    break
-                n_try = min(span, 2 * n_try)
-            if len(replays) >= REPLAY_CACHE:
-                replays.clear()
-            replays[key] = (m, m < span)
-            return m
+        Replays the loop's own arithmetic: ``R`` falls by ``x = cur *
+        dt`` per step, one sequential subtraction at a time
+        (``np.add.accumulate`` is sequential), over a window sized from
+        ``R / x`` and doubled until the run ends.  Cached by ``(R, r,
+        cur)``: a repeating transfer restarts from ``size`` at the same
+        few rates.
+        """
+        replays, dt = self.replays, self.dt
+        key = (R, r, cur)
+        hit = replays.get(key)
+        if hit is not None and (hit[1] or hit[0] >= span):
+            return min(hit[0], span)
+        x = cur * dt
+        n_try = span if x <= 0.0 else min(span, int(R / x) + 4)
+        while True:
+            seq = np.full(n_try + 1, -x)
+            seq[0] = R
+            seq = np.add.accumulate(seq)
+            ok = np.minimum(r, seq[:-1] / dt) == cur
+            ok &= seq[1:] > 1e-9
+            if not ok.all():
+                m = int(ok.argmin())
+                break
+            if n_try >= span:
+                m = span
+                break
+            n_try = min(span, 2 * n_try)
+        if len(replays) >= REPLAY_CACHE:
+            replays.clear()
+        replays[key] = (m, m < span)
+        return m
 
-        def blip_cells(blips: list) -> tuple[list, list]:
-            """The cells and entries this step's blips touch, as they
-            will be after the step: ``(cell, arr_sum, q, qpeak)`` and
-            ``(entry, injected, remaining)``, flat, to write back after
-            the add.
+    def quiet(self, step: int, j: int) -> int:
+        """Run the quiet steps from ``step`` up to the earlier of planned
+        step ``j`` and the next due column event (dropping stale calendar
+        entries), one in-place ``V += D`` each; returns that step."""
+        heap, due = self.heap, self.due
+        while heap and heap[0][0] < j:
+            d, i, s = heap[0]
+            if due[i][s] == d:
+                j = d
+                break
+            heappop(heap)
+        V, D, add = self.V, self.D, np.add
+        for _ in range(j - step):
+            add(V, D, out=V)
+        return j
 
-            A blip's path rows, in its column only, close their constant
-            run (clamp and peak) and take one step of arrivals re-summed
-            in CSR order: continued from the cached sum before the
-            blip's own term, or — in a column with several blips —
-            re-summed in full with all of them in place.
-            """
-            crowded = {s for k, (_, s, _, _) in enumerate(blips)
-                       if any(b[1] == s for b in blips[k + 1:])}
-            row_heads = [None if s in crowded else heads_of(f)
-                         for f, s, _, _ in blips]
-            for f, s, v, _ in blips:
-                if s in crowded:
-                    inj[f, s] = v
-            cells, entries = [], []
-            for (f, s, v, cur), h in zip(blips, row_heads):
-                for k, (rS, flowsS, weights, cap, w_f, tail, queues) in \
-                        enumerate(path_of(f).row_terms):
-                    if h is None:
-                        acc = 0.0
-                        for gS, w in zip(flowsS, weights):
-                            acc += w * inj_flat.item(gS + s)
-                    else:
-                        acc = h.item(k, s) + w_f * v
-                        for gS, w in tail:
-                            acc += w * inj_flat.item(gS + s)
-                    c = rS + s
-                    if not queues:
-                        cells.append((c, arr_flat.item(c) + acc, None, None))
-                        continue
-                    qr = q_flat.item(c)
-                    if not qr > 0.0:    # close the row's constant run
-                        qr = 0.0
-                    pk = qpeak_flat.item(c)
-                    cells.append((c, arr_flat.item(c) + acc,
-                                  qr + (acc - cap) * dt,
-                                  pk if pk >= qr else qr))
-            for f, s, v, cur in blips:
-                inj[f, s] = cur
-                fs, x = f * S + s, v * dt
-                entries.append((fs, injected_flat.item(fs) + x,
-                                remaining_flat.item(fs) + -x))
-            return cells, entries
+    def regate(self, j: int, fl: np.ndarray | None) -> None:
+        """Re-gate and re-inject flows ``fl`` at step ``j``, every flow
+        when ``fl`` is ``None``.
 
-        def refresh_rows(flows: Sequence[int]) -> None:
-            """Recompute the arrivals and increments on ``flows``' path
-            rows from the current injections, closing their constant
-            runs."""
-            rows, indptr, ix, w = self._path_rows(flows)
-            out = _csr_parts_matmul(indptr, ix, w, inj)
-            arrivals[rows] = out
-            queues = rows < nq
-            qrows, out = rows[queues], out[queues]
-            qr = q[qrows]
-            np.maximum(qr, 0.0, out=qr)
-            q[qrows] = qr
-            pk = qpeak[qrows]
-            np.maximum(pk, qr, out=pk)
-            qpeak[qrows] = pk
-            out -= caps_q[qrows]
-            out *= dt
-            diff[qrows] = out
-
-        def switch_flows(j: int, fl: np.ndarray) -> None:
-            """A switch step: re-gate and re-inject flows ``fl``, the only
-            ones whose gate can flip at step ``j``, with the full step's
-            expressions restricted to their rows.
-
-            Every other injection stands: rates move only at control
-            steps, whose successors are full steps, and a finite entry's
-            own changes are column events.  Changed finite entries are
-            booked on the calendar for this step (a flow starting here
-            is no blip: its ``inj`` already holds this step's value), and
-            the changed flows' path rows are re-derived.
-            """
-            nonlocal d_version
-            t = j * dt
-            on_f = ~done[fl] & (start_col[fl] <= t)
-            b = np.flatnonzero(bursty[fl])
-            if b.size:
-                fb = fl[b]
-                on_f[b[np.mod(t - start[fb], period[fb]) >= on_len[fb]]] = \
-                    False
-            on[fl] = on_f
-            new = np.where(on_f, np.minimum(rate[fl], remaining[fl] / dt),
-                           0.0)
-            changed = new != inj[fl]
+        ``None`` is a *full* step: step 0 or an ECN control step's
+        successor, where every rate may move.  Otherwise ``fl`` lists
+        the only flows whose gate can flip at ``j`` (a *switch* step:
+        starts and burst edges); every other injection stands, as a
+        finite entry's own changes are column events.  Changed finite
+        entries are booked on the calendar for this step (a flow
+        starting here is no blip: its ``inj`` already holds this step's
+        value), and the changed flows' path rows are re-derived.
+        """
+        full = fl is None
+        sel = slice(None) if full else fl
+        st, dt, inj = self.st, self.dt, self.inj
+        t = j * dt
+        on_f = ~self.done[sel] & (st["start"][sel, None] <= t)
+        # Gating a flow that is already off is a no-op, so the phase
+        # test needs only the bursty ones.
+        b = st["b_idx"] if full else np.flatnonzero(st["bursty"][fl])
+        if b.size:
+            fb = b if full else fl[b]
+            on_f[b[np.mod(t - st["start"][fb], st["period"][fb])
+                   >= st["on_len"][fb]]] = False
+        new = np.where(on_f, np.minimum(self.rate[sel],
+                                        self.remaining[sel] / dt), 0.0)
+        changed = new != inj[sel]
+        ki, si = np.nonzero(changed & st["finite"][sel, None])
+        for i, s in zip(self.fin_pos[ki if full else fl[ki]].tolist(),
+                        si.tolist()):
+            self.due[i][s] = j
+            heappush(self.heap, (j, i, s))
+        if full:
+            self.n_full += 1
+            self.on = on_f
+        else:
+            self.n_switch += 1
+            self.on[fl] = on_f
             moved = changed.any(axis=1)
             if not moved.any():
                 return
-            for k, s in zip(*np.nonzero(changed)):
-                i = fin_pos[fl[k]]
-                if i >= 0:
-                    due[i][s] = j
-                    heappush(heap, (j, int(i), int(s)))
-            fl, new = fl[moved], new[moved]
-            inj[fl] = new
-            x = new * dt
-            inj_dt[fl] = x
-            neg_inj_dt[fl] = -x
-            d_version += 1
-            refresh_rows(fl.tolist())
+            sel, new = fl[moved], new[moved]
+        inj[sel] = new
+        x = new * dt
+        self.inj_dt[sel] = x
+        self.neg_inj_dt[sel] = -x
+        self.rederive(None if full else sel.tolist())
 
-        plan, plan_switching, plan_control = self._plan_steps(any_ecn)
-        n_plan, nxt_plan = len(plan), 0
-        n_full = n_switch = n_events = 0
-        add = np.add
-        step = 0
-        with obs.span("fabric.timeflow.ensemble", scenarios=S,
-                      n_flows=n, steps=n_steps):
-            while True:
-                j = plan[nxt_plan] if nxt_plan < n_plan else n_steps
-                while heap and heap[0][0] < j:
-                    d, i, s = heap[0]
-                    if due[i][s] == d:
-                        j = d
-                        break
-                    heappop(heap)
-                for _ in range(j - step):          # quiet steps
-                    add(V, D, out=V)
-                if j >= n_steps:
-                    break
-                full = control = False
-                if nxt_plan < n_plan and plan[nxt_plan] == j:
-                    switching = plan_switching[nxt_plan]
-                    full = switching is None
-                    control = plan_control[nxt_plan]
-                    nxt_plan += 1
-                    if not full and switching.size:
-                        n_switch += 1
-                        switch_flows(j, switching)
+    def rederive(self, flows: Sequence[int] | None) -> None:
+        """Recompute the arrivals and queue increments on ``flows``' path
+        rows (every active row when ``None``: the full matmul) from the
+        current injections, closing those rows' constant runs.  The
+        gathered sub-matmul's rows are bit-identical to the full one's.
+        """
+        nq, q, qpeak = self.nq, self.q, self.qpeak
+        if flows is None:
+            out = _csr_matmul_into(self.engine._A_act, self.inj,
+                                   self.arrivals)[:nq]
+            qrows = slice(None)
+        else:
+            rows, indptr, ix, w = self.engine._path_rows(flows)
+            out = _csr_parts_matmul(indptr, ix, w, self.inj)
+            self.arrivals[rows] = out
+            queues = rows < nq
+            qrows, out = rows[queues], out[queues]
+        qr = q[qrows]
+        np.maximum(qr, 0.0, out=qr)
+        q[qrows] = qr
+        pk = qpeak[qrows]
+        np.maximum(pk, qr, out=pk)
+        qpeak[qrows] = pk
+        d = out - self.engine._caps_act[:nq][qrows]
+        d *= self.dt
+        self.diff[qrows] = d
+        self.d_version += 1
 
-                if full:
-                    n_full += 1
-                    t = j * dt
-                    on = ~done & (start_col <= t)
-                    if b_idx.size:
-                        # Gating a flow that is already off is a no-op, so
-                        # the phase test needs only the static bursty set.
-                        phase = np.mod(t - start_b, period_b)
-                        on[b_idx[phase >= on_b], :] = False
-                    new = np.where(on, np.minimum(rate, remaining / dt), 0.0)
-                    if fin_l:
-                        changed = new[fin] != inj[fin]
-                        for i, s in zip(*np.nonzero(changed)):
-                            due[i][s] = j
-                            heappush(heap, (j, int(i), int(s)))
-                    inj[...] = new
-                    d_version += 1
-                    _csr_matmul_into(A_act, inj, arrivals)
-                    np.maximum(q, 0.0, out=q)
-                    np.maximum(qpeak, q, out=qpeak)
-                    np.subtract(arrivals[:nq], caps_q, out=diff)
-                    diff *= dt
-                    np.multiply(inj, dt, out=inj_dt)
-                    np.negative(inj_dt, out=neg_inj_dt)
+    def advance(self, j: int, full: bool) -> list[tuple[int, int]]:
+        """Step ``j``'s add, with its column events' blips (none on a
+        full step, which set every injection); returns the events
+        ``(i, s)`` in flow order per column (the order completions are
+        recorded in)."""
+        heap, due = self.heap, self.due
+        events = []
+        while heap and heap[0][0] == j:
+            _, i, s = heappop(heap)
+            if due[i][s] == j:
+                due[i][s] = None
+                events.append((i, s))
+        events.sort()
+        self.n_events += len(events)
+        cells, entries = (self.blip_cells(events) if events and not full
+                          else ((), ()))
+        np.add(self.V, self.D, out=self.V)
+        for c, a_new, q_new, pk in cells:
+            self.arr_flat[c] = a_new
+            if q_new is None:
+                continue
+            if not q_new > 0.0:
+                q_new = 0.0
+            self.q_flat[c] = q_new
+            self.qpeak_flat[c] = pk if pk >= q_new else q_new
+        for fs, inj_new, rem_new in entries:
+            self.injected_flat[fs] = inj_new
+            self.remaining_flat[fs] = rem_new
+        return events
 
-                # This step's column events, in flow order per column
-                # (the order completions are recorded in).
-                events = []
-                while heap and heap[0][0] == j:
-                    _, i, s = heappop(heap)
-                    if due[i][s] == j:
-                        due[i][s] = None
-                        events.append((i, s))
-                events.sort()
-                n_events += len(events)
+    def blip_cells(self, events: list[tuple[int, int]]
+                   ) -> tuple[list, list]:
+        """The cells and entries this step's *blips* touch, as they will
+        be after the step: ``(cell, arr_sum, q, qpeak)`` and ``(entry,
+        injected, remaining)``, flat, for :meth:`advance` to write back.
 
-                # An entry whose injection this step differs from the
-                # constant one in ``D`` (a partial last step) is a
-                # one-step *blip*: :func:`blip_cells` gives its path
-                # cells in its column after this step, written back after
-                # the add, so ``D`` only changes when the constant
-                # injection does.  (A full step set every injection.)
-                blips = []
-                for i, s in events if not full else ():
-                    f = fin_l[i]
-                    v = 0.0
-                    if on.item(f, s):   # ``min(rate, remaining / dt)``
-                        v = remaining.item(f, s) / dt
-                        r = rate.item(f, s)
-                        if not v < r:
-                            v = r
-                    cur = inj.item(f, s)
-                    if v != cur:
-                        blips.append((f, s, v, cur))
-                cells, entries = blip_cells(blips) if blips else ((), ())
+        A blip is an event whose entry injects, this step only, other
+        than the constant in ``D`` (a partial last step).  Its path rows,
+        in its column only, close their constant run and take one step
+        of arrivals re-summed in scalar arithmetic in CSR order:
+        continued from the cached sum before the blip's own term, or —
+        in a column with several blips — re-summed in full with all of
+        them in place.
+        """
+        dt, S, inj, on, rate = self.dt, self.S, self.inj, self.on, self.rate
+        fin_l, remaining = self.fin_l, self.remaining
+        inj_flat, arr_flat = self.inj_flat, self.arr_flat
+        q_flat, qpeak_flat = self.q_flat, self.qpeak_flat
+        blips = []
+        for i, s in events:
+            f = fin_l[i]
+            v = _injection(on.item(f, s), remaining.item(f, s),
+                           rate.item(f, s), dt)
+            cur = inj.item(f, s)
+            if v != cur:
+                blips.append((f, s, v, cur))
+        crowded = {s for k, (_, s, _, _) in enumerate(blips)
+                   if any(b[1] == s for b in blips[k + 1:])}
+        row_heads = [None if s in crowded else self.heads_of(f)
+                     for f, s, _, _ in blips]
+        for f, s, v, _ in blips:
+            if s in crowded:
+                inj[f, s] = v
+        cells, entries = [], []
+        for (f, s, v, cur), h in zip(blips, row_heads):
+            for k, (rS, flowsS, weights, cap, w_f, tail, queues) in \
+                    enumerate(self.path_of(f).row_terms):
+                if h is None:
+                    acc = 0.0
+                    for gS, w in zip(flowsS, weights):
+                        acc += w * inj_flat.item(gS + s)
+                else:
+                    acc = h.item(k, s) + w_f * v
+                    for gS, w in tail:
+                        acc += w * inj_flat.item(gS + s)
+                c = rS + s
+                if not queues:
+                    cells.append((c, arr_flat.item(c) + acc, None, None))
+                    continue
+                qr = q_flat.item(c)
+                if not qr > 0.0:    # close the row's constant run
+                    qr = 0.0
+                pk = qpeak_flat.item(c)
+                cells.append((c, arr_flat.item(c) + acc,
+                              qr + (acc - cap) * dt,
+                              pk if pk >= qr else qr))
+        for f, s, v, cur in blips:
+            inj[f, s] = cur
+            fs, x = f * S + s, v * dt
+            entries.append((fs, self.injected_flat.item(fs) + x,
+                            self.remaining_flat.item(fs) + -x))
+        return cells, entries
 
-                add(V, D, out=V)
+    def control(self) -> None:
+        """The marking law, in ECN columns only."""
+        on, ecn_row, rate = self.on, self.ecn_row, self.rate
+        marked = self.q > self.threshold
+        fm = (self.engine._AT_mark @ marked.astype(np.int8)) > 0
+        fm &= on
+        fm &= ecn_row
+        self.marks += fm.sum(axis=0)
+        rate = np.where(fm, rate * self.keep, rate)
+        grow = on & ~fm & ecn_row
+        rate = np.where(grow, rate + self.growth, rate)
+        # FIFO columns never clip: a sub-floor rate_limit must stay
+        # where the uncontrolled source left it.
+        self.rate = np.where(ecn_row, np.clip(
+            rate, self.rate_floor, self.engine.rate_cap[:, None]), rate)
 
-                for c, a_new, q_new, pk in cells:
-                    arr_flat[c] = a_new
-                    if q_new is None:
-                        continue
-                    if not q_new > 0.0:
-                        q_new = 0.0
-                    q_flat[c] = q_new
-                    qpeak_flat[c] = pk if pk >= q_new else q_new
-                for fs, inj_new, rem_new in entries:
-                    injected_flat[fs] = inj_new
-                    remaining_flat[fs] = rem_new
+    def settle(self, j: int, events: list[tuple[int, int]]) -> None:
+        """After step ``j``'s add: record completions (restarting or
+        stopping the entry), set each entry's constant injection, book
+        its next event from a :meth:`replay`, and re-derive the path
+        rows of the flows whose injection changed."""
+        dt, S, on, inj, rate = self.dt, self.S, self.on, self.inj, self.rate
+        fin_l, remaining_flat = self.fin_l, self.remaining_flat
+        q_flat, samples, xfer = self.q_flat, self.samples, self.xfer
+        t_end = j * dt + dt
+        span = min(self.n_steps - j - 1, CALENDAR_SPAN)
+        dirty = set()
+        for i, s in events:
+            f = fin_l[i]
+            fs = f * S + s
+            R = remaining_flat.item(fs)
+            running = on.item(f, s)
+            if running and R <= 1e-9:
+                self.n_done[i][s] += 1
+                if t_end >= self.warmup[s]:
+                    # Last-byte delay, summed in the order of
+                    # ``AT_act @ (q / caps)``.
+                    acc = 0.0
+                    for rS, w, cap in self.path_of(f).delay_terms:
+                        qv = q_flat.item(rS + s)
+                        if qv > 0.0:
+                            acc += w * (qv / cap)
+                    delay = self.base_latency[f] + acc
+                    fct_l, wire_l = samples[i][s]
+                    fct_l.append(t_end - xfer[i][s] + delay)
+                    wire_l.append(delay)
+                if self.repeats_l[f]:
+                    R = self.size_l[f]
+                    remaining_flat[fs] = R
+                    xfer[i][s] = t_end
+                else:
+                    running = False
+                    self.done[f, s] = True
+                    on[f, s] = False
+            r = rate.item(f, s)
+            v = _injection(running, R, r, dt)
+            if v != inj.item(f, s):
+                inj[f, s] = v
+                x = v * dt
+                self.inj_dt[f, s] = x
+                self.neg_inj_dt[f, s] = -x
+                dirty.add(f)
+            if running:
+                m = self.replay(R, r, v, span)
+                self.due[i][s] = j + 1 + m
+                heappush(self.heap, (j + 1 + m, i, s))
+        if dirty:
+            self.rederive(sorted(dirty))
 
-                if control:
-                    marked = q > threshold[None, :]
-                    fm = (AT_mark @ marked.astype(np.int8)) > 0
-                    fm &= on
-                    fm &= ecn_row
-                    marks += fm.sum(axis=0)
-                    rate = np.where(fm, rate * keep, rate)
-                    grow = on & ~fm & ecn_row
-                    rate = np.where(grow, rate + growth, rate)
-                    # FIFO columns never clip: a sub-floor rate_limit
-                    # must stay where the uncontrolled source left it.
-                    rate = np.where(
-                        ecn_row,
-                        np.clip(rate, rate_floor, rate_cap_col),
-                        rate)
-
-                if events:
-                    t_end = j * dt + dt
-                    span = min(n_steps - j - 1, CALENDAR_SPAN)
-                    dirty = set()
-                    for i, s in events:
-                        f = fin_l[i]
-                        fs = f * S + s
-                        R = remaining_flat.item(fs)
-                        running = on.item(f, s)
-                        if running and R <= 1e-9:
-                            n_done[i][s] += 1
-                            if t_end >= warmup[s]:
-                                # Last-byte delay, summed in the order
-                                # of ``AT_act @ (q / caps)``.
-                                acc = 0.0
-                                for rS, w, cap in path_of(f).delay_terms:
-                                    qv = q_flat.item(rS + s)
-                                    if qv > 0.0:
-                                        acc += w * (qv / cap)
-                                delay = base_latency[f] + acc
-                                fct_l, wire_l = samples[i][s]
-                                fct_l.append(t_end - xfer[i][s] + delay)
-                                wire_l.append(delay)
-                            if repeats_l[f]:
-                                R = size_l[f]
-                                remaining_flat[fs] = R
-                                xfer[i][s] = t_end
-                            else:
-                                running = False
-                                done[f, s] = True
-                                on[f, s] = False
-                        v = r = 0.0
-                        if running:
-                            v, r = R / dt, rate.item(f, s)
-                            if not v < r:
-                                v = r
-                        if v != inj.item(f, s):
-                            inj[f, s] = v
-                            x = v * dt
-                            inj_dt[f, s] = x
-                            neg_inj_dt[f, s] = -x
-                            dirty.add(f)
-                        if not running:
-                            continue
-                        # Book the entry's next event from a replay of
-                        # its ``remaining`` at the new constant injection.
-                        m = replay(R, r, v, span)
-                        due[i][s] = j + 1 + m
-                        heappush(heap, (j + 1 + m, i, s))
-                    if dirty:
-                        refresh_rows(sorted(dirty))
-                        d_version += 1
-                step = j + 1
-
-        # Close every row's open constant run.
+    def finalise(self) -> tuple[TimeflowResult, ...]:
+        """Close every row's open constant run; one result per column."""
+        eng, S, nq, q, qpeak = self.engine, self.S, self.nq, self.q, self.qpeak
         np.maximum(q, 0.0, out=q)
         np.maximum(qpeak, q, out=qpeak)
-        obs.counter("fabric.timeflow.dense_steps").inc(n_full)
-        obs.counter("fabric.timeflow.start_steps").inc(n_switch)
-        obs.counter("fabric.timeflow.column_events").inc(n_events)
+        obs.counter("fabric.timeflow.dense_steps").inc(self.n_full)
+        obs.counter("fabric.timeflow.start_steps").inc(self.n_switch)
+        obs.counter("fabric.timeflow.column_events").inc(self.n_events)
         obs.counter("fabric.timeflow.queue_rows").inc(nq)
-        if fin_l:
-            completed[fin] = n_done
+        completed = np.zeros((len(eng.flows), S), dtype=np.int64)
+        if self.fin_l:
+            completed[self.fin_l] = self.n_done
         max_q = qpeak.max(axis=0) if nq else np.zeros(S)
-        arr_sum_full = np.zeros((n_links, S))
-        arr_sum_full[active] = arr_sum
         return tuple(
-            self._finalise(cfg, st=st, injected=injected[:, s],
-                           completed=completed[:, s], fct=fct[s], wire=wire[s],
-                           arr_sum=arr_sum_full[:, s], max_q=float(max_q[s]),
-                           marks=int(marks[s]), n_steps=n_steps)
-            for s, cfg in enumerate(configs))
+            eng._finalise(cfg, st=self.st, injected=self.injected[:, s],
+                          completed=completed[:, s], fct=self.fct[s],
+                          wire=self.wire[s], arr_sum=self.arr_sum[:, s],
+                          caps=eng._caps_act[:, 0], max_q=float(max_q[s]),
+                          marks=int(self.marks[s]), n_steps=self.n_steps)
+            for s, cfg in enumerate(self.configs))
 
 
 #: :class:`TimeflowConfig` axes every scenario of one ensemble must share:
@@ -1354,217 +1294,3 @@ def validate_victim_impact(*, victim_load: float = 0.1,
         measured=measured, analytic=analytic, victim_load=v,
         congestor_load=c, duty=d,
         samples=int(loud.cls("victim").latency["n"]))
-
-
-# -- the k-sweep study + resumable artifacts ----------------------------------
-
-
-@dataclass(frozen=True)
-class CongestConfig:
-    """One ``python -m repro congest`` study: a k-sweep over one incast."""
-
-    ks: tuple[int, ...] = (10, 30, 60)
-    include_fifo: bool = True
-    fanin: int = 8
-    duty: float = 1.0
-    burst_period_s: float = 5e-5
-    elephants: int = 2
-    horizon_s: float = 3e-4
-    dt_s: float = 5e-8
-    #: Completions in the first third of the horizon are start-up
-    #: transient (queues overshoot before the control loop engages);
-    #: excluding them is what makes the victim tail scale with ``k``.
-    warmup_frac: float = 1 / 3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if any(not k >= 1 for k in self.ks):
-            raise ConfigurationError("ECN thresholds must be >= 1 MTU")
-        # Dedupe, keeping first-occurrence order: a duplicated k used to
-        # silently double the study's work.
-        object.__setattr__(self, "ks", tuple(dict.fromkeys(self.ks)))
-        if not self.ks and not self.include_fifo:
-            raise ConfigurationError("a congest study needs at least one arm")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ConfigurationError("warmup_frac must be in [0, 1)")
-        if not self.fanin >= 1:
-            raise ConfigurationError("fanin must be >= 1")
-        # A negative count used to run as zero elephants under its own
-        # run id.
-        if not self.elephants >= 0:
-            raise ConfigurationError("elephants must be >= 0")
-        if not 0.0 < self.duty <= 1.0:
-            raise ConfigurationError("duty must be in (0, 1]")
-        for name in ("burst_period_s", "dt_s", "horizon_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"ks": list(self.ks), "include_fifo": self.include_fifo,
-                "fanin": self.fanin, "duty": self.duty,
-                "burst_period_s": self.burst_period_s,
-                "elephants": self.elephants, "horizon_s": self.horizon_s,
-                "dt_s": self.dt_s, "warmup_frac": self.warmup_frac,
-                "seed": self.seed}
-
-    def arm_config(self, ecn_k: float | None = None,
-                   backoff: float = 0.5) -> TimeflowConfig:
-        """The engine config of one arm: FIFO when ``ecn_k`` is ``None``."""
-        return TimeflowConfig(dt_s=self.dt_s, horizon_s=self.horizon_s,
-                              ecn=ecn_k is not None, ecn_k=ecn_k or 0.0,
-                              backoff=backoff,
-                              warmup_s=self.warmup_frac * self.horizon_s)
-
-
-#: Beyond this many endpoints the study auto-reduces to the validation
-#: geometry (building the full 37,888-endpoint fabric for a fluid study
-#: is the same wall the flow-level mpigraph probe hits).
-CONGEST_MAX_ENDPOINTS = 4096
-
-
-def congest_spec(spec):
-    """The spec a congest study runs on: beyond
-    :data:`CONGEST_MAX_ENDPOINTS` endpoints, its 8x4x4 reduction."""
-    if spec.fabric_config().total_endpoints > CONGEST_MAX_ENDPOINTS:
-        return spec.scaled(8, 4, 4)
-    return spec
-
-
-def congest_scenario(spec, config: CongestConfig):
-    """``(reduced spec, network, flows)`` of one congest study.
-
-    Deterministic in ``(spec, config)``: the network and the incast's
-    elephant start times both draw from ``config.seed``, so two calls
-    plan identical paths and every arm of a study sees the same traffic.
-    """
-    spec = congest_spec(spec)
-    net = spec.build_network(rng=config.seed)
-    flows = incast_pattern(
-        net, fanin=config.fanin, duty=config.duty,
-        burst_period_s=config.burst_period_s, elephants=config.elephants,
-        rng=config.seed)
-    return spec, net, flows
-
-
-def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
-    """Run the k-sweep incast study for ``spec``; returns the artifact doc.
-
-    Arms: one FIFO (no backpressure) run plus one ECN run per threshold
-    in ``config.ks``, all over the identical traffic pattern, so the
-    victim's tail across arms is the GPCNeT Table-5 story told by
-    simulation: unbounded under FIFO, pinned near ``k`` MTUs under ECN.
-
-    Every arm shares the topology, the flows, and one path plan (UGAL
-    planning is RNG-fed, so the paths are planned once and reused —
-    never re-planned per arm), so the whole sweep integrates as **one
-    ensemble** (:meth:`TimeflowEngine.run_ensemble` — one step loop
-    for all arms, which fast-forwards the steps where no injection
-    changes).  Each arm is bit-identical to a
-    one-column :meth:`TimeflowEngine.run` of its config on the same
-    engine, which the tests pin against a per-flow reference loop.
-    """
-    config = config if config is not None else CongestConfig()
-    run_spec, net, flows = congest_scenario(spec, config)
-    ks: list[float | None] = [None] if config.include_fifo else []
-    ks.extend(float(k) for k in config.ks)
-    cfgs = [config.arm_config(k) for k in ks]
-    engine = TimeflowEngine(net, flows, cfgs[0])
-    with obs.span("fabric.timeflow.study", arms=len(cfgs)):
-        results = engine.run_ensemble(cfgs)
-    arms: list[dict[str, Any]] = [
-        {"mode": "fifo" if k is None else "ecn", "ecn_k": k,
-         **result.to_doc()}
-        for k, result in zip(ks, results)]
-    doc: dict[str, Any] = {
-        "schema": CONGEST_SCHEMA_VERSION,
-        "status": "ok",
-        "run_id": congest_run_id(spec, config),
-        "spec": spec.to_dict(),
-        "network": run_spec.name,
-        "config": config.to_dict(),
-        "arms": arms,
-    }
-    fifo = next((a for a in arms if a["mode"] == "fifo"), None)
-    if fifo is not None and len(arms) > 1:
-        fifo_p99 = fifo["classes"]["victim"]["latency_s"]["p99"]
-        doc["fifo_vs_ecn_p99"] = {
-            str(int(a["ecn_k"])): fifo_p99
-            / a["classes"]["victim"]["latency_s"]["p99"]
-            for a in arms if a["mode"] == "ecn"}
-    return doc
-
-
-def run_congest_cached(spec, config: CongestConfig | None = None, *,
-                       out_dir: str = DEFAULT_CONGEST_DIR,
-                       fresh: bool = False
-                       ) -> tuple[dict[str, Any], str, bool]:
-    """Run (or resume) a congest study; returns (doc, path, resumed)."""
-    from repro.obs.export import write_json
-    config = config if config is not None else CongestConfig()
-    run_id = congest_run_id(spec, config)
-    path = CONGEST_LEDGER.path(out_dir, run_id)
-    doc = None if fresh else CONGEST_LEDGER.resume(out_dir, run_id)
-    if doc is not None:
-        obs.counter("fabric.timeflow.artifacts_resumed").inc()
-        return doc, path, True
-    doc = run_congest(spec, config)
-    write_json(path, doc)
-    obs.counter("fabric.timeflow.artifacts_written").inc()
-    return doc, path, False
-
-
-def run_congest_grid(spec, config: CongestConfig | None = None, *,
-                     backoffs: Sequence[float] = (0.25, 0.5, 0.75),
-                     ) -> dict[str, Any]:
-    """The ``k x backoff`` congestion-control ablation grid, one ensemble.
-
-    The PR-6 follow-on the batched engine makes affordable: every
-    ``(ecn_k, backoff)`` cell — plus the FIFO reference when
-    ``config.include_fifo`` — shares the incast flows and incidence, so
-    a ``len(ks) x len(backoffs)`` grid costs one integration instead of
-    one engine run per cell.  Each cell is bit-identical to a one-column
-    :meth:`TimeflowEngine.run` of its config on the same engine (same
-    oracle contract as :func:`run_congest`).  Grids are not cached:
-    they are interactive ablations, and the ensemble keeps recomputing
-    them cheap.
-    """
-    config = config if config is not None else CongestConfig()
-    backoffs = tuple(float(b) for b in backoffs)
-    if not backoffs:
-        raise ConfigurationError("an ablation grid needs >= 1 backoff")
-    if any(not 0.0 < b < 1.0 for b in backoffs):
-        raise ConfigurationError("backoffs must be in (0, 1)")
-    if not config.ks:
-        raise ConfigurationError("an ablation grid needs >= 1 ECN threshold")
-    run_spec, net, flows = congest_scenario(spec, config)
-    cells: list[tuple[float | None, float | None]] = []
-    if config.include_fifo:
-        cells.append((None, None))
-    cells.extend((float(k), b) for k in config.ks for b in backoffs)
-    cfgs = [config.arm_config(k) if b is None else config.arm_config(k, b)
-            for k, b in cells]
-    with obs.span("fabric.timeflow.grid", cells=len(cells)):
-        results = TimeflowEngine(net, flows, cfgs[0]).run_ensemble(cfgs)
-    doc: dict[str, Any] = {
-        "schema": CONGEST_SCHEMA_VERSION,
-        "status": "ok",
-        "network": run_spec.name,
-        "config": config.to_dict(),
-        "backoffs": list(backoffs),
-        "cells": [],
-    }
-    for (k, b), result in zip(cells, results):
-        victim = result.cls("victim")
-        cell = {
-            "mode": "fifo" if k is None else "ecn",
-            "ecn_k": k, "backoff": b,
-            "victim_p50_s": victim.latency["p50"],
-            "victim_p99_s": victim.latency["p99"],
-            "victim_completed": victim.completed,
-            "congestor_goodput_bytes_per_s": result.cls("congestor").goodput,
-            "max_queue_mtus": result.max_queue_bytes
-            / result.config.mtu_bytes,
-            "marks": result.marks,
-        }
-        doc["cells"].append(cell)
-    return doc

@@ -273,14 +273,12 @@ def probe_congestion() -> dict[str, float]:
     regression baseline alongside the values.
     """
     from repro.core.scenario import frontier_spec
+    from repro.fabric.congest import CongestConfig, congest_scenario
     from repro.fabric.timeflow import (TimeflowConfig, TimeflowEngine,
-                                       incast_pattern,
                                        validate_victim_impact)
 
     validation = validate_victim_impact()
-    spec = frontier_spec().scaled(8, 4, 4)
-    net = spec.build_network(rng=0)
-    flows = incast_pattern(net, fanin=8, elephants=2, rng=0)
+    _, net, flows = congest_scenario(frontier_spec(), CongestConfig())
     arms = {}
     for name, ecn in (("fifo", False), ("ecn", True)):
         cfg = TimeflowConfig(ecn=ecn, ecn_k=30.0, warmup_s=1e-4)
@@ -303,7 +301,7 @@ def probe_ensemble() -> dict[str, float]:
     """Ensemble timeflow regression gate: batched == one-column, always.
 
     Runs one small congest k-sweep through
-    :func:`~repro.fabric.timeflow.run_congest` (one batched ensemble),
+    :func:`~repro.fabric.congest.run_congest` (one batched ensemble),
     then rebuilds the same scenario and runs each arm alone through
     :meth:`~repro.fabric.timeflow.TimeflowEngine.run` on one engine.  It
     pins both the headline victim statistics and the hard 0/1 fact that
@@ -315,8 +313,9 @@ def probe_ensemble() -> dict[str, float]:
     import json as _json
 
     from repro.core.scenario import frontier_spec
-    from repro.fabric.timeflow import (CongestConfig, TimeflowEngine,
-                                       congest_scenario, run_congest)
+    from repro.fabric.congest import (CongestConfig, congest_scenario,
+                                      run_congest)
+    from repro.fabric.timeflow import TimeflowEngine
 
     spec = frontier_spec().scaled(8, 4, 4)
     config = CongestConfig(ks=(10.0, 60.0), horizon_s=150e-6)

@@ -244,20 +244,18 @@ def _congest_seed(spec: MachineSpec) -> int:
 
 
 def _congest_scenario(spec: MachineSpec):
-    """(reduced spec, network, flows) for one congest evaluation.
-
-    Deterministic in the ECN-neutral spec content alone — *not* in the
-    per-task RNG stream — so tasks that differ only in ECN knobs build
-    bit-identical scenarios and can integrate as one ensemble.
-    """
-    from repro.fabric.timeflow import congest_spec, incast_pattern
+    """(reduced spec, network, flows): the congest study's scenario with
+    the spec's fanin and burst duty, seeded from the ECN-neutral content
+    of the reduced spec — *not* from the per-task RNG stream — so tasks
+    that differ only in ECN knobs build bit-identical scenarios and can
+    integrate as one ensemble."""
+    from repro.fabric.congest import (CongestConfig, congest_scenario,
+                                      congest_spec)
     spec = congest_spec(spec)
-    seed = _congest_seed(spec)
     knobs = spec.congestion
-    net = spec.build_network(rng=seed)
-    flows = incast_pattern(net, fanin=knobs.incast_fanin,
-                           duty=knobs.burst_duty, elephants=2, rng=seed)
-    return spec, net, flows
+    return congest_scenario(spec, CongestConfig(
+        fanin=knobs.incast_fanin, duty=knobs.burst_duty,
+        seed=_congest_seed(spec)))
 
 
 def _congest_config(spec: MachineSpec):

@@ -18,7 +18,7 @@ import pytest
 from repro.chaos import ChaosConfig, chaos_run_id
 from repro.core.scenario import (CongestionSpec, MachineSpec,
                                  ResiliencePolicySpec, frontier_spec)
-from repro.fabric.timeflow import CongestConfig, congest_run_id
+from repro.fabric.congest import CongestConfig, congest_run_id
 from repro.sweep.plan import SweepTask, task_hash
 from repro.sweep.probes import _congest_seed, congest_ensemble_key
 

@@ -15,10 +15,11 @@ import pytest
 
 from repro.core.scenario import frontier_spec
 from repro.errors import ConfigurationError
-from repro.fabric.timeflow import (ENSEMBLE_SHARED_AXES, CongestConfig,
-                                   FlowSpec, TimeflowConfig, TimeflowEngine,
-                                   congest_scenario, incast_pattern,
-                                   run_congest, run_congest_grid)
+from repro.fabric.congest import (CongestConfig, congest_scenario,
+                                  run_congest, run_congest_grid)
+from repro.fabric.timeflow import (ENSEMBLE_SHARED_AXES, FlowSpec,
+                                   TimeflowConfig, TimeflowEngine,
+                                   incast_pattern)
 
 from .timeflow_oracle import reference_run
 

@@ -11,10 +11,11 @@ from repro import obs
 from repro.core.scenario import frontier_spec
 from repro.errors import ConfigurationError
 from repro.fabric.maxmin import maxmin_allocate
-from repro.fabric.timeflow import (CONGEST_LEDGER, CongestConfig, FlowSpec,
-                                   TimeflowConfig, TimeflowEngine,
-                                   congest_run_id, fct_stats, incast_pattern,
-                                   run_congest, run_congest_cached,
+from repro.fabric.congest import (CONGEST_LEDGER, CongestConfig,
+                                  congest_run_id, run_congest,
+                                  run_congest_cached)
+from repro.fabric.timeflow import (FlowSpec, TimeflowConfig, TimeflowEngine,
+                                   fct_stats, incast_pattern,
                                    validate_victim_impact)
 
 

@@ -319,7 +319,7 @@ class TestChaosVerb:
 
 
 class TestCongestVerb:
-    """python -m repro congest (see repro.fabric.timeflow)."""
+    """python -m repro congest (see repro.fabric.congest)."""
 
     @staticmethod
     def args(tmp_path, *extra):
@@ -356,6 +356,61 @@ class TestCongestVerb:
         out = capsys.readouterr().out
         assert "Timeflow cross-validation" in out
         assert "validation PASSED" in out
+
+    def test_backoffs_runs_the_grid(self, tmp_path, capsys):
+        assert main(self.args(tmp_path, "--backoffs", "0.25,0.75",
+                              "--json")) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(c["mode"], c["ecn_k"], c["backoff"]) for c in doc["cells"]] \
+            == [("fifo", None, None), ("ecn", 10.0, 0.25), ("ecn", 10.0, 0.75),
+                ("ecn", 60.0, 0.25), ("ecn", 60.0, 0.75)]
+        assert doc["backoffs"] == [0.25, 0.75]
+        # grids are not cached
+        assert not list(tmp_path.glob("congest-*.json"))
+
+
+def _exit_code(argv: list[str]) -> int:
+    """``main``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestMalformedKnobs:
+    """Bad CLI input is an error line and exit 2, never a traceback:
+    argparse rejects what does not parse, and :func:`main` prints a
+    ``ConfigurationError`` from any verb as ``<verb>: <message>``."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["congest", "--k", "abc"],
+         "argument --k: invalid comma-separated int value: 'abc'"),
+        (["congest", "--k", "10.5"],
+         "argument --k: invalid comma-separated int value: '10.5'"),
+        (["congest", "--backoffs", "x"],
+         "argument --backoffs: invalid comma-separated float value: 'x'"),
+    ])
+    def test_unparsable_values_are_usage_errors(self, argv, message,
+                                                capsys):
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert message in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["congest", "--scaled", "8", "4", "4", "--backoffs", "1.5"],
+         "congest: backoffs must be in (0, 1)"),
+        (["congest", "--fanin", "0"], "congest: fanin must be >= 1"),
+        (["congest", "--k", "0"], "congest: ECN thresholds must be"),
+        (["chaos", "--hours", "-1"], "chaos: "),
+    ])
+    def test_configuration_errors_are_one_line(self, argv, message, capsys):
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
 
 
 class TestCompareVerb:

@@ -24,8 +24,8 @@ import pytest
 from repro import obs
 from repro.chaos import CHAOS_LEDGER, ChaosConfig, run_chaos_cached
 from repro.core.scenario import frontier_spec
-from repro.fabric.timeflow import (CONGEST_LEDGER, CongestConfig,
-                                   run_congest_cached)
+from repro.fabric.congest import (CONGEST_LEDGER, CongestConfig,
+                                  run_congest_cached)
 from repro.sweep import SWEEP_LEDGER, SweepConfig, SweepPlan, run_sweep
 
 FIXTURES = Path(__file__).parent / "fixtures" / "ledger"
@@ -90,7 +90,7 @@ class TestParentArtifactsResume:
         assert counters("chaos.artifacts_written") == 0
 
     def test_congest_study(self, ledger_dir, counters, monkeypatch):
-        monkeypatch.setattr("repro.fabric.timeflow.run_congest",
+        monkeypatch.setattr("repro.fabric.congest.run_congest",
                             _no_recompute)
         doc, path, resumed = run_congest_cached(SCALED, CONGEST_CONFIG,
                                                 out_dir=str(ledger_dir))

@@ -12,7 +12,9 @@ Two claims, both gated:
 * **speed** — a 16-mode sweep (FIFO + 15 ECN thresholds) at >= 1,024
   endpoints must run >= 4x faster as one ensemble than as 16 per-arm
   :meth:`TimeflowEngine.run` calls (one-column integrations of the same
-  loop) over the same engine;
+  loop) over the same engine.  Each side is timed as the fastest of
+  :data:`PASSES` interleaved passes: on a shared machine a single pass
+  reads whatever load the other tenants put on it;
 * **bit-identity** — every ensemble column's result document must be
   byte-identical to the per-arm run of that config on the same engine
   (the ``chunk=1`` oracle idiom of ``bench_batch_route``).  A fast
@@ -40,6 +42,8 @@ from _harness import save_artifact
 ECN_KS = (4, 8, 12, 16, 20, 26, 30, 36, 42, 48, 54, 60, 70, 80, 90)
 MIN_ENDPOINTS = 1024
 MIN_SPEEDUP = 4.0
+#: Interleaved timing passes per side; each side keeps its fastest.
+PASSES = 5
 
 SPEC = frontier_spec().scaled(16, 8, 8)   # exactly 1,024 endpoints
 SEED = 11
@@ -79,13 +83,15 @@ def _measure():
     engine = TimeflowEngine(net, flows, configs[0])
     engine.run(configs[0])                    # warm the step loop
 
-    t0 = time.perf_counter()
-    per_arm = [engine.run(cfg) for cfg in configs]
-    per_arm_s = time.perf_counter() - t0
+    per_arm_s = ens_s = float("inf")
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        per_arm = [engine.run(cfg) for cfg in configs]
+        per_arm_s = min(per_arm_s, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    ensemble = engine.run_ensemble(configs)
-    ens_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        ensemble = engine.run_ensemble(configs)
+        ens_s = min(ens_s, time.perf_counter() - t0)
 
     identical = sum(_result_doc(a) == _result_doc(b)
                     for a, b in zip(per_arm, ensemble))
@@ -111,8 +117,8 @@ def test_congest_ensemble(benchmark):
     table.add_row(["modes (FIFO + ECN ks)", r["modes"]])
     table.add_row(["flows", r["flows"]])
     table.add_row(["steps per arm", r["steps"]])
-    table.add_row(["per-arm runs s", r["per_arm_s"]])
-    table.add_row(["ensemble s", r["ensemble_s"]])
+    table.add_row([f"per-arm runs s (min of {PASSES})", r["per_arm_s"]])
+    table.add_row([f"ensemble s (min of {PASSES})", r["ensemble_s"]])
     table.add_row(["speedup", r["speedup_x"]])
     table.add_row(["bit-identical modes", r["identical_modes"]])
     save_artifact("congest_ensemble", table.render())

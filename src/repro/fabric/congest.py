@@ -85,8 +85,8 @@ class CongestConfig:
         if not 0.0 < self.duty <= 1.0:
             raise ConfigurationError("duty must be in (0, 1]")
         for name in ("burst_period_s", "dt_s", "horizon_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
 
     def to_dict(self) -> dict[str, Any]:
         return {"ks": list(self.ks), "include_fifo": self.include_fifo,

@@ -119,6 +119,38 @@ def _csr_parts_matmul(indptr: np.ndarray, indices: np.ndarray,
     return out
 
 
+def _row_classes(A: "sparse.csr_matrix", caps: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(cls, reps)``: rows of ``A`` with the same CSR column list,
+    weights and ``caps`` entry form one class.  ``cls`` maps row to
+    class; classes are numbered by their first row, ``reps``.
+
+    Rows are compared exactly, one row length at a time: each length's
+    rows are lexsorted on ``(cap, columns, weights)`` (floats by their
+    bits), and neighbours that differ start a new class.
+    """
+    ip, ix, w = A.indptr, A.indices, A.data
+    lens = np.diff(ip)
+    gid = np.empty(lens.size, dtype=np.int64)
+    n_groups = 0
+    for L in np.unique(lens).tolist():
+        rows = np.flatnonzero(lens == L)
+        pos = ip[rows][:, None] + np.arange(L)
+        key = np.column_stack((caps[rows].view(np.int64), ix[pos],
+                               w[pos].view(np.int64)))
+        order = np.lexsort(key.T[::-1])
+        new = np.ones(rows.size, dtype=bool)
+        sk = key[order]
+        new[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+        gid[rows[order]] = n_groups + np.cumsum(new) - 1
+        n_groups += int(new.sum())
+    _, first = np.unique(gid, return_index=True)
+    reps = np.sort(first)
+    rank = np.empty(n_groups, dtype=np.int64)
+    rank[gid[reps]] = np.arange(reps.size)
+    return rank[gid], reps
+
+
 def _injection(running: bool, R: float, r: float, dt: float) -> float:
     """A finite entry's injection this step: the full step's
     ``min(rate, remaining / dt)`` in scalar form while it runs, else 0."""
@@ -131,14 +163,14 @@ def _injection(running: bool, R: float, r: float, dt: float) -> float:
 class _Path(NamedTuple):
     """One finite flow's path, as the step loop's column events use it.
 
-    ``head`` is its active path rows' incidence (in the order of the
-    delay sum ``AT_act @ (q / caps)``) cut before the flow's own term.
-    ``delay_terms`` holds per queue row ``(row * S, weight,
-    capacity)``; ``row_terms`` per row ``(row * S, flows * S, weights,
-    capacity, own weight, [(flow * S, weight) after the flow's own
-    term], queues)``, flows in CSR order (``* S``: flat offsets into the
-    ``(rows, S)`` and ``(flows, S)`` arrays; ``queues``: the row is a
-    queue row).
+    ``head`` is its path classes' incidence cut before the flow's own
+    term.  ``delay_terms`` holds per queue *row*, in the order of the
+    delay sum ``AT_act @ (q / caps)``, ``(class * S, weight,
+    capacity)``: two rows of one class are two terms.  ``row_terms``
+    holds per class ``(class * S, flows * S, weights, capacity, own
+    weight, [(flow * S, weight) after the flow's own term], queues)``,
+    flows in CSR order (``* S``: flat offsets into the ``(classes, S)``
+    and ``(flows, S)`` arrays; ``queues``: it is a queue class).
     """
 
     head: sparse.csr_matrix
@@ -174,8 +206,11 @@ class FlowSpec:
     repeat: bool = False
 
     def __post_init__(self) -> None:
-        if self.size_bytes is not None and not self.size_bytes > 0:
-            raise ConfigurationError("flow size must be positive (or None)")
+        # An infinite size is an elephant under a finite flow's label.
+        if self.size_bytes is not None and not (
+                0.0 < self.size_bytes < math.inf):
+            raise ConfigurationError(
+                "flow size must be positive and finite (or None)")
         # A NaN start would never be reached: the step planner hangs.
         if not 0.0 <= self.start_s < math.inf:
             raise ConfigurationError("start_s must be finite and non-negative")
@@ -183,10 +218,15 @@ class FlowSpec:
             raise ConfigurationError("rate_limit must be positive")
         if not 0.0 < self.burst_duty <= 1.0:
             raise ConfigurationError("burst_duty must be in (0, 1]")
-        if self.burst_duty < 1.0:
-            if self.burst_period_s is None or not self.burst_period_s > 0:
-                raise ConfigurationError(
-                    "bursty flows (duty < 1) need a positive burst_period_s")
+        # An infinite period never reaches its off edge: the flow would
+        # run always-on under a bursty label.
+        if self.burst_period_s is not None and not (
+                0.0 < self.burst_period_s < math.inf):
+            raise ConfigurationError(
+                "burst_period_s must be positive and finite")
+        if self.burst_duty < 1.0 and self.burst_period_s is None:
+            raise ConfigurationError(
+                "bursty flows (duty < 1) need a positive burst_period_s")
         if self.repeat and self.size_bytes is None:
             raise ConfigurationError("only finite flows can repeat")
 
@@ -217,9 +257,12 @@ class TimeflowConfig:
     warmup_s: float = 0.0
 
     def __post_init__(self) -> None:
+        # An infinite step, horizon or control interval breaks the step
+        # grid (NaN or overflow in the step counts); an infinite MTU
+        # makes every base latency infinite.
         for name in ("dt_s", "horizon_s", "mtu_bytes", "control_interval_s"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if self.horizon_s < self.dt_s:
             raise ConfigurationError("horizon shorter than one step")
         if not 0.0 < self.backoff < 1.0:
@@ -233,10 +276,14 @@ class TimeflowConfig:
         # turning an ECN arm into FIFO.
         if not 0.0 <= self.min_rate_frac <= 1.0:
             raise ConfigurationError("min_rate_frac must be in [0, 1]")
-        if not self.warmup_s >= 0:
-            raise ConfigurationError("warmup_s must be non-negative")
-        if self.base_latency_s is not None and not self.base_latency_s >= 0:
-            raise ConfigurationError("base_latency_s must be non-negative")
+        # An infinite warmup drops every sample of every completion.
+        if not 0.0 <= self.warmup_s < math.inf:
+            raise ConfigurationError(
+                "warmup_s must be finite and non-negative")
+        if self.base_latency_s is not None and not (
+                0.0 <= self.base_latency_s < math.inf):
+            raise ConfigurationError(
+                "base_latency_s must be finite and non-negative")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -397,7 +444,7 @@ class TimeflowEngine:
         self._switches = self._plan_switches()
 
     def _partition_rows(self) -> None:
-        """The active rows, queue rows first, and their incidences.
+        """The active rows, queue rows first, folded into row classes.
 
         Only links on some flow's path ever see arrivals; everywhere else
         the queue is pinned at zero and contributes exact zeros to every
@@ -414,6 +461,17 @@ class TimeflowEngine:
         The stable partition puts the ``nq`` queue rows first in their
         original relative order, which keeps the order of every per-flow
         delay sum.
+
+        A *row class* is a set of active rows with the same CSR flow
+        list, weights and capacity (:func:`_row_classes`).  Such rows sum
+        the same arrivals in the same order, so they get the same
+        ``arr_sum``, blips, deferred clamp, ``q`` and peak: the loop
+        integrates one representative per class (its first row), and a
+        class is a queue class exactly when its rows are queue rows, so
+        the ``nqc`` queue classes come first.  Per-flow delay sums keep
+        one term per path row, in ``AT_act`` order, each reading its
+        row's class; the peak utilisation is the max over classes of the
+        class's ``arr_sum`` over its own capacity.
         """
         active = np.flatnonzero(np.diff(self.A.indptr))
         load_cap = _csr_matmul_into(self.A, self.rate_cap[:, None],
@@ -422,37 +480,43 @@ class TimeflowEngine:
         active = active[np.argsort(~queues, kind="stable")]
         self._active = active
         self._nq = int(queues.sum())
-        self._A_act = self.A[active]
-        self._AT_act = self._A_act.T.tocsr()
-        #: flow x queue-row incidence: which flows a marked queue marks.
-        self._AT_mark = self._A_act[:self._nq].T.tocsr()
-        self._caps_act = self.caps[active][:, None]
-        # Every flow's path rows with their CSR slices, flow-major, so a
-        # sub-matmul over a few flows' rows gathers contiguous slices.
-        A, AT = self._A_act, self._AT_act
-        lens = np.diff(A.indptr)[AT.indices]
-        ptr = np.zeros(lens.size + 1, dtype=A.indptr.dtype)
+        A_act = self.A[active]
+        #: flow x active-row incidence: every path row, for delay sums.
+        self._AT_act = A_act.T.tocsr()
+        self._cls, reps = _row_classes(A_act, self.caps[active])
+        self._nqc = int(np.searchsorted(reps, self._nq))
+        self._A_cls = A_cls = A_act[reps]
+        self._AT_cls = AT = A_cls.T.tocsr()
+        #: flow x queue-class incidence: which flows a marked queue marks.
+        self._AT_mark = A_cls[:self._nqc].T.tocsr()
+        self._caps_cls = self.caps[active[reps]][:, None]
+        # Every flow's path classes with their CSR slices, flow-major, so
+        # a sub-matmul over a few flows' classes gathers contiguous slices.
+        lens = np.diff(A_cls.indptr)[AT.indices]
+        ptr = np.zeros(lens.size + 1, dtype=A_cls.indptr.dtype)
         np.cumsum(lens, out=ptr[1:])
         pos = (np.arange(ptr[-1])
-               + np.repeat(A.indptr[AT.indices] - ptr[:-1], lens))
-        self._blocks = (lens, ptr, A.indices[pos], A.data[pos])
+               + np.repeat(A_cls.indptr[AT.indices] - ptr[:-1], lens))
+        self._blocks = (lens, ptr, A_cls.indices[pos], A_cls.data[pos])
 
-    def _path_rows(self, flows: Sequence[int]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, indptr, indices, data)``: the active path rows of
-        ``flows`` (a row shared by two flows appears twice) as a CSR
+    def _path_classes(self, flows: Sequence[int]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+        """``(classes, indptr, indices, data)``: the path classes of
+        ``flows`` (a class shared by two flows appears twice) as a CSR
         matrix, for :func:`_csr_parts_matmul`."""
         lens, ptr, ix, w = self._blocks
-        fp = self._AT_act.indptr
+        AT = self._AT_cls
+        fp = AT.indptr
         if len(flows) == 1:
             a, b = fp[flows[0]], fp[flows[0] + 1]
-            return (self._AT_act.indices[a:b], ptr[a:b + 1] - ptr[a],
+            return (AT.indices[a:b], ptr[a:b + 1] - ptr[a],
                     ix[ptr[a]:ptr[b]], w[ptr[a]:ptr[b]])
         spans = [(fp[f], fp[f + 1]) for f in flows]
         row_lens = np.concatenate([lens[a:b] for a, b in spans])
         indptr = np.zeros(row_lens.size + 1, dtype=ptr.dtype)
         np.cumsum(row_lens, out=indptr[1:])
-        return (np.concatenate([self._AT_act.indices[a:b] for a, b in spans]),
+        return (np.concatenate([AT.indices[a:b] for a, b in spans]),
                 indptr,
                 np.concatenate([ix[ptr[a]:ptr[b]] for a, b in spans]),
                 np.concatenate([w[ptr[a]:ptr[b]] for a, b in spans]))
@@ -690,28 +754,33 @@ class _Integration:
     """One :meth:`TimeflowEngine._integrate` call: its state and the
     parts of its step loop (DESIGN.md, "Fast-forwarding quiet steps").
 
-    Flow state is ``(flows, S)``, row state ``(rows, S)``: column ``s``
-    is scenario ``s``.  A quiet step is ONE add, ``V += D``: ``arr_sum
-    += arrivals; q += diff; injected += inj*dt; remaining += -(inj*dt)``
-    (negating the subtrahend is exact).  ``arr_sum`` covers the active
-    rows, ``q``, ``diff`` and ``qpeak`` the ``nq`` queue rows.  The
-    ``q >= 0`` clamp and the peak wait for the end of each row's
-    constant run (exact: ``q`` is monotone within it), which comes when
-    the row is re-derived (:meth:`rederive`), a blip crosses it, or the
-    horizon ends.  The calendar: ``due[i][s]`` is the next step at which
-    finite flow ``fin_l[i]`` in column ``s`` may change its injection or
-    finish, and ``heap`` orders the pending ``(step, i, s)``; an entry
-    whose ``due`` moved on is stale.  Per-column control parameters
-    mirror the scalar expressions element for element, so columns stay
-    bit-identical.
+    Flow state is ``(flows, S)``, link state ``(classes, S)``: column
+    ``s`` is scenario ``s``, and one row class
+    (:meth:`TimeflowEngine._partition_rows`) stands for all of its
+    active rows.  A quiet step is ONE add, ``V += D``: ``arr_sum +=
+    arrivals; q += diff; injected += inj*dt; remaining += -(inj*dt)``
+    (negating the subtrahend is exact).  ``arr_sum`` covers the row
+    classes, ``q``, ``diff`` and ``qpeak`` the ``nqc`` queue classes,
+    ``injected`` every flow and ``remaining`` (with ``-(inj*dt)``) the
+    finite flows only, in calendar order: an infinite flow's remaining
+    is ``inf`` and stays ``inf``, so :meth:`regate` reads ``inf`` for
+    it.  The ``q >= 0`` clamp and the peak wait for the end of each
+    class's constant run (exact: ``q`` is monotone within it), which
+    comes when the class is re-derived (:meth:`rederive`), a blip
+    crosses it, or the horizon ends.  The calendar: ``due[i][s]`` is the
+    next step at which finite flow ``fin_l[i]`` in column ``s`` may
+    change its injection or finish, and ``heap`` orders the pending
+    ``(step, i, s)``; an entry whose ``due`` moved on is stale.
+    Per-column control parameters mirror the scalar expressions element
+    for element, so columns stay bit-identical.
     """
 
     def __init__(self, engine: TimeflowEngine,
                  configs: tuple[TimeflowConfig, ...]):
         self.engine, self.configs = engine, configs
         S = self.S = len(configs)
-        n, na, nq = len(engine.flows), engine._active.size, engine._nq
-        self.nq, self.n_steps = nq, engine._n_steps
+        n, nc, nqc = len(engine.flows), engine._caps_cls.size, engine._nqc
+        self.nqc, self.n_steps = nqc, engine._n_steps
         self.dt = engine.config.dt_s
         st = self.st = engine._st
 
@@ -725,7 +794,8 @@ class _Integration:
         self.rate_floor = engine.peak[:, None] * row("min_rate_frac")
         self.warmup = [c.warmup_s for c in configs]
 
-        cut = np.cumsum([0, na, nq, n, n]) * S
+        fin = np.flatnonzero(st["finite"])
+        cut = np.cumsum([0, nc, nqc, n, fin.size]) * S
         self.V = V = np.zeros(cut[-1])
         self.D = D = np.zeros_like(V)
         (self.arr_flat, self.q_flat, self.injected_flat,
@@ -736,22 +806,22 @@ class _Integration:
                                              self.remaining_flat))
         self.arrivals, self.diff, self.inj_dt, self.neg_inj_dt = (
             D[a:b].reshape(-1, S) for a, b in zip(cut, cut[1:]))
-        self.remaining[...] = st["size"][:, None]
+        self.remaining[...] = st["size"][fin, None]
 
         self.rate = np.repeat(engine.rate_cap[:, None], S, axis=1)
         self.inj = np.zeros((n, S))
         self.on = np.zeros((n, S), dtype=bool)
         self.done = np.zeros((n, S), dtype=bool)
-        self.qpeak = np.zeros((nq, S))
+        self.qpeak = np.zeros((nqc, S))
         self.inj_flat, self.qpeak_flat = self.inj.ravel(), self.qpeak.ravel()
         self.fct = [{c: [] for c in st["cls_names"]} for _ in range(S)]
         self.wire = [{c: [] for c in st["cls_names"]} for _ in range(S)]
         self.marks = np.zeros(S, dtype=np.int64)
 
-        fin = np.flatnonzero(st["finite"])
+        self.fin, self.fin_rows = fin, np.arange(fin.size)
         fin_l = self.fin_l = fin.tolist()
         self.fin_pos = np.full(n, -1)        # flow -> calendar index
-        self.fin_pos[fin] = np.arange(fin.size)
+        self.fin_pos[fin] = self.fin_rows
         self.due: list[list[int | None]] = [[None] * S for _ in fin_l]
         # Per entry: completions, the current transfer's start, and the
         # sample lists its completions append to.
@@ -772,33 +842,37 @@ class _Integration:
     def path_of(self, f: int) -> _Path:
         p = self.paths.get(f)
         if p is None:
-            eng, S, nq = self.engine, self.S, self.nq
-            A_act, AT_act = eng._A_act, eng._AT_act
-            lo, hi = AT_act.indptr[f], AT_act.indptr[f + 1]
-            rows = AT_act.indices[lo:hi]
-            caps_r = eng._caps_act[rows, 0].tolist()
-            rows_S = (rows * S).tolist()
-            n_q = int(np.searchsorted(rows, nq))    # queue rows lead
-            ip, ix, w = A_act.indptr, A_act.indices, A_act.data
+            eng, S, nqc = self.engine, self.S, self.nqc
+            A, AT, caps = eng._A_cls, eng._AT_cls, eng._caps_cls[:, 0]
+            rows = AT.indices[AT.indptr[f]:AT.indptr[f + 1]]
+            rows_l = rows.tolist()
+            ip, ix, w = A.indptr, A.indices, A.data
             own = [ip[r] + int(np.flatnonzero(ix[ip[r]:ip[r + 1]] == f)[0])
-                   for r in rows.tolist()]
+                   for r in rows_l]
             before = np.concatenate(
-                [np.arange(ip[r], c) for r, c in zip(rows.tolist(), own)]
+                [np.arange(ip[r], c) for r, c in zip(rows_l, own)]
                 + [np.zeros(0, dtype=np.int64)])
+            # Delay terms: the flow's queue rows (they lead), one each.
+            lo, hi = eng._AT_act.indptr[f], eng._AT_act.indptr[f + 1]
+            act = eng._AT_act.indices[lo:hi]
+            n_q = int(np.searchsorted(act, eng._nq))
+            q_cls = eng._cls[act[:n_q]]
             p = self.paths[f] = _Path(
                 head=sparse.csr_matrix(
                     (w[before], ix[before], np.concatenate(
                         ([0], np.cumsum(np.array(own) - ip[rows])))),
                     shape=(rows.size, len(eng.flows))),
-                delay_terms=list(zip(rows_S[:n_q], AT_act.data[
-                    lo:lo + n_q].tolist(), caps_r[:n_q])),
+                delay_terms=list(zip(
+                    (q_cls * S).tolist(),
+                    eng._AT_act.data[lo:lo + n_q].tolist(),
+                    caps[q_cls].tolist())),
                 row_terms=[
-                    (rS, (ix[ip[r]:ip[r + 1]] * S).tolist(),
-                     w[ip[r]:ip[r + 1]].tolist(), cap, float(w[c]),
+                    (r * S, (ix[ip[r]:ip[r + 1]] * S).tolist(),
+                     w[ip[r]:ip[r + 1]].tolist(), float(caps[r]),
+                     float(w[c]),
                      list(zip((ix[c + 1:ip[r + 1]] * S).tolist(),
-                              w[c + 1:ip[r + 1]].tolist())), r < nq)
-                    for r, rS, cap, c in zip(rows.tolist(), rows_S,
-                                             caps_r, own)])
+                              w[c + 1:ip[r + 1]].tolist())), r < nqc)
+                    for r, c in zip(rows_l, own)])
         return p
 
     def heads_of(self, f: int) -> np.ndarray:
@@ -874,7 +948,7 @@ class _Integration:
         finite entry's own changes are column events.  Changed finite
         entries are booked on the calendar for this step (a flow
         starting here is no blip: its ``inj`` already holds this step's
-        value), and the changed flows' path rows are re-derived.
+        value), and the changed flows' path classes are re-derived.
         """
         full = fl is None
         sel = slice(None) if full else fl
@@ -888,14 +962,28 @@ class _Integration:
             fb = b if full else fl[b]
             on_f[b[np.mod(t - st["start"][fb], st["period"][fb])
                    >= st["on_len"][fb]]] = False
-        new = np.where(on_f, np.minimum(self.rate[sel],
-                                        self.remaining[sel] / dt), 0.0)
+        # The finite flows' positions in ``sel`` and calendar indices: an
+        # infinite flow's ``remaining`` is ``inf``, so its ``min(rate,
+        # remaining / dt)`` is its rate.
+        if full:
+            ff, fi = self.fin, self.fin_rows
+        else:
+            fp = self.fin_pos[fl]
+            ff = np.flatnonzero(fp >= 0)
+            fi = fp[ff]
+        rate = self.rate[sel]
+        new = np.where(on_f, rate, 0.0)
+        if ff.size:
+            new[ff] = np.where(on_f[ff], np.minimum(
+                rate[ff], self.remaining[fi] / dt), 0.0)
         changed = new != inj[sel]
-        ki, si = np.nonzero(changed & st["finite"][sel, None])
-        for i, s in zip(self.fin_pos[ki if full else fl[ki]].tolist(),
-                        si.tolist()):
-            self.due[i][s] = j
-            heappush(self.heap, (j, i, s))
+        if ff.size:
+            ki, si = np.nonzero(changed[ff])
+            for i, s in zip(fi[ki].tolist(), si.tolist()):
+                self.due[i][s] = j
+                heappush(self.heap, (j, i, s))
+            # unchanged entries rewrite their own value
+            self.neg_inj_dt[fi] = -(new[ff] * dt)
         if full:
             self.n_full += 1
             self.on = on_f
@@ -907,27 +995,25 @@ class _Integration:
                 return
             sel, new = fl[moved], new[moved]
         inj[sel] = new
-        x = new * dt
-        self.inj_dt[sel] = x
-        self.neg_inj_dt[sel] = -x
+        self.inj_dt[sel] = new * dt
         self.rederive(None if full else sel.tolist())
 
     def rederive(self, flows: Sequence[int] | None) -> None:
         """Recompute the arrivals and queue increments on ``flows``' path
-        rows (every active row when ``None``: the full matmul) from the
-        current injections, closing those rows' constant runs.  The
+        classes (every class when ``None``: the full matmul) from the
+        current injections, closing those classes' constant runs.  The
         gathered sub-matmul's rows are bit-identical to the full one's.
         """
-        nq, q, qpeak = self.nq, self.q, self.qpeak
+        nqc, q, qpeak = self.nqc, self.q, self.qpeak
         if flows is None:
-            out = _csr_matmul_into(self.engine._A_act, self.inj,
-                                   self.arrivals)[:nq]
+            out = _csr_matmul_into(self.engine._A_cls, self.inj,
+                                   self.arrivals)[:nqc]
             qrows = slice(None)
         else:
-            rows, indptr, ix, w = self.engine._path_rows(flows)
+            rows, indptr, ix, w = self.engine._path_classes(flows)
             out = _csr_parts_matmul(indptr, ix, w, self.inj)
             self.arrivals[rows] = out
-            queues = rows < nq
+            queues = rows < nqc
             qrows, out = rows[queues], out[queues]
         qr = q[qrows]
         np.maximum(qr, 0.0, out=qr)
@@ -935,7 +1021,7 @@ class _Integration:
         pk = qpeak[qrows]
         np.maximum(pk, qr, out=pk)
         qpeak[qrows] = pk
-        d = out - self.engine._caps_act[:nq][qrows]
+        d = out - self.engine._caps_cls[:nqc][qrows]
         d *= self.dt
         self.diff[qrows] = d
         self.d_version += 1
@@ -965,20 +1051,21 @@ class _Integration:
                 q_new = 0.0
             self.q_flat[c] = q_new
             self.qpeak_flat[c] = pk if pk >= q_new else q_new
-        for fs, inj_new, rem_new in entries:
+        for fs, is_, inj_new, rem_new in entries:
             self.injected_flat[fs] = inj_new
-            self.remaining_flat[fs] = rem_new
+            self.remaining_flat[is_] = rem_new
         return events
 
     def blip_cells(self, events: list[tuple[int, int]]
                    ) -> tuple[list, list]:
         """The cells and entries this step's *blips* touch, as they will
-        be after the step: ``(cell, arr_sum, q, qpeak)`` and ``(entry,
-        injected, remaining)``, flat, for :meth:`advance` to write back.
+        be after the step: ``(cell, arr_sum, q, qpeak)`` and ``(flow
+        entry, finite entry, injected, remaining)``, flat, for
+        :meth:`advance` to write back.
 
         A blip is an event whose entry injects, this step only, other
-        than the constant in ``D`` (a partial last step).  Its path rows,
-        in its column only, close their constant run and take one step
+        than the constant in ``D`` (a partial last step).  Its path
+        classes, in its column only, close their constant run and take one step
         of arrivals re-summed in scalar arithmetic in CSR order:
         continued from the cached sum before the blip's own term, or —
         in a column with several blips — re-summed in full with all of
@@ -991,20 +1078,20 @@ class _Integration:
         blips = []
         for i, s in events:
             f = fin_l[i]
-            v = _injection(on.item(f, s), remaining.item(f, s),
+            v = _injection(on.item(f, s), remaining.item(i, s),
                            rate.item(f, s), dt)
             cur = inj.item(f, s)
             if v != cur:
-                blips.append((f, s, v, cur))
-        crowded = {s for k, (_, s, _, _) in enumerate(blips)
-                   if any(b[1] == s for b in blips[k + 1:])}
+                blips.append((f, i, s, v, cur))
+        crowded = {s for k, (_, _, s, _, _) in enumerate(blips)
+                   if any(b[2] == s for b in blips[k + 1:])}
         row_heads = [None if s in crowded else self.heads_of(f)
-                     for f, s, _, _ in blips]
-        for f, s, v, _ in blips:
+                     for f, _, s, _, _ in blips]
+        for f, _, s, v, _ in blips:
             if s in crowded:
                 inj[f, s] = v
         cells, entries = [], []
-        for (f, s, v, cur), h in zip(blips, row_heads):
+        for (f, _, s, v, cur), h in zip(blips, row_heads):
             for k, (rS, flowsS, weights, cap, w_f, tail, queues) in \
                     enumerate(self.path_of(f).row_terms):
                 if h is None:
@@ -1026,11 +1113,11 @@ class _Integration:
                 cells.append((c, arr_flat.item(c) + acc,
                               qr + (acc - cap) * dt,
                               pk if pk >= qr else qr))
-        for f, s, v, cur in blips:
+        for f, i, s, v, cur in blips:
             inj[f, s] = cur
-            fs, x = f * S + s, v * dt
-            entries.append((fs, self.injected_flat.item(fs) + x,
-                            self.remaining_flat.item(fs) + -x))
+            fs, is_, x = f * S + s, i * S + s, v * dt
+            entries.append((fs, is_, self.injected_flat.item(fs) + x,
+                            self.remaining_flat.item(is_) + -x))
         return cells, entries
 
     def control(self) -> None:
@@ -1053,7 +1140,7 @@ class _Integration:
         """After step ``j``'s add: record completions (restarting or
         stopping the entry), set each entry's constant injection, book
         its next event from a :meth:`replay`, and re-derive the path
-        rows of the flows whose injection changed."""
+        classes of the flows whose injection changed."""
         dt, S, on, inj, rate = self.dt, self.S, self.on, self.inj, self.rate
         fin_l, remaining_flat = self.fin_l, self.remaining_flat
         q_flat, samples, xfer = self.q_flat, self.samples, self.xfer
@@ -1062,8 +1149,8 @@ class _Integration:
         dirty = set()
         for i, s in events:
             f = fin_l[i]
-            fs = f * S + s
-            R = remaining_flat.item(fs)
+            is_ = i * S + s
+            R = remaining_flat.item(is_)
             running = on.item(f, s)
             if running and R <= 1e-9:
                 self.n_done[i][s] += 1
@@ -1081,7 +1168,7 @@ class _Integration:
                     wire_l.append(delay)
                 if self.repeats_l[f]:
                     R = self.size_l[f]
-                    remaining_flat[fs] = R
+                    remaining_flat[is_] = R
                     xfer[i][s] = t_end
                 else:
                     running = False
@@ -1093,7 +1180,7 @@ class _Integration:
                 inj[f, s] = v
                 x = v * dt
                 self.inj_dt[f, s] = x
-                self.neg_inj_dt[f, s] = -x
+                self.neg_inj_dt[i, s] = -x
                 dirty.add(f)
             if running:
                 m = self.replay(R, r, v, span)
@@ -1103,23 +1190,28 @@ class _Integration:
             self.rederive(sorted(dirty))
 
     def finalise(self) -> tuple[TimeflowResult, ...]:
-        """Close every row's open constant run; one result per column."""
-        eng, S, nq, q, qpeak = self.engine, self.S, self.nq, self.q, self.qpeak
+        """Close every class's open constant run; one result per column.
+        A class's rows hold equal values, so the peaks over the classes
+        are the peaks over the rows."""
+        eng, S, nqc, q, qpeak = (self.engine, self.S, self.nqc, self.q,
+                                 self.qpeak)
         np.maximum(q, 0.0, out=q)
         np.maximum(qpeak, q, out=qpeak)
         obs.counter("fabric.timeflow.dense_steps").inc(self.n_full)
         obs.counter("fabric.timeflow.start_steps").inc(self.n_switch)
         obs.counter("fabric.timeflow.column_events").inc(self.n_events)
-        obs.counter("fabric.timeflow.queue_rows").inc(nq)
+        obs.counter("fabric.timeflow.queue_rows").inc(eng._nq)
+        obs.counter("fabric.timeflow.row_classes").inc(eng._caps_cls.size)
+        obs.counter("fabric.timeflow.queue_classes").inc(nqc)
         completed = np.zeros((len(eng.flows), S), dtype=np.int64)
         if self.fin_l:
             completed[self.fin_l] = self.n_done
-        max_q = qpeak.max(axis=0) if nq else np.zeros(S)
+        max_q = qpeak.max(axis=0) if nqc else np.zeros(S)
         return tuple(
             eng._finalise(cfg, st=self.st, injected=self.injected[:, s],
                           completed=completed[:, s], fct=self.fct[s],
                           wire=self.wire[s], arr_sum=self.arr_sum[:, s],
-                          caps=eng._caps_act[:, 0], max_q=float(max_q[s]),
+                          caps=eng._caps_cls[:, 0], max_q=float(max_q[s]),
                           marks=int(self.marks[s]), n_steps=self.n_steps)
             for s, cfg in enumerate(self.configs))
 

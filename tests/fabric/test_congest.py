@@ -1,4 +1,4 @@
-"""Threshold validation of the congest study config."""
+"""Validation of the congest study config: thresholds and time knobs."""
 
 from __future__ import annotations
 
@@ -17,6 +17,12 @@ class TestCongestThresholds:
         # after the network was built
         with pytest.raises(ConfigurationError, match="finite"):
             CongestConfig(ks=(10, k))
+
+    @pytest.mark.parametrize("name", ["burst_period_s", "dt_s", "horizon_s"])
+    def test_infinite_time_knobs_rejected(self, name):
+        # used to pass through to the engine or the incast flows
+        with pytest.raises(ConfigurationError, match=name):
+            CongestConfig(**{name: math.inf})
 
     @pytest.mark.parametrize("ks", [(10.2, 10.7), (10, 10.5), (30, 60, 60.9)])
     def test_colliding_ratio_keys_rejected(self, ks):

@@ -18,6 +18,8 @@ from repro.fabric.timeflow import (FlowSpec, TimeflowConfig, TimeflowEngine,
                                    fct_stats, incast_pattern,
                                    validate_victim_impact)
 
+from .timeflow_oracle import reference_run
+
 
 @pytest.fixture(scope="module")
 def net():
@@ -33,6 +35,11 @@ class TestFlowSpec:
         with pytest.raises(ConfigurationError):
             FlowSpec(src=0, dst=1, size_bytes=0.0)
 
+    def test_rejects_infinite_size(self):
+        # used to run as an elephant labelled finite (and repeating)
+        with pytest.raises(ConfigurationError, match="flow size"):
+            FlowSpec(src=0, dst=1, size_bytes=math.inf, repeat=True)
+
     def test_rejects_bad_duty(self):
         with pytest.raises(ConfigurationError):
             FlowSpec(src=0, dst=1, burst_duty=0.0)
@@ -42,6 +49,13 @@ class TestFlowSpec:
     def test_bursty_needs_a_period(self):
         with pytest.raises(ConfigurationError):
             FlowSpec(src=0, dst=1, burst_duty=0.5)
+
+    @pytest.mark.parametrize("period", [math.inf, math.nan, 0.0])
+    def test_burst_period_must_be_positive_and_finite(self, period):
+        # An infinite period never reaches its off edge: the flow used to
+        # run always-on under a bursty label.
+        with pytest.raises(ConfigurationError, match="burst_period_s"):
+            FlowSpec(src=0, dst=1, burst_duty=0.5, burst_period_s=period)
 
     def test_only_finite_flows_repeat(self):
         with pytest.raises(ConfigurationError):
@@ -64,6 +78,17 @@ class TestTimeflowConfig:
     def test_rejects_bad_knobs(self, knobs):
         with pytest.raises(ConfigurationError):
             TimeflowConfig(**knobs)
+
+    @pytest.mark.parametrize("name", ["dt_s", "horizon_s", "mtu_bytes",
+                                      "control_interval_s", "base_latency_s",
+                                      "warmup_s"])
+    def test_time_grid_and_mtu_must_be_finite(self, name):
+        # ``horizon_s`` and ``control_interval_s`` used to fail inside the
+        # engine with an OverflowError, ``dt_s`` with a NaN conversion,
+        # ``mtu_bytes`` ran with infinite base latencies, and ``warmup_s``
+        # dropped every latency sample.
+        with pytest.raises(ConfigurationError, match=name):
+            TimeflowConfig(**{name: math.inf})
 
     @pytest.mark.parametrize("k", [float("nan"), float("inf")])
     def test_ecn_threshold_must_be_finite(self, k):
@@ -171,8 +196,29 @@ class TestEngine:
         # is oversubscribed
         assert metrics["fabric.timeflow.start_steps"] == 0
         assert metrics["fabric.timeflow.queue_rows"] >= 1
+        # the row classes the loop integrates: at most one per row
+        assert 1 <= metrics["fabric.timeflow.queue_classes"] \
+            <= metrics["fabric.timeflow.queue_rows"]
+        assert metrics["fabric.timeflow.queue_classes"] \
+            <= metrics["fabric.timeflow.row_classes"]
         assert metrics["fabric.timeflow.column_events"] >= \
             metrics["fabric.timeflow.completions"]
+
+
+    def test_scaled_full_incast_folds_its_rows(self):
+        # the 2,113-flow incast of the full-fabric benchmark on a 4,352-
+        # endpoint fabric: most links carry one elephant alone, so their
+        # rows share a flow list and fold into one class per flow
+        net = frontier_spec().scaled(17, 16, 16).build_network(rng=2023)
+        flows = incast_pattern(net, fanin=64, elephants=2048, rng=2023)
+        cfg = TimeflowConfig(horizon_s=200 * 5e-8, ecn=True,
+                             control_interval_s=10 * 5e-8)
+        eng = TimeflowEngine(net, flows, cfg)
+        assert len(flows) == 2113
+        assert eng._A_cls.shape[0] < eng._active.size
+        assert eng._nqc < eng._nq
+        assert json.dumps(eng.run().to_doc(), sort_keys=True) == json.dumps(
+            reference_run(eng, cfg).to_doc(), sort_keys=True)
 
 
 class TestIncastPattern:

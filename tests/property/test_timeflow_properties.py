@@ -15,12 +15,13 @@ cover every event kind the fast-forward has to find:
 * bursty flows whose edges land on control steps;
 * a ``rate_limit`` below the ECN rate floor.
 
-A second generator aims at the switch steps and the queue-row partition:
-several flows starting in one step, starts on control steps, their
-successors, burst edges and another flow's transfer boundary, bursty
-flows that start in an off phase, rate limits that put a link exactly
-at capacity or one ulp above it, and layouts where no link or every
-link can queue.
+A second generator aims at the switch steps, the queue-row partition
+and the row classes: several flows starting in one step, starts on
+control steps, their successors, burst edges and another flow's
+transfer boundary, bursty flows that start in an off phase, rate limits
+that put a link exactly at capacity or one ulp above it, layouts where
+no link or every link can queue, and duplicate rows (parallel flows on
+one pair, one flow list on links of different capacity).
 """
 
 import json
@@ -46,6 +47,33 @@ TARGETS = (0, 77)        # incast targets: flows collide on their links
 @pytest.fixture(scope="module")
 def net():
     return frontier_spec().scaled(8, 4, 4).build_network(rng=0)
+
+
+@pytest.fixture(scope="module")
+def agg_net():
+    """Two groups of 16 endpoints: the global lanes between them are
+    aggregated into links of two and three times the line rate."""
+    return frontier_spec().scaled(2, 4, 4).build_network(rng=0)
+
+
+def assert_row_classes(engine):
+    """The fold is sound and complete: every active row has its class's
+    flow list, weights and capacity, no two classes share all three,
+    and the queue rows are exactly the rows of the queue classes."""
+    A = engine.A[engine._active]
+    caps = engine.caps[engine._active]
+    C, cls = engine._A_cls, engine._cls
+
+    def key(M, r, cap):
+        lo, hi = M.indptr[r], M.indptr[r + 1]
+        return (tuple(M.indices[lo:hi]), tuple(M.data[lo:hi]), cap)
+    class_keys = [key(C, c, engine._caps_cls[c, 0])
+                  for c in range(C.shape[0])]
+    assert len(set(class_keys)) == len(class_keys)
+    for r in range(A.shape[0]):
+        assert key(A, r, caps[r]) == class_keys[cls[r]]
+    assert np.array_equal(cls < engine._nqc,
+                          np.arange(cls.size) < engine._nq)
 
 
 def result_doc(result):
@@ -205,7 +233,8 @@ def switching_scenarios(draw):
     control_every = draw(st.sampled_from((3, 10)))
     n_steps = draw(st.integers(40, 240))
     layout = draw(st.sampled_from(("mixed", "at_capacity", "above_capacity",
-                                   "no_queue", "all_queue")))
+                                   "no_queue", "all_queue",
+                                   "duplicate_rows")))
     anchors = set(range(0, n_steps, control_every)) \
         | set(range(1, n_steps, control_every))
     dst = draw(st.sampled_from(TARGETS))
@@ -227,6 +256,20 @@ def switching_scenarios(draw):
         srcs = draw(st.lists(st.sampled_from(_sources(dst)), min_size=k,
                              max_size=k, unique=True))
         ends = [(s, dst, r) for s, r in zip(srcs, rates)]
+    elif layout == "duplicate_rows":
+        # On ``agg_net``: parallel flows from group 1 into endpoint 0 (they
+        # share its ejection row and their injection row, one class of
+        # two rows; each also runs alone over a unit-rate local link and
+        # an aggregated global one, one flow list on two capacities),
+        # and a parallel pair within one switch.
+        rates = [frac and frac * LINK_RATE for frac in draw(st.lists(
+            st.sampled_from((None, None) + RATE_FRACS), min_size=5,
+            max_size=5))]
+        dst, src = 0, draw(st.integers(16, 31))
+        ends = [(src, dst, r) for r in rates[:draw(st.integers(1, 3))]]
+        switch = draw(st.integers(1, 3))
+        a, b = draw(st.permutations(range(4 * switch, 4 * switch + 4)))[:2]
+        ends += [(a, b, r) for r in rates[3:]]
     elif layout == "no_queue":
         ends = [(draw(st.sampled_from(_sources(dst))), dst,
                  draw(st.sampled_from(RATE_FRACS[:3])) * LINK_RATE)
@@ -289,9 +332,11 @@ class TestSwitchStepsAndQueueRows:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])
-    def test_every_column_is_bit_identical(self, net, scenario):
+    def test_every_column_is_bit_identical(self, net, agg_net, scenario):
         layout, flows, configs = scenario
-        engine = TimeflowEngine(net, flows, configs[0])
+        engine = TimeflowEngine(agg_net if layout == "duplicate_rows"
+                                else net, flows, configs[0])
+        assert_row_classes(engine)
         n_active = engine._active.size
         if layout == "no_queue":
             assert engine._nq == 0
@@ -301,6 +346,20 @@ class TestSwitchStepsAndQueueRows:
             assert engine._nq < n_active
         elif layout == "above_capacity":
             assert engine._nq >= 1
+        elif layout == "duplicate_rows":
+            # the fold has work to do, and meets both of its traps: a
+            # flow with two path rows in one class (two delay terms), and
+            # one flow list in classes of different capacity
+            AT, cls = engine._AT_act, engine._cls
+            assert engine._A_cls.shape[0] < n_active
+            assert any(np.unique(cls[AT.indices[AT.indptr[f]:
+                                                AT.indptr[f + 1]]]).size
+                       < AT.indptr[f + 1] - AT.indptr[f]
+                       for f in range(len(flows)))
+            C = engine._A_cls
+            lists = [tuple(C.indices[C.indptr[c]:C.indptr[c + 1]])
+                     for c in range(C.shape[0])]
+            assert len(set(lists)) < len(lists)
         ensemble = engine.run_ensemble(configs)
         for cfg, column in zip(configs, ensemble):
             reference = result_doc(reference_run(engine, cfg))

@@ -486,10 +486,11 @@ class TestSweepGc:
         assert "scanned: 0" in capsys.readouterr().out
 
     def test_gc_keeps_other_ledgers_files(self, tmp_path, capsys):
-        # sweep (prefix ""), chaos- and congest- artifacts in one directory
+        # sweep (prefix ""), chaos- and three congest- artifacts in one
+        # directory
         fixtures = Path(__file__).parent / "fixtures" / "ledger"
         names = sorted(p.name for p in fixtures.glob("*.json"))
-        assert len(names) == 3
+        assert len(names) == 5
         for name in names:
             (tmp_path / name).write_bytes((fixtures / name).read_bytes())
         assert main(["sweep", "--gc", "--out", str(tmp_path)]) == 0

@@ -8,7 +8,10 @@ sweep, chaos and congest ledgers shared one implementation:
 * ``congest-20ae383396dc03f0.json`` —
   ``congest --scaled 8 4 4 --horizon-us 150``.
 
-Each must resume through today's code without a recompute, and a
+(``congest-20c12c783d857a25.json`` and ``congest-4aeda51dd9d023f2.json``
+are the bursty ``--duty 0.3`` and ``--duty 0.35`` studies that
+``tests/fabric/test_timeflow.py`` recomputes.)  Each of the three must
+resume through today's code without a recompute, and a
 tampered copy of each must not be trusted.
 """
 

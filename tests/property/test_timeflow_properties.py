@@ -324,11 +324,23 @@ TWO_HOTSPOTS = ("mixed", [
     FlowSpec(src=60, dst=77)],
     [_config(60), _config(60, ecn=True, ecn_k=0.5)])
 
+#: A switch step listing a flow that moves in no column: a non-repeating
+#: bursty transfer that finished in its first burst, at its next on edge
+#: (step 20), next to an elephant that starts there.  The step re-derives
+#: its whole gather, the finished flow's path classes too, and closes the
+#: draining run of the queue they share early.
+UNMOVED = ("mixed", [
+    FlowSpec(src=40, dst=0, size_bytes=2.5 * PEAK * DT, burst_duty=0.25,
+             burst_period_s=20 * DT),
+    FlowSpec(src=50, dst=0, start_s=20 * DT),
+    FlowSpec(src=41, dst=0)], [_config(60), _config(60, ecn=False)])
+
 
 class TestSwitchStepsAndQueueRows:
     @given(switching_scenarios())
     @example(STALE_HEAD)
     @example(TWO_HOTSPOTS)
+    @example(UNMOVED)
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.too_slow])

@@ -23,9 +23,10 @@ import time
 import numpy as np
 from scipy import sparse
 
+from repro.fabric.cache import clear_fabric_caches
 from repro.fabric.dragonfly import DragonflyConfig
 from repro.fabric.maxmin import maxmin_allocate
-from repro.fabric.network import SlingshotNetwork, clear_fabric_caches
+from repro.fabric.network import SlingshotNetwork
 from repro.fabric.routing import RoutingPolicy
 from repro.reporting import Table
 

@@ -19,8 +19,8 @@ Observability verbs (see :mod:`repro.obs`):
 ``trace``      run a report command (or the probe suite) with the
                tracer on and print the span tree (``--collapsed`` for
                flamegraph.pl-ready folded stacks)
-``metrics``    same but print/export the metrics registry; also hosts
-               the baseline workflow (``--update-baseline``/``--check``)
+``metrics``    same but print/export the metrics registry (the perf
+               gate is ``benchmarks/_regression.py``)
 =============  =======================================================
 
 Scenario verbs (see :mod:`repro.core.scenario`):
@@ -240,11 +240,6 @@ COMMANDS = {
     "evaluate": _cmd_evaluate,
 }
 
-#: Default location of the committed perf baseline, relative to the repo
-#: root (the CLI is normally invoked from there).
-DEFAULT_BASELINE = "benchmarks/BENCH_BASELINE.json"
-
-
 def _run_observed(command: str | None) -> None:
     """Run a report command (or the probe suite) with collection on."""
     from repro import obs
@@ -303,28 +298,10 @@ def _cmd_scenario(args: "argparse.Namespace") -> int:
 
 
 def _cmd_mpigraph(args: "argparse.Namespace") -> int:
-    from repro.microbench.mpigraph import (frontier_mpigraph_histogram,
-                                           simulate_mpigraph,
-                                           summit_mpigraph_histogram)
-    from repro.sweep.probes import FLOW_SIM_MAX_ENDPOINTS
+    from repro.microbench.mpigraph import spec_mpigraph
 
     spec = _load_spec(args.spec)
-    # Same switch as the sweep probe: flow-level simulation (every shift
-    # offset of the run planned and solved as one stack) up to the
-    # probe's endpoint cap, the paper's full-scale analytic accounting
-    # beyond it or on request.
-    flow_feasible = (spec.fabric_config().total_endpoints
-                     <= FLOW_SIM_MAX_ENDPOINTS)
-    if args.analytic or not flow_feasible:
-        if spec.fabric.kind == "dragonfly":
-            hist = frontier_mpigraph_histogram(spec, rng=args.seed)
-        else:
-            hist = summit_mpigraph_histogram(
-                n_pairs=spec.node_count, rng=args.seed)
-        mode = "analytic"
-    else:
-        hist = simulate_mpigraph(spec.build_network(rng=args.seed))
-        mode = "flow-level"
+    hist, mode = spec_mpigraph(spec, args.seed, analytic=args.analytic)
     counts, edges = hist.histogram(bins=args.bins)
     peak = max(float(c) for c in counts) or 1.0
     table = Table(["GB/s", "density", ""],
@@ -344,15 +321,8 @@ def _cmd_metrics(args: "argparse.Namespace") -> int:
     import json as _json
 
     from repro import obs
-    from repro.obs import regression
     from repro.obs.export import export_state, render_metrics, write_json
 
-    if args.update_baseline:
-        path = regression.update_baseline(args.baseline)
-        print(f"baseline updated: {path}")
-        return 0
-    if args.check:
-        return regression.main(["--baseline", args.baseline])
     _run_observed(args.report)
     if args.out:
         doc = export_state(obs.tracer(), obs.registry(),
@@ -836,19 +806,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "('stack;frames self-time-us' lines)")
 
     metrics = sub.add_parser(
-        "metrics", help="run with metrics on; export or gate them")
+        "metrics", help="run with metrics on and export them")
     metrics.add_argument("report", nargs="?", choices=sorted(COMMANDS),
                          help="report command to meter (default: probe suite)")
     metrics.add_argument("--json", action="store_true",
                          help="emit the raw JSON document instead of a table")
     metrics.add_argument("--out", metavar="PATH",
                          help="write the JSON document to PATH (atomic)")
-    metrics.add_argument("--baseline", default=DEFAULT_BASELINE,
-                         metavar="PATH", help="perf baseline location")
-    metrics.add_argument("--update-baseline", action="store_true",
-                         help="re-record the committed perf baseline")
-    metrics.add_argument("--check", action="store_true",
-                         help="run the perf-regression gate")
 
     scenario = sub.add_parser(
         "scenario", help="print or write a machine spec as JSON")

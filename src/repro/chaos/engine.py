@@ -478,6 +478,16 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
             name=run.name))
         by_sched_id[run.sched_id] = run
 
+    def interrupt(run: _JobRun, t_s: float) -> None:
+        """Close the run's segment and record one interrupt, feeding the
+        adaptive checkpoint controller if the run has one."""
+        run.close_segment(t_s)
+        run.interrupts += 1
+        obs.counter("chaos.interrupts").inc()
+        if run.controller is not None:
+            run.interval_s = run.controller.update(run.running_s / 3600.0,
+                                                   run.interrupts)
+
     def poll_starts(t_s: float, delta_mult: float) -> None:
         """Open segments for jobs the scheduler just started."""
         for run in runs:
@@ -589,14 +599,7 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                                 replacements += 1
                                 if owner not in healed_jobs:
                                     healed_jobs.append(owner)
-                                    run = by_sched_id[owner]
-                                    run.close_segment(t_s)
-                                    run.interrupts += 1
-                                    obs.counter("chaos.interrupts").inc()
-                                    if run.controller is not None:
-                                        run.interval_s = run.controller.update(
-                                            run.running_s / 3600.0,
-                                            run.interrupts)
+                                    interrupt(by_sched_id[owner], t_s)
                                 continue
                     job_id = sched.fail_node(node)
                     if job_id is not None and job_id in by_sched_id:
@@ -612,12 +615,7 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                         else:
                             interrupted.append(run)
                 for run in interrupted:
-                    run.close_segment(t_s)
-                    run.interrupts += 1
-                    obs.counter("chaos.interrupts").inc()
-                    if run.controller is not None:
-                        run.interval_s = run.controller.update(
-                            run.running_s / 3600.0, run.interrupts)
+                    interrupt(run, t_s)
                     submit(run, t_s)
                 mult = config.storage_slowdown if storage_down else 1.0
                 # poll_starts reopens healed jobs too: they are RUNNING in

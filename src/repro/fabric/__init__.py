@@ -27,8 +27,8 @@ from repro.fabric.maxmin import maxmin_allocate
 from repro.fabric.latency import LatencyModel
 from repro.fabric.congestion import CongestionControl
 from repro.fabric.collectives import allreduce_latency, alltoall_per_node_bandwidth
-from repro.fabric.network import (FabricNetwork, SlingshotNetwork,
-                                  FatTreeNetwork, clear_fabric_caches)
+from repro.fabric.cache import clear_fabric_caches
+from repro.fabric.network import FabricNetwork, SlingshotNetwork, FatTreeNetwork
 from repro.fabric.messages import NicMessageModel, SLINGSHOT_NIC, EDR_NIC
 from repro.fabric.queueing import PortSimulation
 from repro.fabric.timeflow import (FlowSpec, TimeflowConfig, TimeflowEngine,

@@ -4,7 +4,11 @@ The scalar routers (:mod:`repro.fabric.routing`) plan one flow at a time
 through Python dict lookups — fine for latency probes, ruinous for
 full-machine traffic phases where every endpoint injects simultaneously.
 This module plans a whole phase at once on the flat-array topology views
-(:class:`repro.fabric.topology.TopologyArrays`):
+(:class:`repro.fabric.topology.TopologyArrays`).  Both fabrics run one
+planning loop (input and failed-link checks, edge links, phase-major
+chunks, load charging, CSR output); each supplies only its per-chunk
+routing step, and the dragonfly also its up-front local fill and Valiant
+draws.  On the dragonfly:
 
 * pairs are classified local / inter-group with array ops, and edge links
   are gathered in bulk;
@@ -235,16 +239,15 @@ def _grouped_waterfill(table: np.ndarray, loads: np.ndarray, pid: np.ndarray,
     return out_cand, out_implied, out_link
 
 
-class DragonflyBatchState:
+class _BatchState:
     """Static planning tables for one (topology, disabled-set) epoch.
 
     Everything here depends only on the materialised topology and the
-    router's failed-link set — not on loads — so the router caches one
-    instance until :meth:`Router.disable_link` / :meth:`enable_link`
-    invalidates it.
+    router's failed-link set, not on loads, so the router caches one
+    instance until ``disable_link`` / ``enable_link`` invalidates it.
     """
 
-    def __init__(self, topo, config, gateways: dict, disabled: set[int]):
+    def __init__(self, topo, config, disabled: set[int]):
         self.topo = topo
         self.flat = topo.flat
         self.config = config
@@ -253,6 +256,74 @@ class DragonflyBatchState:
             self.disabled_mask[np.fromiter(disabled, dtype=np.int64,
                                            count=len(disabled))] = True
 
+
+def _plan_phases(router, state: _BatchState, pairs, chunk: int,
+                 register: bool, width: int, setup) -> BatchPaths:
+    """The planning loop both fabrics share; paths are phase-major.
+
+    Checks the pairs, lays the edge links into the first and last
+    columns of a ``-1``-padded ``(flows, width)`` path matrix ``M`` and
+    runs the phase-major chunk loop.  The fabric's
+    ``setup(src, dst, M, phase, loads)`` does its load-independent work
+    and returns ``(routed, step)``: the mask of flows that need a routing
+    step, and ``step(rows)``, which plans one chunk's such rows into ``M``.
+    """
+    src, dst, n_phases = _as_pair_arrays(pairs)
+    n = len(src) // max(n_phases, 1)
+    flat = state.flat
+    _check_endpoints(flat, src)
+    _check_endpoints(flat, dst)
+    if (src == dst).any():
+        raise RoutingError("source and destination endpoints coincide")
+    if n == 0:
+        return BatchPaths(np.empty(0, np.int64), np.zeros(1, np.int64))
+
+    up = flat.ep_up_link[src]
+    down = flat.ep_down_link[dst]
+    if (up < 0).any() or (down < 0).any():
+        raise RoutingError("an endpoint has no edge link")
+    edge_dead = state.disabled_mask[up] | state.disabled_mask[down]
+    if edge_dead.any():
+        f = int(np.flatnonzero(edge_dead)[0])
+        raise RoutingError(
+            f"edge link of endpoint pair ({int(src[f])}, {int(dst[f])}) "
+            "is failed")
+    M = np.full((len(src), width), -1, dtype=np.int64)
+    M[:, 0] = up
+    M[:, -1] = down
+    counts = router._load.counts
+    loads = _phase_loads(counts, n_phases)
+    phase = np.repeat(np.arange(n_phases), n)
+    routed, step = setup(src, dst, M, phase, loads)
+
+    n_chunks = 0
+    offsets = np.arange(n_phases)[:, None] * n
+    for lo in range(0, n, chunk):
+        # chunk j of every phase, phase-major
+        rows = (offsets + np.arange(lo, min(lo + chunk, n))).ravel()
+        n_chunks += n_phases
+        todo = rows[routed[rows]]
+        if todo.size:
+            step(todo)
+        if register:
+            _charge(loads, M[rows], phase[rows])
+    if register and n_phases > 1:
+        counts[:] = loads[-1]
+
+    paths = BatchPaths.from_matrix(M)
+    state.topo.validate_paths(paths.indices, paths.indptr)
+    if state.disabled_mask[paths.indices].any():  # pragma: no cover - guard
+        raise RoutingError("internal: selected path crosses a failed link")
+    obs.counter("fabric.batch_route.flows").inc(len(src))
+    obs.counter("fabric.batch_route.chunks").inc(n_chunks)
+    return paths
+
+
+class DragonflyBatchState(_BatchState):
+    """Gateway tables and segment detours for the dragonfly planner."""
+
+    def __init__(self, topo, config, gateways: dict, disabled: set[int]):
+        super().__init__(topo, config, disabled)
         G = config.groups
         self.n_groups = G
         surviving: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
@@ -331,91 +402,53 @@ def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
     phases, on a dragonfly (see module doc); paths are phase-major."""
     from repro.fabric.routing import RoutingPolicy
 
-    src, dst, n_phases = _as_pair_arrays(pairs)
-    n = len(src) // max(n_phases, 1)
-    flat, config = state.flat, state.config
-    _check_endpoints(flat, src)
-    _check_endpoints(flat, dst)
-    if (src == dst).any():
-        raise RoutingError("source and destination endpoints coincide")
-    if n == 0:
-        return BatchPaths(np.empty(0, np.int64), np.zeros(1, np.int64))
-
-    sw_s = flat.endpoint_switch[src]
-    sw_d = flat.endpoint_switch[dst]
-    g_s = flat.switch_group[sw_s]
-    g_d = flat.switch_group[sw_d]
-    up = flat.ep_up_link[src]
-    down = flat.ep_down_link[dst]
-    if (up < 0).any() or (down < 0).any():
-        raise RoutingError("an endpoint has no edge link")
-    edge_dead = state.disabled_mask[up] | state.disabled_mask[down]
-    if edge_dead.any():
-        f = int(np.flatnonzero(edge_dead)[0])
-        raise RoutingError(
-            f"edge link of endpoint pair ({int(src[f])}, {int(dst[f])}) "
-            "is failed")
-
     policy = router.policy
-    counts = router._load.counts
-    loads = _phase_loads(counts, n_phases)
-    phase = np.repeat(np.arange(n_phases), n)
-    G = config.groups
-    val_is_min = G <= 2          # no intermediate groups: Valiant == minimal
+    n_routed = dict.fromkeys(("local", "minimal", "valiant", "ugal_minimal",
+                              "ugal_diverted", "failover_valiant"), 0)
 
-    M = np.full((len(src), _W), -1, dtype=np.int64)
-    M[:, _UP] = up
-    M[:, _DOWN] = down
-    local = g_s == g_d
-    li = np.flatnonzero(local)
-    if li.size:
-        # Local paths are load-independent: fill all rows up front; they
-        # still register chunk-by-chunk, interleaved with inter-group
-        # flows, so adaptive decisions see them in scalar order.
-        M[li, _SEG_A:_SEG_A + 2] = state.segment_cols(sw_s[li], sw_d[li])
+    def setup(src, dst, M, phase, loads):
+        flat = state.flat
+        sw_s = flat.endpoint_switch[src]
+        sw_d = flat.endpoint_switch[dst]
+        g_s = flat.switch_group[sw_s]
+        g_d = flat.switch_group[sw_d]
+        G = state.n_groups
+        val_is_min = G <= 2      # no intermediate groups: Valiant == minimal
+        local = g_s == g_d
+        li = np.flatnonzero(local)
+        if li.size:
+            # Local paths are load-independent: fill all rows up front;
+            # they still register chunk-by-chunk, interleaved with
+            # inter-group flows, so adaptive decisions see them in
+            # scalar order.
+            M[li, _SEG_A:_SEG_A + 2] = state.segment_cols(sw_s[li], sw_d[li])
+        n_routed["local"] = int(li.size)
 
-    # Valiant intermediate groups: Router._valiant_path draws one
-    # rng.random() per flow and rotates from that start.  Which flows
-    # draw depends only on the policy and the surviving group pairs, so
-    # every draw is taken here in one call, in phase-major flow order:
-    # rng.random(a) then rng.random(b) is the stream of rng.random(a + b),
-    # which keeps the batch RNG-aligned with the scalar router at every
-    # chunk size and phase count.
-    if val_is_min:
-        draws = np.zeros(len(src), dtype=bool)
-    elif policy is RoutingPolicy.MINIMAL:
-        draws = ~local & ~state.pair_ok[g_s, g_d]
-    else:
-        draws = ~local
-    start = np.zeros(len(src), dtype=np.int64)
-    if draws.any():
-        start[draws] = (router.rng.random(int(draws.sum()))
-                        * (G - 2)).astype(np.int64)
+        # Valiant intermediate groups: Router._valiant_path draws one
+        # rng.random() per flow and rotates from that start.  Which flows
+        # draw depends only on the policy and the surviving group pairs,
+        # so every draw is taken here in one call, in phase-major flow
+        # order: rng.random(a) then rng.random(b) is the stream of
+        # rng.random(a + b), which keeps the batch RNG-aligned with the
+        # scalar router at every chunk size and phase count.
+        if val_is_min:
+            draws = np.zeros(len(src), dtype=bool)
+        elif policy is RoutingPolicy.MINIMAL:
+            draws = ~local & ~state.pair_ok[g_s, g_d]
+        else:
+            draws = ~local
+        start = np.zeros(len(src), dtype=np.int64)
+        if draws.any():
+            start[draws] = (router.rng.random(int(draws.sum()))
+                            * (G - 2)).astype(np.int64)
 
-    n_routed = {"local": int(li.size), "minimal": 0, "valiant": 0,
-                "ugal_minimal": 0, "ugal_diverted": 0, "failover_valiant": 0}
-
-    n_chunks = 0
-    offsets = np.arange(n_phases)[:, None] * n
-    for lo in range(0, n, chunk):
-        # chunk j of every phase, phase-major
-        rows = (offsets + np.arange(lo, min(lo + chunk, n))).ravel()
-        n_chunks += n_phases
-        ii = rows[~local[rows]]
-        if ii.size:
+        def step(ii):
             _plan_inter_chunk(state, M, ii, phase[ii], sw_s, sw_d, g_s, g_d,
                               start, loads, policy, val_is_min, register,
                               n_routed)
-        if register:
-            _charge(loads, M[rows], phase[rows])
-    if register and n_phases > 1:
-        counts[:] = loads[-1]
+        return ~local, step
 
-    paths = BatchPaths.from_matrix(M)
-    state.topo.validate_paths(paths.indices, paths.indptr)
-    if state.disabled_mask[paths.indices].any():  # pragma: no cover - guard
-        raise RoutingError("internal: selected path crosses a failed link")
-
+    paths = _plan_phases(router, state, pairs, chunk, register, _W, setup)
     if policy is RoutingPolicy.UGAL:
         keys = ("local", "ugal_minimal", "ugal_diverted", "failover_valiant")
     elif policy is RoutingPolicy.VALIANT:
@@ -425,8 +458,6 @@ def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
     for key in keys:
         if n_routed[key]:
             obs.counter(f"fabric.routes.{key}").inc(n_routed[key])
-    obs.counter("fabric.batch_route.flows").inc(len(src))
-    obs.counter("fabric.batch_route.chunks").inc(n_chunks)
     return paths
 
 
@@ -579,8 +610,8 @@ def _plan_inter_chunk(state: DragonflyBatchState, M: np.ndarray,
     n_routed["failover_valiant"] += failover
 
 
-class FatTreeBatchState:
-    """Static ECMP planning tables for one (topology, disabled-set) epoch.
+class FatTreeBatchState(_BatchState):
+    """Uplink tables for the ECMP planner.
 
     Failed uplinks are dropped from the candidate tables (the scalar
     router filters the same ordered list, so water-filled picks stay
@@ -588,15 +619,8 @@ class FatTreeBatchState:
     mirroring the scalar router.
     """
 
-    def __init__(self, topo, config, disabled: set[int] | None = None):
-        self.topo = topo
-        self.flat = topo.flat
-        self.config = config
-        disabled = disabled or set()
-        self.disabled_mask = np.zeros(topo.n_links, dtype=bool)
-        if disabled:
-            self.disabled_mask[np.fromiter(disabled, dtype=np.int64,
-                                           count=len(disabled))] = True
+    def __init__(self, topo, config, disabled: set[int]):
+        super().__init__(topo, config, disabled)
         E = config.edge_switches
         uplinks: list[list[int]] = []
         cores: list[list[int]] = []
@@ -621,42 +645,13 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
                  chunk: int, register: bool = True) -> BatchPaths:
     """Plan every flow of a traffic phase, or of a ``(P, n, 2)`` stack of
     phases, on the folded Clos (ECMP); paths are phase-major."""
-    src, dst, n_phases = _as_pair_arrays(pairs)
-    n = len(src) // max(n_phases, 1)
     flat = state.flat
-    _check_endpoints(flat, src)
-    _check_endpoints(flat, dst)
-    if (src == dst).any():
-        raise RoutingError("source and destination endpoints coincide")
-    if n == 0:
-        return BatchPaths(np.empty(0, np.int64), np.zeros(1, np.int64))
 
-    sw_s = flat.endpoint_switch[src]
-    sw_d = flat.endpoint_switch[dst]
-    edge_up = flat.ep_up_link[src]
-    edge_down = flat.ep_down_link[dst]
-    edge_dead = state.disabled_mask[edge_up] | state.disabled_mask[edge_down]
-    if edge_dead.any():
-        f = int(np.flatnonzero(edge_dead)[0])
-        raise RoutingError(
-            f"edge link of endpoint pair ({int(src[f])}, {int(dst[f])}) "
-            "is failed")
-    M = np.full((len(src), 4), -1, dtype=np.int64)
-    M[:, 0] = edge_up
-    M[:, 3] = edge_down
-    cross = sw_s != sw_d
-    counts = router._load.counts
-    loads = _phase_loads(counts, n_phases)
-    phase = np.repeat(np.arange(n_phases), n)
+    def setup(src, dst, M, phase, loads):
+        sw_s = flat.endpoint_switch[src]
+        sw_d = flat.endpoint_switch[dst]
 
-    n_chunks = 0
-    offsets = np.arange(n_phases)[:, None] * n
-    for lo in range(0, n, chunk):
-        # chunk j of every phase, phase-major
-        rows = (offsets + np.arange(lo, min(lo + chunk, n))).ravel()
-        n_chunks += n_phases
-        ci = rows[cross[rows]]
-        if ci.size:
+        def step(ci):
             edges = sw_s[ci]
             if not state.has_uplink[edges].all():
                 e = int(edges[~state.has_uplink[edges]][0])
@@ -679,13 +674,6 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
                     f"{int(up[at])} to route around the plane")
             M[ci, 1] = up
             M[ci, 2] = downlink
-        if register:
-            _charge(loads, M[rows], phase[rows])
-    if register and n_phases > 1:
-        counts[:] = loads[-1]
+        return sw_s != sw_d, step
 
-    paths = BatchPaths.from_matrix(M)
-    state.topo.validate_paths(paths.indices, paths.indptr)
-    obs.counter("fabric.batch_route.flows").inc(len(src))
-    obs.counter("fabric.batch_route.chunks").inc(n_chunks)
-    return paths
+    return _plan_phases(router, state, pairs, chunk, register, 4, setup)

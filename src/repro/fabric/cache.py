@@ -1,29 +1,33 @@
-"""Small bounded LRU cache shared by the fabric caching layer.
+"""The fabric caching layer: a bounded LRU and the topology memo.
 
 Two cache layers sit under the scenario/composition root
 (:mod:`repro.core.scenario`):
 
-* the **topology memo** in :func:`repro.fabric.dragonfly.build_dragonfly`
-  and :func:`repro.fabric.fattree.build_fattree` — safe because a
+* the **topology memo**, :func:`memoized_topology`, one config-keyed LRU
+  that :func:`repro.fabric.dragonfly.build_dragonfly` and
+  :func:`repro.fabric.fattree.build_fattree` share — safe because a
   :class:`repro.fabric.topology.Topology` is append-only during
   construction and read-only afterwards (all mutable routing state lives
-  on :class:`repro.fabric.routing.Router` instances);
+  on the routers), and because a dragonfly and a fat-tree config never
+  compare equal;
 * the per-router **path cache** for unregistered (load-neutral) path
-  queries, keyed on ``(src, dst, policy)``.
+  queries, keyed on ``(src, dst, label)``.
 
 Both emit ``fabric.*_cache.hits`` / ``.misses`` counters through
-:mod:`repro.obs` at their call sites; this module only supplies the
-bounded mapping.
+:mod:`repro.obs`; :func:`clear_fabric_caches` empties the topology memo
+(path caches are instance state and die with their routers).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
+from repro import obs
 from repro.errors import ConfigurationError
+from repro.fabric.topology import Topology
 
-__all__ = ["LruCache"]
+__all__ = ["LruCache", "memoized_topology", "clear_fabric_caches"]
 
 
 class LruCache:
@@ -59,3 +63,25 @@ class LruCache:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
+
+
+#: Config-keyed memo of built topologies of either fabric.
+_TOPOLOGY_CACHE = LruCache(maxsize=32)
+
+
+def memoized_topology(config: Hashable,
+                      build: Callable[[Any], Topology]) -> Topology:
+    """``build(config)``, memoized per config; counts hits and misses."""
+    cached = _TOPOLOGY_CACHE.get(config)
+    if cached is not None:
+        obs.counter("fabric.topology_cache.hits").inc()
+        return cached
+    obs.counter("fabric.topology_cache.misses").inc()
+    topo = build(config)
+    _TOPOLOGY_CACHE.put(config, topo)
+    return topo
+
+
+def clear_fabric_caches() -> None:
+    """Drop every memoized topology (tests, degradation sweeps)."""
+    _TOPOLOGY_CACHE.clear()

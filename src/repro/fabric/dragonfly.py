@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
 from repro.errors import TopologyError
-from repro.fabric.cache import LruCache
+from repro.fabric.cache import memoized_topology
 from repro.fabric.topology import LinkKind, Topology
 
-__all__ = ["DragonflyConfig", "build_dragonfly", "clear_dragonfly_cache",
-           "FRONTIER_DRAGONFLY"]
+__all__ = ["DragonflyConfig", "build_dragonfly", "FRONTIER_DRAGONFLY"]
 
 
 @dataclass(frozen=True)
@@ -152,36 +150,15 @@ class DragonflyConfig:
                 (g * self.global_links_per_pair + lane) % s)
 
 
-#: Config-keyed memo of built topologies.  A Topology is immutable after
-#: construction (router load/failure state lives on Router instances), so
-#: sharing one instance between networks with the same config is safe.
-_TOPOLOGY_CACHE = LruCache(maxsize=16)
-
-
-def clear_dragonfly_cache() -> None:
-    """Drop memoized dragonfly topologies (tests, degradation sweeps)."""
-    _TOPOLOGY_CACHE.clear()
-
-
-def build_dragonfly(config: DragonflyConfig, *, use_cache: bool = True) -> Topology:
+def build_dragonfly(config: DragonflyConfig) -> Topology:
     """Materialise the dragonfly as a :class:`Topology`.
 
     Parallel global lanes that land on the same switch pair (possible at
     reduced scale) are aggregated into a single link of summed capacity.
-    Builds are memoized per config (``use_cache=False`` forces a fresh,
-    uncached build); hits/misses appear on the
-    ``fabric.topology_cache.*`` counters.
+    Builds are memoized per config
+    (:func:`repro.fabric.cache.memoized_topology`).
     """
-    if use_cache:
-        cached = _TOPOLOGY_CACHE.get(config)
-        if cached is not None:
-            obs.counter("fabric.topology_cache.hits").inc()
-            return cached
-        obs.counter("fabric.topology_cache.misses").inc()
-    topo = _materialise_dragonfly(config)
-    if use_cache:
-        _TOPOLOGY_CACHE.put(config, topo)
-    return topo
+    return memoized_topology(config, _materialise_dragonfly)
 
 
 def _materialise_dragonfly(config: DragonflyConfig) -> Topology:

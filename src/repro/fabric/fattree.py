@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
 from repro.errors import TopologyError
-from repro.fabric.cache import LruCache
+from repro.fabric.cache import memoized_topology
 from repro.fabric.topology import LinkKind, Topology
 
-__all__ = ["FatTreeConfig", "build_fattree", "clear_fattree_cache",
-           "SUMMIT_FATTREE"]
+__all__ = ["FatTreeConfig", "build_fattree", "SUMMIT_FATTREE"]
 
 
 @dataclass(frozen=True)
@@ -62,34 +60,15 @@ class FatTreeConfig:
         return max(1, round(self.endpoints_per_edge / self.oversubscription))
 
 
-#: Config-keyed memo of built topologies (see the dragonfly counterpart:
-#: a Topology is read-only after construction, so sharing is safe).
-_TOPOLOGY_CACHE = LruCache(maxsize=16)
-
-
-def clear_fattree_cache() -> None:
-    """Drop memoized fat-tree topologies (tests, degradation sweeps)."""
-    _TOPOLOGY_CACHE.clear()
-
-
-def build_fattree(config: FatTreeConfig, *, use_cache: bool = True) -> Topology:
+def build_fattree(config: FatTreeConfig) -> Topology:
     """Materialise the folded Clos as a :class:`Topology`.
 
     Switch ids: edges are ``0..E-1`` (group = edge index), cores are
     ``E..E+C-1`` (group = -1 is not allowed, so cores use group ``E`` to
     keep "same group" tests meaningful only for edges).  Builds are
-    memoized per config like :func:`repro.fabric.dragonfly.build_dragonfly`.
+    memoized per config (:func:`repro.fabric.cache.memoized_topology`).
     """
-    if use_cache:
-        cached = _TOPOLOGY_CACHE.get(config)
-        if cached is not None:
-            obs.counter("fabric.topology_cache.hits").inc()
-            return cached
-        obs.counter("fabric.topology_cache.misses").inc()
-    topo = _materialise_fattree(config)
-    if use_cache:
-        _TOPOLOGY_CACHE.put(config, topo)
-    return topo
+    return memoized_topology(config, _materialise_fattree)
 
 
 def _materialise_fattree(config: FatTreeConfig) -> Topology:

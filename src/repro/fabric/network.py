@@ -14,8 +14,8 @@ supports *reduced-scale* instantiation (taper preserved, see
 :meth:`DragonflyConfig.scaled`) for flow-level experiments, alongside
 *analytic* full-scale estimates for latency and collective numbers.
 Topology construction is memoized per config (see
-:func:`repro.fabric.dragonfly.build_dragonfly`); use
-:func:`clear_fabric_caches` to reset every fabric-level cache.
+:func:`repro.fabric.cache.memoized_topology`); use
+:func:`repro.fabric.cache.clear_fabric_caches` to reset it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.fabric.batchroute import BatchPaths
 from repro.fabric.collectives import allreduce_latency, alltoall_per_node_bandwidth
-from repro.fabric.dragonfly import DragonflyConfig, build_dragonfly, clear_dragonfly_cache
-from repro.fabric.fattree import FatTreeConfig, build_fattree, clear_fattree_cache
+from repro.fabric.dragonfly import DragonflyConfig, build_dragonfly
+from repro.fabric.fattree import FatTreeConfig, build_fattree
 from repro.fabric.latency import LatencyModel
 from repro.fabric.maxmin import MaxMinResult, maxmin_allocate
 from repro.fabric.routing import FatTreeRouter, Router, RoutingPolicy
@@ -37,7 +37,7 @@ from repro.fabric.topology import Topology
 from repro.rng import RngLike
 
 __all__ = ["FabricNetwork", "SlingshotNetwork", "FatTreeNetwork",
-           "STACK_LINK_SLOTS", "clear_fabric_caches"]
+           "STACK_LINK_SLOTS"]
 
 #: Protocol efficiency of a single stream relative to line rate: headers,
 #: credits, and software overheads.  17.5/25 GB/s for intra-group pairs in
@@ -50,17 +50,6 @@ STREAM_EFFICIENCY = 0.70
 #: fabric (~30 offsets x 6,192 links) in one stack and holds three
 #: full-Frontier phases, whose per-call cost is already amortised.
 STACK_LINK_SLOTS = 1 << 19
-
-
-def clear_fabric_caches() -> None:
-    """Reset every config-keyed topology memo (tests, degradation sweeps).
-
-    Per-router path caches are instance state and die with their routers;
-    this clears the module-level dragonfly and fat-tree topology caches so
-    the next build is cold.
-    """
-    clear_dragonfly_cache()
-    clear_fattree_cache()
 
 
 @dataclass(frozen=True)
@@ -92,11 +81,6 @@ class FabricNetwork:
         self.nics_per_node = nics_per_node
         #: nodes currently taken out of service via :meth:`disable_node`.
         self.disabled_nodes: set[int] = set()
-
-    @property
-    def _policy_label(self) -> str:
-        policy = getattr(self.router, "policy", None)
-        return policy.value if policy is not None else "ecmp"
 
     # -- failure / repair -----------------------------------------------------
     #
@@ -218,7 +202,7 @@ class FabricNetwork:
         bottleneck = np.empty((n_phases, n), dtype=np.int64)
         with obs.span("fabric.flow_bandwidths", n_flows=n,
                       n_phases=n_phases, topology=self.topology_label,
-                      policy=self._policy_label):
+                      policy=self.router.label):
             for lo in range(0, n_phases, per_stack):
                 part = stack[lo:lo + per_stack]
                 k = len(part)
@@ -299,7 +283,6 @@ class SlingshotNetwork(FabricNetwork):
         super().__init__(config, topology,
                          Router(topology, config, policy, rng=rng), latency,
                          nics_per_node=nics_per_node)
-        self.policy = policy
 
     # -- full-scale analytic results ------------------------------------------
 

@@ -12,21 +12,30 @@ nominal global bandwidth (§4.2.2's 3 GB/s floor).
 Fat-tree routing is ECMP up/down: any core switch reaches any edge, chosen
 per-flow by load or hash.
 
+Both routers share one base, :class:`_RouterBase`: the load tracker,
+path cache, failed-link set, cached batch state and the operations over
+them (:meth:`~_RouterBase.reset_load`, :meth:`~_RouterBase.disable_link`,
+:meth:`~_RouterBase.paths`, :meth:`~_RouterBase.path`, ...).  Each
+subclass supplies only its label (the policy name, or ``"ecmp"``), its
+batch state and planner call, and ``_select``: the scalar UGAL / Valiant
+/ minimal body for :class:`Router`, the ECMP body for
+:class:`FatTreeRouter`.
+
 Routers are *stateful load balancers*: each returned path increments a
 per-link flow counter used by subsequent UGAL/ECMP decisions.  Call
-:meth:`reset_load` between independent experiments.
+:meth:`~_RouterBase.reset_load` between independent experiments.
 
 **Path caching**: unregistered queries (``register=False`` — latency
 probes, reachability checks) are served from a per-router LRU keyed on
-``(src, dst, policy)``.  Registered paths are never cached: they mutate
+``(src, dst, label)``.  Registered paths are never cached: they mutate
 the load tracker and adaptive decisions must see live loads.  The cache
-is invalidated whenever router state changes (:meth:`reset_load`,
-:meth:`disable_link`, :meth:`enable_link`); a cached path can therefore
-only differ from a fresh one in load-based tie-breaks between
-equal-length candidates, which leaves hop counts and latency unchanged.
+is invalidated whenever router state changes (``reset_load``,
+``disable_link``, ``enable_link``); a cached path can therefore only
+differ from a fresh one in load-based tie-breaks between equal-length
+candidates, which leaves hop counts and latency unchanged.
 
-**Batch planning**: :meth:`Router.paths` / :meth:`FatTreeRouter.paths`
-plan a whole traffic phase at once through the vectorised engine in
+**Batch planning**: :meth:`~_RouterBase.paths` plans a whole traffic
+phase at once through the vectorised engine in
 :mod:`repro.fabric.batchroute`, returning a
 :class:`~repro.fabric.batchroute.BatchPaths` CSR set.  ``chunk=1``
 reproduces the scalar ``path()`` loop exactly (the equivalence oracle);
@@ -47,14 +56,13 @@ from repro.fabric import batchroute
 from repro.fabric.batchroute import DEFAULT_BATCH_CHUNK, BatchPaths
 from repro.fabric.cache import LruCache
 from repro.fabric.dragonfly import DragonflyConfig
-from repro.fabric.fattree import FatTreeConfig
 from repro.fabric.topology import LinkKind, Topology
 from repro.rng import RngLike, as_generator
 
 __all__ = ["RoutingPolicy", "Router", "FatTreeRouter", "PATH_CACHE_SIZE",
            "DEFAULT_BATCH_CHUNK", "BatchPaths"]
 
-#: Default per-router LRU capacity for unregistered path queries.
+#: Per-router LRU capacity for unregistered path queries.
 PATH_CACHE_SIZE = 4096
 
 
@@ -80,41 +88,25 @@ class _LoadTracker:
         self.counts[:] = 0
 
 
-class Router:
-    """Dragonfly router implementing minimal / Valiant / UGAL path selection."""
+class _RouterBase:
+    """The state and operations both routers share.
 
-    def __init__(self, topo: Topology, config: DragonflyConfig,
-                 policy: RoutingPolicy = RoutingPolicy.UGAL,
-                 rng: RngLike = None, path_cache_size: int = PATH_CACHE_SIZE,
-                 batch_chunk: int | None = None):
+    A subclass supplies :attr:`label` (path-cache key and span tag), its
+    batch state and planner call (``_new_batch_state``/``_plan``) and
+    ``_select``, the scalar path choice for one flow.
+    """
+
+    label: str
+
+    def __init__(self, topo: Topology, config, rng: RngLike = None):
         self.topo = topo
         self.config = config
-        self.policy = policy
         self.rng = as_generator(rng)
         self._load = _LoadTracker(topo.n_links)
-        self._gateways = self._index_gateways()
-        self._path_cache = LruCache(maxsize=path_cache_size)
-        #: default UGAL round size for :meth:`paths`; ``None`` scales it
-        #: with the phase size (:func:`repro.fabric.batchroute.auto_chunk`)
-        #: and ``1`` forces scalar semantics
-        self.batch_chunk = batch_chunk
-        self._batch_state: batchroute.DragonflyBatchState | None = None
+        self._path_cache = LruCache(maxsize=PATH_CACHE_SIZE)
+        self._batch_state = None
         #: links the fabric manager has routed around (failed cables)
         self.disabled: set[int] = set()
-
-    def _index_gateways(self) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-        """(src_group, dst_group) -> [(link_idx, src_switch, dst_switch)]."""
-        gw: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for link in self.topo.links:
-            if link.kind is not LinkKind.L2:
-                continue
-            sa, sb = link.src[1], link.dst[1]
-            ga = self.topo.group_of_switch(sa)
-            gb = self.topo.group_of_switch(sb)
-            gw.setdefault((ga, gb), []).append((link.index, sa, sb))
-        return gw
-
-    # -- public API ---------------------------------------------------------
 
     def reset_load(self) -> None:
         self._load.reset()
@@ -144,10 +136,11 @@ class Router:
         Vectorised counterpart of calling :meth:`path` in a loop; returns
         a :class:`~repro.fabric.batchroute.BatchPaths` CSR set in input
         order.  ``chunk`` bounds how stale the UGAL load feedback may get
-        (defaults to :attr:`batch_chunk`; ``chunk=1`` is bit-identical to
-        the scalar loop, and minimal/Valiant paths are identical at any
-        chunk).  With ``register=False`` nothing is charged to the load
-        tracker and results bypass the path cache.
+        (default :func:`~repro.fabric.batchroute.auto_chunk`; ``chunk=1``
+        is bit-identical to the scalar loop, and minimal, Valiant and
+        ECMP paths are identical at any chunk).  With ``register=False``
+        nothing is charged to the load tracker and results bypass the
+        path cache.
 
         ``pairs`` may also be a ``(P, n, 2)`` stack of independent
         phases: the paths are phase-major and equal those of ``P``
@@ -157,35 +150,29 @@ class Router:
         """
         n_flows = batchroute.phase_flows(pairs)
         if chunk is None:
-            chunk = self.batch_chunk
-        if chunk is None:
             chunk = batchroute.auto_chunk(n_flows)
         if chunk < 1:
             raise RoutingError(f"chunk must be >= 1, got {chunk}")
         state = self._batch_state
         if state is None or state.flat is not self.topo.flat:
-            state = batchroute.DragonflyBatchState(
-                self.topo, self.config, self._gateways, self.disabled)
-            self._batch_state = state
+            state = self._batch_state = self._new_batch_state()
         with obs.span("fabric.batch_route", n_flows=n_flows, chunk=chunk,
-                      policy=self.policy.value):
-            return batchroute.plan_dragonfly(self, state, pairs, chunk=chunk,
-                                             register=register)
+                      policy=self.label):
+            return self._plan(state, pairs, chunk, register)
 
     def path(self, src_ep: int, dst_ep: int, *, register: bool = True) -> list[int]:
         """Select a path (list of link indices) for one flow.
 
         With ``register=True`` the path's links are charged to the load
-        tracker so later UGAL decisions see this flow.  Disabled (failed)
-        links are routed around: intra-group via an intermediate switch,
-        inter-group via surviving bundle lanes or a Valiant detour.
-        Unregistered queries are served from the per-router LRU path cache
-        (see the module docstring for why that is load-safe).
+        tracker so later adaptive picks see this flow.  Disabled (failed)
+        links are routed around where the fabric allows it.  Unregistered
+        queries are served from the per-router LRU path cache (see the
+        module docstring for why that is load-safe).
         """
         if src_ep == dst_ep:
             raise RoutingError("source and destination endpoints coincide")
         if not register:
-            key = (src_ep, dst_ep, self.policy.value)
+            key = (src_ep, dst_ep, self.label)
             cached = self._path_cache.get(key)
             if cached is not None:
                 obs.counter("fabric.path_cache.hits").inc()
@@ -201,9 +188,54 @@ class Router:
             self._path_cache.put(key, tuple(path))
         return path
 
-    # -- path construction ----------------------------------------------------
+    def _edge_link(self, node_a, node_b) -> int:
+        link = self.topo.link_between(node_a, node_b)
+        if link is None:
+            raise RoutingError(f"no link {node_a}->{node_b}")
+        if link.index in self.disabled:
+            raise RoutingError(f"link {node_a}->{node_b} is failed")
+        return link.index
+
+
+class Router(_RouterBase):
+    """Dragonfly router implementing minimal / Valiant / UGAL path selection."""
+
+    def __init__(self, topo: Topology, config: DragonflyConfig,
+                 policy: RoutingPolicy = RoutingPolicy.UGAL,
+                 rng: RngLike = None):
+        super().__init__(topo, config, rng)
+        self.policy = policy
+        self._gateways = self._index_gateways()
+
+    @property
+    def label(self) -> str:
+        return self.policy.value
+
+    def _index_gateways(self) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+        """(src_group, dst_group) -> [(link_idx, src_switch, dst_switch)]."""
+        gw: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for link in self.topo.links:
+            if link.kind is not LinkKind.L2:
+                continue
+            sa, sb = link.src[1], link.dst[1]
+            ga = self.topo.group_of_switch(sa)
+            gb = self.topo.group_of_switch(sb)
+            gw.setdefault((ga, gb), []).append((link.index, sa, sb))
+        return gw
+
+    def _new_batch_state(self) -> batchroute.DragonflyBatchState:
+        return batchroute.DragonflyBatchState(
+            self.topo, self.config, self._gateways, self.disabled)
+
+    def _plan(self, state, pairs, chunk: int, register: bool) -> BatchPaths:
+        # looked up at call time, so wrappers of the module attribute see it
+        return batchroute.plan_dragonfly(self, state, pairs, chunk=chunk,
+                                         register=register)
 
     def _select(self, src_ep: int, dst_ep: int) -> list[int]:
+        """Inter-group flows take minimal, Valiant or UGAL paths; failed
+        links are detoured intra-group via an intermediate switch and
+        inter-group via surviving bundle lanes or a Valiant detour."""
         g_src = self.topo.group_of_endpoint(src_ep)
         g_dst = self.topo.group_of_endpoint(dst_ep)
         if g_src == g_dst:
@@ -231,14 +263,6 @@ class Router:
             return minimal
         obs.counter("fabric.routes.ugal_diverted").inc()
         return valiant
-
-    def _edge_link(self, node_a, node_b) -> int:
-        link = self.topo.link_between(node_a, node_b)
-        if link is None:
-            raise RoutingError(f"no link {node_a}->{node_b}")
-        if link.index in self.disabled:
-            raise RoutingError(f"link {node_a}->{node_b} is failed")
-        return link.index
 
     def _local_path(self, src_ep: int, dst_ep: int) -> list[int]:
         """Within a group: at most one L1 hop (switches fully connected)."""
@@ -339,75 +363,25 @@ class Router:
         return sum(1 for i in path if self.topo.link(i).kind is LinkKind.L2)
 
 
-class FatTreeRouter:
-    """ECMP up/down routing on the folded Clos."""
+class FatTreeRouter(_RouterBase):
+    """ECMP up/down routing on the folded Clos.
 
-    def __init__(self, topo: Topology, config: FatTreeConfig, rng: RngLike = None,
-                 path_cache_size: int = PATH_CACHE_SIZE,
-                 batch_chunk: int | None = None):
-        self.topo = topo
-        self.config = config
-        self.rng = as_generator(rng)
-        self._load = _LoadTracker(topo.n_links)
-        self._path_cache = LruCache(maxsize=path_cache_size)
-        self.batch_chunk = batch_chunk
-        self._batch_state: batchroute.FatTreeBatchState | None = None
-        #: links taken out of service (failed cables); ECMP picks route
-        #: around failed uplinks, failed edge/down links raise.
-        self.disabled: set[int] = set()
+    ECMP uplink picks only depend on flows sharing the same source edge
+    switch, so batch paths match the scalar loop at *any* chunk size.
+    Failed uplinks are routed around; failed edge or down links raise.
+    """
 
-    def reset_load(self) -> None:
-        self._load.reset()
-        self._path_cache.clear()
+    label = "ecmp"
 
-    def disable_link(self, index: int) -> None:
-        """Take a link out of service (same contract as :meth:`Router.disable_link`)."""
-        if not 0 <= index < self.topo.n_links:
-            raise RoutingError(f"no link {index}")
-        self.disabled.add(index)
-        self._path_cache.clear()
-        self._batch_state = None
+    def _new_batch_state(self) -> batchroute.FatTreeBatchState:
+        return batchroute.FatTreeBatchState(self.topo, self.config,
+                                            self.disabled)
 
-    def enable_link(self, index: int) -> None:
-        self.disabled.discard(index)
-        self._path_cache.clear()
-        self._batch_state = None
+    def _plan(self, state, pairs, chunk: int, register: bool) -> BatchPaths:
+        return batchroute.plan_fattree(self, state, pairs, chunk=chunk,
+                                       register=register)
 
-    def paths(self, pairs, *, chunk: int | None = None,
-              register: bool = True) -> BatchPaths:
-        """Batch ECMP planning; see :meth:`Router.paths`.
-
-        ECMP uplink picks only depend on flows sharing the same source
-        edge switch, so batch paths match the scalar loop at *any* chunk
-        size (sequential-equivalent water-filling per edge switch).
-        """
-        n_flows = batchroute.phase_flows(pairs)
-        if chunk is None:
-            chunk = self.batch_chunk
-        if chunk is None:
-            chunk = batchroute.auto_chunk(n_flows)
-        if chunk < 1:
-            raise RoutingError(f"chunk must be >= 1, got {chunk}")
-        state = self._batch_state
-        if state is None or state.flat is not self.topo.flat:
-            state = batchroute.FatTreeBatchState(self.topo, self.config,
-                                                 self.disabled)
-            self._batch_state = state
-        with obs.span("fabric.batch_route", n_flows=n_flows, chunk=chunk,
-                      policy="ecmp"):
-            return batchroute.plan_fattree(self, state, pairs, chunk=chunk,
-                                           register=register)
-
-    def path(self, src_ep: int, dst_ep: int, *, register: bool = True) -> list[int]:
-        if src_ep == dst_ep:
-            raise RoutingError("source and destination endpoints coincide")
-        if not register:
-            key = (src_ep, dst_ep, "ecmp")
-            cached = self._path_cache.get(key)
-            if cached is not None:
-                obs.counter("fabric.path_cache.hits").inc()
-                return list(cached)
-            obs.counter("fabric.path_cache.misses").inc()
+    def _select(self, src_ep: int, dst_ep: int) -> list[int]:
         sw_s = self.topo.switch_of_endpoint(src_ep)
         sw_d = self.topo.switch_of_endpoint(dst_ep)
         path = [self._edge_link(("ep", src_ep), ("sw", sw_s))]
@@ -434,17 +408,4 @@ class FatTreeRouter:
                     f"uplink {up.index} to route around the plane")
             path += [up.index, down.index]
         path.append(self._edge_link(("sw", sw_d), ("ep", dst_ep)))
-        self.topo.validate_path(path)
-        if register:
-            self._load.add_path(path)
-        else:
-            self._path_cache.put(key, tuple(path))
         return path
-
-    def _edge_link(self, node_a, node_b) -> int:
-        link = self.topo.link_between(node_a, node_b)
-        if link is None:
-            raise RoutingError(f"no link {node_a}->{node_b}")
-        if link.index in self.disabled:
-            raise RoutingError(f"link {node_a}->{node_b} is failed")
-        return link.index

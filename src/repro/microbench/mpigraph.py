@@ -33,11 +33,19 @@ __all__ = [
     "frontier_mpigraph_histogram",
     "summit_mpigraph_histogram",
     "simulate_mpigraph",
+    "spec_mpigraph",
+    "FLOW_SIM_MAX_ENDPOINTS",
 ]
 
 #: Summit EDR: measured/line-rate for the tight fat-tree distribution.
 SUMMIT_EDR_EFFICIENCY = 0.68
 SUMMIT_EDR_RATE = 12.5e9
+
+#: Largest fabric (in endpoints) :func:`spec_mpigraph` simulates flow by
+#: flow; beyond it, the paper's analytic accounting.  The flow-level run
+#: plans and solves every shift offset as one stack, ~28 phases of one
+#: flow per endpoint.
+FLOW_SIM_MAX_ENDPOINTS = 4096
 
 
 @dataclass
@@ -178,3 +186,21 @@ def simulate_mpigraph(network: SlingshotNetwork | FatTreeNetwork,
     result = network.phase_bandwidths(phases, chunk=chunk)
     name = type(network).__name__
     return MpiGraphHistogram(bandwidths=result.rates.ravel(), system=name)
+
+
+def spec_mpigraph(spec, rng: RngLike = None, *,
+                  analytic: bool = False) -> tuple[MpiGraphHistogram, str]:
+    """The mpiGraph histogram for the machine a ``MachineSpec`` describes,
+    and its mode (``"flow-level"`` or ``"analytic"``).
+
+    Flow-level simulation up to :data:`FLOW_SIM_MAX_ENDPOINTS`; beyond it,
+    or with ``analytic``, the analytic histogram of the spec's fabric kind.
+    The ``mpigraph`` verb and sweep probe both answer through this.
+    """
+    if (not analytic and spec.fabric_config().total_endpoints
+            <= FLOW_SIM_MAX_ENDPOINTS):
+        return simulate_mpigraph(spec.build_network(rng=rng)), "flow-level"
+    if spec.fabric.kind == "dragonfly":
+        return frontier_mpigraph_histogram(spec, rng=rng), "analytic"
+    return (summit_mpigraph_histogram(n_pairs=spec.node_count, rng=rng),
+            "analytic")

@@ -50,7 +50,7 @@ def probe_routing() -> dict[str, float]:
     import numpy as np
 
     from repro.core.scenario import frontier_spec
-    from repro.fabric.network import clear_fabric_caches
+    from repro.fabric.cache import clear_fabric_caches
 
     spec = frontier_spec().scaled(8, 4, 4)
     clear_fabric_caches()
@@ -86,7 +86,7 @@ def probe_cache() -> dict[str, float]:
 
     from repro.core.scenario import frontier_spec
     from repro.fabric.dragonfly import build_dragonfly
-    from repro.fabric.network import clear_fabric_caches
+    from repro.fabric.cache import clear_fabric_caches
 
     spec = frontier_spec().scaled(6, 4, 4)
     clear_fabric_caches()
@@ -465,7 +465,7 @@ def run_probes(names: list[str] | None = None) -> dict[str, dict[str, Any]]:
     Each probe runs under a ``probe.<name>`` span so its layer's spans nest
     beneath it in the exported trace.
     """
-    from repro.fabric.network import clear_fabric_caches
+    from repro.fabric.cache import clear_fabric_caches
 
     # Start cold so the topology-cache hit/miss counters the regression
     # gate snapshots are identical run-to-run within one process.

@@ -18,8 +18,7 @@ totals.  CI compares a fresh snapshot against the committed
   catching complexity-class blowups.
 
 Environment overrides: ``REPRO_BENCH_WALL_FACTOR``, ``REPRO_BENCH_RTOL``.
-Refresh the baseline with ``python -m repro metrics --update-baseline``
-(or ``python benchmarks/_regression.py --update``).
+Refresh the baseline with ``python benchmarks/_regression.py --update``.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ def check_baseline(path: str, **kwargs: Any) -> list[str]:
 
 def main(argv: list[str] | None = None, *,
          default_baseline: str | None = None) -> int:
-    """Entry point shared by ``benchmarks/_regression.py`` and the CLI."""
+    """Entry point of ``benchmarks/_regression.py``."""
     import argparse
     parser = argparse.ArgumentParser(
         description="Benchmark perf-regression gate (probe suite vs "
@@ -145,7 +144,7 @@ def main(argv: list[str] | None = None, *,
         for p in problems:
             print(f"  - {p}")
         print("If the change is intended, refresh the baseline with "
-              "`python -m repro metrics --update-baseline`.")
+              "`python benchmarks/_regression.py --update`.")
         return 1
     print("perf regression gate passed")
     return 0

@@ -36,25 +36,11 @@ __all__ = ["SWEEP_PROBES", "SweepProbe", "congest_ensemble_key",
 
 SweepProbe = Callable[[MachineSpec, np.random.Generator], Mapping[str, Any]]
 
-#: Largest fabric (in endpoints) the ``mpigraph`` probe and
-#: ``python -m repro mpigraph`` simulate flow by flow; beyond it both use
-#: the paper's analytic accounting.  The flow-level run plans and solves
-#: every shift offset as one stack, ~28 phases of one flow per endpoint.
-FLOW_SIM_MAX_ENDPOINTS = 4096
-
-
 def probe_mpigraph(spec: MachineSpec,
                    rng: np.random.Generator) -> dict[str, float]:
     """Figure 6 shape metrics for the machine the spec describes."""
-    from repro.microbench.mpigraph import (frontier_mpigraph_histogram,
-                                           simulate_mpigraph,
-                                           summit_mpigraph_histogram)
-    if spec.fabric_config().total_endpoints <= FLOW_SIM_MAX_ENDPOINTS:
-        hist = simulate_mpigraph(spec.build_network(rng=rng))
-    elif spec.fabric.kind == "dragonfly":
-        hist = frontier_mpigraph_histogram(spec, rng=rng)
-    else:
-        hist = summit_mpigraph_histogram(n_pairs=spec.node_count, rng=rng)
+    from repro.microbench.mpigraph import spec_mpigraph
+    hist, _mode = spec_mpigraph(spec, rng)
     return {
         "min_gbs": hist.min_gbs,
         "median_gbs": hist.quantile(0.5) / 1e9,

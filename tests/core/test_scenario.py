@@ -242,7 +242,8 @@ class TestBuildNetwork:
         spec = frontier_spec().scaled(6, 4, 4)
         valiant = MachineSpec.from_dict(
             {**spec.to_dict(), "routing": "valiant"})
-        assert valiant.build_network(rng=0).policy is RoutingPolicy.VALIANT
+        assert (valiant.build_network(rng=0).router.policy
+                is RoutingPolicy.VALIANT)
         assert valiant.routing_policy is RoutingPolicy.VALIANT
         assert summit_spec().routing_policy is None
 

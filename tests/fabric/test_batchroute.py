@@ -53,6 +53,19 @@ def scalar_plan(router, pairs, register=True):
     return [router.path(s, d, register=register) for s, d in pairs]
 
 
+class _OnDragonfly:
+    """The router a shared-check test class runs on; a subclass mixing in
+    :class:`_OnFatTree` runs the same tests on the fat tree."""
+
+    def router(self, policy=RoutingPolicy.MINIMAL, rng=1):
+        return Router(build_dragonfly(CFG), CFG, policy, rng=rng)
+
+
+class _OnFatTree:
+    def router(self, policy=None, rng=1):
+        return FatTreeRouter(build_fattree(FT_CFG), FT_CFG, rng=rng)
+
+
 class TestChunk1IsBitIdentical:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_paths_and_loads_match_scalar(self, topo, policy):
@@ -95,8 +108,7 @@ class TestAnyChunkPolicies:
         pairs = shift_pairs(FT_CFG.total_endpoints, 3)
         planned = batch.paths(pairs, chunk=chunk)
         assert planned.to_lists() == scalar_plan(scalar, pairs)
-        assert np.array_equal(batch.link_loads if hasattr(batch, "link_loads")
-                              else batch._load.counts, scalar._load.counts)
+        assert np.array_equal(batch.link_loads, scalar.link_loads)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_register_false_chunk_free(self, topo, policy):
@@ -184,20 +196,24 @@ class TestDisabledLinks:
             router.paths([(ep, dst)])
 
 
-class TestLoadAccounting:
-    def test_total_load_equals_total_links_planned(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.UGAL, rng=21)
-        pairs = mixed_pairs(CFG.total_endpoints)
+class TestLoadAccounting(_OnDragonfly):
+    def test_total_load_equals_total_links_planned(self):
+        router = self.router(RoutingPolicy.UGAL, rng=21)
+        pairs = mixed_pairs(router.config.total_endpoints)
         planned = router.paths(pairs)
-        assert router._load.counts.sum() == planned.indices.size
+        assert router.link_loads.sum() == planned.indices.size
 
-    def test_per_link_load_is_bincount_of_paths(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.VALIANT, rng=22)
-        pairs = shift_pairs(CFG.total_endpoints, 9)
+    def test_per_link_load_is_bincount_of_paths(self):
+        router = self.router(RoutingPolicy.VALIANT, rng=22)
+        pairs = shift_pairs(router.config.total_endpoints, 9)
         planned = router.paths(pairs)
         expected = np.bincount(planned.indices,
-                               minlength=topo.n_links)
-        assert np.array_equal(router._load.counts, expected)
+                               minlength=router.topo.n_links)
+        assert np.array_equal(router.link_loads, expected)
+
+
+class TestFatTreeLoadAccounting(_OnFatTree, TestLoadAccounting):
+    pass
 
 
 class TestMaxminCsr:
@@ -228,31 +244,32 @@ class TestBatchPathsContainer:
         assert len(router.paths(pairs, register=False)) == len(pairs)
 
 
-class TestInputValidation:
-    def test_bad_chunk_rejected(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.MINIMAL, rng=1)
+class TestInputValidation(_OnDragonfly):
+    def test_bad_chunk_rejected(self):
         with pytest.raises(RoutingError, match="chunk"):
-            router.paths([(0, 1)], chunk=0)
+            self.router().paths([(0, 1)], chunk=0)
 
-    def test_self_flow_rejected(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.MINIMAL, rng=1)
+    def test_self_flow_rejected(self):
         with pytest.raises(RoutingError, match="coincide"):
-            router.paths([(5, 5)])
+            self.router().paths([(5, 5)])
 
-    def test_unknown_endpoint_rejected(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.MINIMAL, rng=1)
+    def test_unknown_endpoint_rejected(self):
+        router = self.router()
         with pytest.raises(TopologyError, match="unknown endpoint"):
-            router.paths([(0, CFG.total_endpoints + 100)])
+            router.paths([(0, router.config.total_endpoints + 100)])
 
-    def test_malformed_pairs_rejected(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.MINIMAL, rng=1)
+    def test_malformed_pairs_rejected(self):
         with pytest.raises(RoutingError, match="sequence of"):
-            router.paths([(0, 1, 2)])
+            self.router().paths([(0, 1, 2)])
 
-    def test_ndarray_pairs_accepted(self, topo):
-        router = Router(topo, CFG, RoutingPolicy.MINIMAL, rng=1)
-        pairs = np.array(shift_pairs(CFG.total_endpoints, 4))
+    def test_ndarray_pairs_accepted(self):
+        router = self.router()
+        pairs = np.array(shift_pairs(router.config.total_endpoints, 4))
         assert len(router.paths(pairs, register=False)) == len(pairs)
+
+
+class TestFatTreeInputValidation(_OnFatTree, TestInputValidation):
+    pass
 
 
 class TestAutoChunk:

@@ -6,11 +6,10 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.fabric.cache import LruCache
+from repro.fabric.cache import LruCache, clear_fabric_caches
 from repro.fabric.dragonfly import DragonflyConfig, build_dragonfly
 from repro.fabric.fattree import FatTreeConfig, build_fattree
-from repro.fabric.network import (SlingshotNetwork, FatTreeNetwork,
-                                  clear_fabric_caches)
+from repro.fabric.network import FatTreeNetwork, SlingshotNetwork
 
 SMALL = DragonflyConfig().scaled(6, 4, 4)
 
@@ -76,11 +75,6 @@ class TestTopologyMemo:
             obs.disable()
         assert _counter("fabric.topology_cache.misses") == 2.0
         assert _counter("fabric.topology_cache.hits") == 1.0
-
-    def test_use_cache_false_bypasses(self):
-        cached = build_dragonfly(SMALL)
-        fresh = build_dragonfly(SMALL, use_cache=False)
-        assert fresh is not cached
 
     def test_clear_fabric_caches_forces_rebuild(self):
         before = build_dragonfly(SMALL)

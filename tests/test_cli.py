@@ -102,14 +102,6 @@ class TestObservabilityVerbs:
         doc = json.loads(path.read_text())
         assert "fabric.paths_computed" in doc["metrics"]
 
-    def test_metrics_baseline_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_BASELINE.json"
-        assert main(["metrics", "--update-baseline",
-                     "--baseline", str(path)]) == 0
-        assert main(["metrics", "--check", "--baseline", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "gate passed" in out
-
     def test_trace_collapsed_emits_folded_stacks(self, capsys):
         assert main(["trace", "--collapsed"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -256,6 +256,41 @@ class _BatchState:
             self.disabled_mask[np.fromiter(disabled, dtype=np.int64,
                                            count=len(disabled))] = True
 
+    def _surviving(self, candidates) -> list[np.ndarray]:
+        """A router's :func:`candidate_index` with failed links dropped.
+
+        Returns ``-1``-padded ``(rows, width)`` tables of each row's
+        surviving links, in link order, and of their source and
+        destination switches; ``width`` is the longest row (at least 1).
+        """
+        links, indptr = candidates
+        n_rows = len(indptr) - 1
+        row = np.repeat(np.arange(n_rows), np.diff(indptr))
+        alive = ~self.disabled_mask[links]
+        links, row = links[alive], row[alive]
+        per_row = np.bincount(row, minlength=n_rows)
+        width = max(1, int(per_row.max(initial=0)))
+        col = np.arange(len(row)) - (np.cumsum(per_row) - per_row)[row]
+        tables = []
+        for values in (links, self.flat.link_src_code[links] >> 1,
+                       self.flat.link_dst_code[links] >> 1):
+            table = np.full((n_rows, width), -1, dtype=np.int64)
+            table[row, col] = values
+            tables.append(table)
+        return tables
+
+
+def candidate_index(links: np.ndarray, row: np.ndarray,
+                    n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``links`` grouped by ``row`` as a CSR ``(links, indptr)``.
+
+    Row ``r``'s links, in link order, are ``links[indptr[r]:indptr[r + 1]]``:
+    a router's gateway or uplink candidates per group pair or edge switch.
+    """
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+    return links[np.argsort(row, kind="stable")], indptr
+
 
 def _plan_phases(router, state: _BatchState, pairs, chunk: int,
                  register: bool, width: int, setup) -> BatchPaths:
@@ -322,29 +357,15 @@ def _plan_phases(router, state: _BatchState, pairs, chunk: int,
 class DragonflyBatchState(_BatchState):
     """Gateway tables and segment detours for the dragonfly planner."""
 
-    def __init__(self, topo, config, gateways: dict, disabled: set[int]):
+    def __init__(self, topo, config, gateways: tuple[np.ndarray, np.ndarray],
+                 disabled: set[int]):
         super().__init__(topo, config, disabled)
         G = config.groups
         self.n_groups = G
-        surviving: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        width = 1
-        for pair, cands in gateways.items():
-            alive = [c for c in cands if c[0] not in disabled]
-            if alive:
-                surviving[pair] = alive
-                width = max(width, len(alive))
-        #: padded per-ordered-pair gateway tables, indexed by ga * G + gb
-        self.gw_link = np.full((G * G, width), -1, dtype=np.int64)
-        self.gw_src = np.full((G * G, width), -1, dtype=np.int64)
-        self.gw_dst = np.full((G * G, width), -1, dtype=np.int64)
-        self.pair_ok = np.zeros((G, G), dtype=bool)
-        for (ga, gb), alive in surviving.items():
-            row = ga * G + gb
-            for col, (link, sa, sb) in enumerate(alive):
-                self.gw_link[row, col] = link
-                self.gw_src[row, col] = sa
-                self.gw_dst[row, col] = sb
-            self.pair_ok[ga, gb] = True
+        #: padded per-ordered-pair gateway tables, indexed by ga * G + gb:
+        #: the pair's surviving L2 links and their end switches
+        self.gw_link, self.gw_src, self.gw_dst = self._surviving(gateways)
+        self.pair_ok = (self.gw_link[:, 0] >= 0).reshape(G, G)
 
         off_diag = ~np.eye(G, dtype=bool)
         #: no failures anywhere: every Valiant mid is feasible, skip checks
@@ -619,25 +640,11 @@ class FatTreeBatchState(_BatchState):
     mirroring the scalar router.
     """
 
-    def __init__(self, topo, config, disabled: set[int]):
+    def __init__(self, topo, config, uplinks: tuple[np.ndarray, np.ndarray],
+                 disabled: set[int]):
         super().__init__(topo, config, disabled)
-        E = config.edge_switches
-        uplinks: list[list[int]] = []
-        cores: list[list[int]] = []
-        width = 1
-        for e in range(E):
-            ups = [link for link in topo.out_links(("sw", e))
-                   if link.dst[0] == "sw" and link.dst[1] >= E
-                   and link.index not in disabled]
-            uplinks.append([link.index for link in ups])
-            cores.append([link.dst[1] for link in ups])
-            width = max(width, len(ups))
-        #: padded (E, width) uplink link-index / core-switch tables
-        self.up_link = np.full((E, width), -1, dtype=np.int64)
-        self.up_core = np.full((E, width), -1, dtype=np.int64)
-        for e in range(E):
-            self.up_link[e, :len(uplinks[e])] = uplinks[e]
-            self.up_core[e, :len(cores[e])] = cores[e]
+        #: padded (E, width) surviving uplink link-index / core-switch tables
+        self.up_link, _, self.up_core = self._surviving(uplinks)
         self.has_uplink = self.up_link[:, 0] >= 0
 
 

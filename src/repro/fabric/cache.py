@@ -6,10 +6,11 @@ Two cache layers sit under the scenario/composition root
 * the **topology memo**, :func:`memoized_topology`, one config-keyed LRU
   that :func:`repro.fabric.dragonfly.build_dragonfly` and
   :func:`repro.fabric.fattree.build_fattree` share — safe because a
-  :class:`repro.fabric.topology.Topology` is append-only during
-  construction and read-only afterwards (all mutable routing state lives
-  on the routers), and because a dragonfly and a fat-tree config never
-  compare equal;
+  built :class:`repro.fabric.topology.Topology` is a set of read-only
+  arrays computed in one closed-form step (all mutable routing state
+  lives on the routers), and because a dragonfly and a fat-tree config
+  never compare equal.  Each miss is one ``fabric.topology.build`` span,
+  the topology-build layer of a trace;
 * the per-router **path cache** for unregistered (load-neutral) path
   queries, keyed on ``(src, dst, label)``.
 
@@ -71,13 +72,22 @@ _TOPOLOGY_CACHE = LruCache(maxsize=32)
 
 def memoized_topology(config: Hashable,
                       build: Callable[[Any], Topology]) -> Topology:
-    """``build(config)``, memoized per config; counts hits and misses."""
+    """``build(config)``, memoized per config; counts hits and misses.
+
+    A miss runs the build inside a ``fabric.topology.build`` span tagged
+    with the fabric kind (``config.kind``) and the built topology's link,
+    switch and endpoint counts.
+    """
     cached = _TOPOLOGY_CACHE.get(config)
     if cached is not None:
         obs.counter("fabric.topology_cache.hits").inc()
         return cached
     obs.counter("fabric.topology_cache.misses").inc()
-    topo = build(config)
+    with obs.span("fabric.topology.build", fabric=config.kind) as span:
+        topo = build(config)
+        span.set_attribute("links", topo.n_links)
+        span.set_attribute("switches", topo.n_switches)
+        span.set_attribute("endpoints", topo.n_endpoints)
     _TOPOLOGY_CACHE.put(config, topo)
     return topo
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.fabric.cache import memoized_topology
-from repro.fabric.topology import LinkKind, Topology
+from repro.fabric.topology import LinkKind, Topology, check_config_fields
 
 __all__ = ["DragonflyConfig", "build_dragonfly", "FRONTIER_DRAGONFLY"]
 
@@ -47,11 +49,20 @@ class DragonflyConfig:
     l1_ports: int = 32
     l2_ports: int = 16
 
+    kind = "dragonfly"
+
     def __post_init__(self) -> None:
+        check_config_fields(
+            self, counts=("groups", "switches_per_group", "endpoints_per_switch",
+                          "global_links_per_pair", "l1_ports", "l2_ports"),
+            positive=("link_rate",))
         if self.groups < 2:
             raise TopologyError("a dragonfly needs at least two groups")
         if self.switches_per_group < 1 or self.endpoints_per_switch < 1:
             raise TopologyError("switches/endpoints per group must be positive")
+        if self.global_links_per_pair < 1:
+            raise TopologyError("global_links_per_pair must be >= 1: every group "
+                                "pair needs a global link")
         if self.switches_per_group - 1 > self.l1_ports:
             raise TopologyError(
                 f"{self.switches_per_group} switches per group need "
@@ -162,39 +173,42 @@ def build_dragonfly(config: DragonflyConfig) -> Topology:
 
 
 def _materialise_dragonfly(config: DragonflyConfig) -> Topology:
-    topo = Topology()
-    # switches and endpoints
-    for g in range(config.groups):
-        for s in range(config.switches_per_group):
-            topo.add_switch(config.switch_id(g, s), group=g)
-    for g in range(config.groups):
-        for s in range(config.switches_per_group):
-            sw = config.switch_id(g, s)
-            for p in range(config.endpoints_per_switch):
-                ep = config.endpoint_id(g, s, p)
-                topo.add_endpoint(ep, sw)
-                topo.add_bidirectional(("ep", ep), ("sw", sw),
-                                       config.link_rate, LinkKind.L0)
-    # intra-group: full mesh of switches, one cable per pair
-    for g in range(config.groups):
-        for a in range(config.switches_per_group):
-            for b in range(a + 1, config.switches_per_group):
-                topo.add_bidirectional(("sw", config.switch_id(g, a)),
-                                       ("sw", config.switch_id(g, b)),
-                                       config.link_rate, LinkKind.L1)
-    # global: bundle of lanes per group pair, spread across switches
-    pair_capacity: dict[tuple[int, int], float] = {}
-    for g in range(config.groups):
-        for h in range(g + 1, config.groups):
-            for lane in range(config.global_links_per_pair):
-                sg, sh = config.global_attach(g, h, lane)
-                key = (config.switch_id(g, sg), config.switch_id(h, sh))
-                pair_capacity[key] = pair_capacity.get(key, 0.0) + config.link_rate
-    for (swa, swb), cap in pair_capacity.items():
-        topo.add_bidirectional(("sw", swa), ("sw", swb), cap, LinkKind.L2)
-    return topo
+    """The dragonfly's link arrays in closed form, in the dense link order
+    every path, utilisation row and digest depends on:
+
+    * L0: for each endpoint, ep -> sw then sw -> ep;
+    * L1: for each group, the upper-triangle switch pairs ``a < b``, both
+      directions;
+    * L2: for each group pair ``g < h``, one cable per distinct lane in
+      lane order, both directions.  Lanes ``l`` and ``l + S`` of a pair
+      land on the same switches (``S`` switches per group), so only the
+      first ``min(lanes, S)`` are distinct, each carrying the rates of
+      every lane that collides with it, summed in lane order.
+    """
+    G, S = config.groups, config.switches_per_group
+    lanes, rate = config.global_links_per_pair, config.link_rate
+    n_sw = G * S
+    sw_code = 2 * np.arange(n_sw)
+    ep_switch = np.repeat(np.arange(n_sw), config.endpoints_per_switch)
+    edge = (2 * np.arange(len(ep_switch)) + 1, sw_code[ep_switch],
+            rate, LinkKind.L0)
+    a, b = np.triu_indices(S, 1)
+    first = sw_code[::S, None]
+    local = ((first + 2 * a).ravel(), (first + 2 * b).ravel(),
+             rate, LinkKind.L1)
+    g, h = (x[:, None] for x in np.triu_indices(G, 1))
+    lane = np.arange(min(lanes, S))
+    swa = g * S + (h * lanes + lane) % S
+    swb = h * S + (g * lanes + lane) % S
+    collided = (lanes - 1 - lane) // S + 1
+    lane_capacity = np.cumsum(np.full(collided.max(), float(rate)))[collided - 1]
+    glob = (2 * swa.ravel(), 2 * swb.ravel(),
+            np.tile(lane_capacity, len(swa)), LinkKind.L2)
+    return Topology.from_cables(np.repeat(np.arange(G), S), ep_switch,
+                                (edge, local, glob))
 
 
-#: The full-scale compute fabric (74 groups).  Building the Topology for it
-#: is possible but slow; most callers only need the derived constants.
+#: The full-scale compute fabric (74 groups): 2,368 switches, 37,888
+#: endpoints and 170,792 directed links, built in closed form in tens of
+#: milliseconds.
 FRONTIER_DRAGONFLY = DragonflyConfig()

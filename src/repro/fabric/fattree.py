@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.fabric.cache import memoized_topology
-from repro.fabric.topology import LinkKind, Topology
+from repro.fabric.topology import LinkKind, Topology, check_config_fields
 
 __all__ = ["FatTreeConfig", "build_fattree", "SUMMIT_FATTREE"]
 
@@ -38,7 +40,11 @@ class FatTreeConfig:
     link_rate: float = 12.5e9          # EDR: 100 Gb/s
     oversubscription: float = 1.0
 
+    kind = "fattree"
+
     def __post_init__(self) -> None:
+        check_config_fields(self, counts=("edge_switches", "endpoints_per_edge"),
+                            positive=("link_rate", "oversubscription"))
         if self.edge_switches < 1 or self.endpoints_per_edge < 1:
             raise TopologyError("fat tree needs positive switch/endpoint counts")
         if self.oversubscription < 1.0:
@@ -72,26 +78,20 @@ def build_fattree(config: FatTreeConfig) -> Topology:
 
 
 def _materialise_fattree(config: FatTreeConfig) -> Topology:
-    topo = Topology()
+    """The folded Clos's link arrays in closed form, in dense link order:
+    for each endpoint, ep -> edge then edge -> ep (L0); then for each edge
+    switch and each core, edge -> core then core -> edge (L1), every
+    edge carrying an equal share of its uplink capacity per core."""
     E, C = config.edge_switches, config.core_switches
-    for e in range(E):
-        topo.add_switch(e, group=e)
-    core_group = E  # sentinel group for core level
-    for c in range(C):
-        topo.add_switch(E + c, group=core_group)
-    for e in range(E):
-        for p in range(config.endpoints_per_edge):
-            ep = e * config.endpoints_per_edge + p
-            topo.add_endpoint(ep, e)
-            topo.add_bidirectional(("ep", ep), ("sw", e),
-                                   config.link_rate, LinkKind.L0)
-    # Each edge connects to every core with an equal share of its uplink.
+    ep_switch = np.repeat(np.arange(E), config.endpoints_per_edge)
+    edge = (2 * np.arange(len(ep_switch)) + 1, 2 * ep_switch,
+            config.link_rate, LinkKind.L0)
+    e, c = np.divmod(np.arange(E * C), C)
     per_core = config.uplink_capacity_per_edge / C
-    for e in range(E):
-        for c in range(C):
-            topo.add_bidirectional(("sw", e), ("sw", E + c),
-                                   per_core, LinkKind.L1)
-    return topo
+    uplinks = (2 * e, 2 * (E + c), per_core, LinkKind.L1)
+    # cores share the sentinel group E, so "same group" means same edge
+    switch_group = np.concatenate((np.arange(E), np.full(C, E)))
+    return Topology.from_cables(switch_group, ep_switch, (edge, uplinks))
 
 
 #: A Summit-scale stand-in: 4,608 nodes x 1 usable EDR rail modeled as

@@ -46,12 +46,13 @@ class LatencyModel:
     def path_latency(self, topo: Topology, path: list[int],
                      size_bytes: float = 8.0) -> float:
         """One-way latency of a message along ``path`` (link index list)."""
+        flat = topo.flat
+        delay = [self.cable_delay(kind) for kind in LinkKind]  # by ordinal
         switches = 0
         flight = 0.0
         for idx in path:
-            link = topo.link(idx)
-            flight += self.cable_delay(link.kind)
-            if link.dst[0] == "sw":
+            flight += delay[flat.link_kind[idx]]
+            if not flat.link_dst_code[idx] & 1:     # into a switch
                 switches += 1
         serialisation = size_bytes / self.link_rate
         return (self.host_overhead_s + switches * self.per_switch_s

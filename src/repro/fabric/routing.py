@@ -188,13 +188,25 @@ class _RouterBase:
             self._path_cache.put(key, tuple(path))
         return path
 
+    def _least_loaded(self, candidates, row: int) -> int:
+        """The least-loaded surviving link of ``row`` in a
+        :func:`~repro.fabric.batchroute.candidate_index` (the first on
+        ties), or ``-1`` when every candidate has failed."""
+        links, indptr = candidates
+        alive = [i for i in links[indptr[row]:indptr[row + 1]].tolist()
+                 if i not in self.disabled]
+        if not alive:
+            return -1
+        loads = [self._load.load(i) for i in alive]
+        return alive[loads.index(min(loads))]
+
     def _edge_link(self, node_a, node_b) -> int:
-        link = self.topo.link_between(node_a, node_b)
-        if link is None:
+        index = self.topo.link_index(node_a, node_b)
+        if index < 0:
             raise RoutingError(f"no link {node_a}->{node_b}")
-        if link.index in self.disabled:
+        if index in self.disabled:
             raise RoutingError(f"link {node_a}->{node_b} is failed")
-        return link.index
+        return index
 
 
 class Router(_RouterBase):
@@ -211,17 +223,15 @@ class Router(_RouterBase):
     def label(self) -> str:
         return self.policy.value
 
-    def _index_gateways(self) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-        """(src_group, dst_group) -> [(link_idx, src_switch, dst_switch)]."""
-        gw: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for link in self.topo.links:
-            if link.kind is not LinkKind.L2:
-                continue
-            sa, sb = link.src[1], link.dst[1]
-            ga = self.topo.group_of_switch(sa)
-            gb = self.topo.group_of_switch(sb)
-            gw.setdefault((ga, gb), []).append((link.index, sa, sb))
-        return gw
+    def _index_gateways(self) -> tuple[np.ndarray, np.ndarray]:
+        """The L2 links per ``(src_group, dst_group)`` pair, row
+        ``ga * G + gb`` of a :func:`~repro.fabric.batchroute.candidate_index`."""
+        flat = self.topo.flat
+        links = np.flatnonzero(flat.link_kind == 2)
+        G = self.config.groups
+        row = (flat.switch_group[flat.link_src_code[links] >> 1] * G
+               + flat.switch_group[flat.link_dst_code[links] >> 1])
+        return batchroute.candidate_index(links, row, G * G)
 
     def _new_batch_state(self) -> batchroute.DragonflyBatchState:
         return batchroute.DragonflyBatchState(
@@ -274,15 +284,16 @@ class Router(_RouterBase):
         return path
 
     def _pick_gateway(self, g_src: int, g_dst: int) -> tuple[int, int, int]:
-        """Least-loaded *surviving* global link between two groups."""
-        candidates = [c for c in self._gateways.get((g_src, g_dst), [])
-                      if c[0] not in self.disabled]
-        if not candidates:
+        """Least-loaded *surviving* global link between two groups, as
+        ``(link, src_switch, dst_switch)``."""
+        best = self._least_loaded(self._gateways,
+                                  g_src * self.config.groups + g_dst)
+        if best < 0:
             raise RoutingError(f"groups {g_src} and {g_dst} have no "
                                "surviving direct links")
-        loads = [self._load.load(idx) for idx, _, _ in candidates]
-        best = int(np.argmin(loads))
-        return candidates[best]
+        flat = self.topo.flat
+        return (best, int(flat.link_src_code[best]) >> 1,
+                int(flat.link_dst_code[best]) >> 1)
 
     def _switch_segment(self, sw_from: int, sw_to: int) -> list[int]:
         """Intra-group segment: empty if same switch, else one L1 hop —
@@ -373,9 +384,23 @@ class FatTreeRouter(_RouterBase):
 
     label = "ecmp"
 
+    def __init__(self, topo: Topology, config, rng: RngLike = None):
+        super().__init__(topo, config, rng)
+        self._uplinks = self._index_uplinks()
+
+    def _index_uplinks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge switch's links to core switches, row ``edge`` of a
+        :func:`~repro.fabric.batchroute.candidate_index`."""
+        E = self.config.edge_switches
+        flat = self.topo.flat
+        src, dst = flat.link_src_code, flat.link_dst_code
+        links = np.flatnonzero(~(src & 1).astype(bool) & (src >> 1 < E)
+                               & ~(dst & 1).astype(bool) & (dst >> 1 >= E))
+        return batchroute.candidate_index(links, src[links] >> 1, E)
+
     def _new_batch_state(self) -> batchroute.FatTreeBatchState:
         return batchroute.FatTreeBatchState(self.topo, self.config,
-                                            self.disabled)
+                                            self._uplinks, self.disabled)
 
     def _plan(self, state, pairs, chunk: int, register: bool) -> BatchPaths:
         return batchroute.plan_fattree(self, state, pairs, chunk=chunk,
@@ -387,25 +412,20 @@ class FatTreeRouter(_RouterBase):
         path = [self._edge_link(("ep", src_ep), ("sw", sw_s))]
         if sw_s != sw_d:
             # pick the least-loaded surviving core plane
-            E = self.config.edge_switches
-            ups = [link for link in self.topo.out_links(("sw", sw_s))
-                   if link.dst[0] == "sw" and link.dst[1] >= E
-                   and link.index not in self.disabled]
-            if not ups:
+            up = self._least_loaded(self._uplinks, sw_s)
+            if up < 0:
                 raise RoutingError(
                     f"edge switch {sw_s} has no surviving uplinks")
-            loads = [self._load.load(link.index) for link in ups]
-            up = ups[int(np.argmin(loads))]
-            core = up.dst
-            down = self.topo.link_between(core, ("sw", sw_d))
-            if down is None:
+            core = ("sw", int(self.topo.flat.link_dst_code[up]) >> 1)
+            down = self.topo.link_index(core, ("sw", sw_d))
+            if down < 0:
                 raise RoutingError(f"core {core} does not reach edge {sw_d}")
-            if down.index in self.disabled:
+            if down in self.disabled:
                 # the matching downlink died: steer flows off this core
                 # plane by disabling its uplink too (fabric-manager move)
                 raise RoutingError(
                     f"core {core} link to edge {sw_d} is failed; disable "
-                    f"uplink {up.index} to route around the plane")
-            path += [up.index, down.index]
+                    f"uplink {up} to route around the plane")
+            path += [up, down]
         path.append(self._edge_link(("sw", sw_d), ("ep", dst_ep)))
         return path

@@ -96,8 +96,8 @@ class FabricManager:
     def degraded_global_capacity(self) -> float:
         """Fraction of global (L2) capacity currently failed."""
         topo = self.network.topology
-        total = sum(link.capacity for link in topo.links
-                    if link.kind is LinkKind.L2)
+        flat = topo.flat
+        total = sum(flat.capacities[flat.link_kind == 2].tolist())  # L2
         lost = sum(topo.link(i).capacity for i in self.failed_links
                    if topo.link(i).kind is LinkKind.L2)
         return lost / total if total else 0.0

@@ -34,6 +34,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
+import numpy as np
+
 from repro.core.scenario import MachineSpec
 from repro.errors import ConfigurationError
 
@@ -105,15 +107,13 @@ def _axis_disabled_links(spec: MachineSpec, value: Any) -> MachineSpec:
     if n == 0:
         indices: tuple[int, ...] = ()
     else:
-        from repro.fabric.topology import LinkKind
         if spec.fabric.kind == "dragonfly":
             from repro.fabric.dragonfly import build_dragonfly
             topo = build_dragonfly(spec.fabric_config())
         else:
             from repro.fabric.fattree import build_fattree
             topo = build_fattree(spec.fabric_config())
-        l2 = tuple(link.index for link in topo.links
-                   if link.kind is LinkKind.L2)
+        l2 = tuple(np.flatnonzero(topo.flat.link_kind == 2).tolist())  # L2
         if len(l2) < n:
             raise ConfigurationError(
                 f"disabled_links={n}: the {spec.fabric.kind} only has "

@@ -76,6 +76,25 @@ class TestTopologyMemo:
         assert _counter("fabric.topology_cache.misses") == 2.0
         assert _counter("fabric.topology_cache.hits") == 1.0
 
+    def test_miss_emits_one_build_span(self):
+        obs.enable()
+        try:
+            topo = build_dragonfly(SMALL)
+            build_dragonfly(SMALL)
+            tree = build_fattree(FatTreeConfig(4, 4))
+            spans = [s for s in obs.tracer().finished_spans()
+                     if s.name == "fabric.topology.build"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert [s.attributes for s in spans] == [
+            {"fabric": "dragonfly", "links": topo.n_links,
+             "switches": topo.n_switches, "endpoints": topo.n_endpoints},
+            {"fabric": "fattree", "links": tree.n_links,
+             "switches": tree.n_switches, "endpoints": tree.n_endpoints}]
+        assert spans[0].attributes["links"] == 324
+        assert all(s.duration_s > 0.0 for s in spans)
+
     def test_clear_fabric_caches_forces_rebuild(self):
         before = build_dragonfly(SMALL)
         clear_fabric_caches()

@@ -1,5 +1,7 @@
 """Dragonfly builder tests — the §3.2 derived quantities."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import TopologyError
@@ -57,6 +59,26 @@ class TestValidation:
     def test_l1_port_overflow(self):
         with pytest.raises(TopologyError):
             DragonflyConfig(switches_per_group=40, l1_ports=32)
+
+    @pytest.mark.parametrize("field, value", [
+        ("link_rate", float("nan")),
+        ("link_rate", float("inf")),
+        ("link_rate", -25e9),
+        ("link_rate", True),
+        ("global_links_per_pair", 0),
+        ("groups", 8.0),
+        ("switches_per_group", 4.0),
+        ("endpoints_per_switch", 2.5),
+        ("endpoints_per_switch", True),
+        ("global_links_per_pair", 1.5),
+        ("l2_ports", 16.0),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value):
+        # NaN rates used to build NaN-capacity links, zero lanes a fabric
+        # without global links, and fractional counts a TypeError deep
+        # in the builder.
+        with pytest.raises(TopologyError, match=field):
+            replace(DragonflyConfig().scaled(4, 2, 2), **{field: value})
 
     def test_l2_port_overflow(self):
         with pytest.raises(TopologyError):

@@ -29,6 +29,21 @@ class TestConfig:
         with pytest.raises(TopologyError):
             FatTreeConfig(oversubscription=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("oversubscription", float("nan")),
+        ("oversubscription", float("inf")),
+        ("link_rate", float("nan")),
+        ("link_rate", 0.0),
+        ("edge_switches", 4.0),
+        ("endpoints_per_edge", 2.5),
+        ("endpoints_per_edge", True),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value):
+        # a NaN oversubscription used to pass construction and raise a
+        # bare ValueError when the core count was first read
+        with pytest.raises(TopologyError, match=field):
+            FatTreeConfig(**{field: value})
+
 
 class TestBuiltClos:
     @pytest.fixture(scope="class")

@@ -1,5 +1,6 @@
 """Generic topology graph tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
@@ -110,3 +111,79 @@ class TestPathValidation:
              tiny.link_between(("sw", 1), ("sw", 2)).index]
         with pytest.raises(TopologyError):
             tiny.validate_path(p)
+
+
+class TestArrayStorage:
+    """The topology is its arrays; appends check and replace them whole."""
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_capacity_rejected(self, tiny, capacity):
+        with pytest.raises(TopologyError, match="capacity"):
+            tiny.add_link(("sw", 0), ("sw", 2), capacity, LinkKind.L2)
+        assert tiny.n_links == 8
+
+    def test_failed_bidirectional_adds_neither_direction(self, tiny):
+        tiny.add_link(("sw", 2), ("sw", 0), 1e9, LinkKind.L2)
+        with pytest.raises(TopologyError, match="duplicate"):
+            tiny.add_bidirectional(("sw", 0), ("sw", 2), 1e9, LinkKind.L2)
+        assert tiny.n_links == 9
+        assert tiny.link_between(("sw", 0), ("sw", 2)) is None
+
+    def test_earlier_flat_view_survives_mutation(self, tiny):
+        before = tiny.flat
+        tiny.add_switch(3, group=1)
+        tiny.add_link(("sw", 2), ("sw", 3), 1e9, LinkKind.L1)
+        assert len(before.capacities) == 8 and len(before.switch_group) == 3
+        assert tiny.flat.sw_link[2, 3] == 8
+
+    def test_links_are_made_on_demand(self, tiny):
+        last = tiny.link(-1)
+        assert last == tiny.links[-1] and last.index == tiny.n_links - 1
+        assert last.src == ("ep", 1) and last.dst == ("sw", 2)
+        with pytest.raises(TopologyError):
+            tiny.link(tiny.n_links)
+
+    def test_second_edge_link_of_an_endpoint_is_found(self, tiny):
+        tiny.add_link(("ep", 0), ("sw", 1), 5e9, LinkKind.L0)
+        assert tiny.link_between(("ep", 0), ("sw", 1)).index == 8
+        assert tiny.link_between(("ep", 0), ("sw", 0)).index == 0
+        assert tiny.link_between(("ep", 0), ("sw", 2)) is None
+        assert tiny.link_between(("ep", 0), ("ep", 1)) is None
+        assert tiny.link_between(("sw", 0), ("sw", 99)) is None
+        assert tiny.link_between(("xx", 0), ("sw", 0)) is None
+
+    def test_ids_and_groups_must_be_non_negative_integers(self):
+        t = Topology()
+        for bad in (dict(switch=-1), dict(switch=1.5), dict(switch=0, group=-1)):
+            with pytest.raises(TopologyError):
+                t.add_switch(**bad)
+        assert t.n_switches == 0
+
+    def test_switches_iterate_in_id_order(self):
+        t = Topology()
+        for sw in (5, 1, 3):
+            t.add_switch(sw, group=sw % 2)
+        assert list(t.switches()) == [1, 3, 5]
+        assert t.switches_in_group(1) == [1, 3, 5]
+        assert t.switches_in_group(-1) == []
+        assert t.flat.switch_group.tolist() == [-1, 1, -1, 1, -1, 1]
+
+    def test_unknown_link_index_in_path(self, tiny):
+        with pytest.raises(TopologyError, match="unknown link"):
+            tiny.validate_path([0, 99])
+
+    def test_from_cables_checks_its_tables(self):
+        with pytest.raises(TopologyError, match="unknown switch"):
+            Topology.from_cables([0, 0], [0, 2], ())
+        with pytest.raises(TopologyError, match="groups"):
+            Topology.from_cables([0, -1], [0], ())
+
+    def test_from_cables_interleaves_directions(self):
+        topo = Topology.from_cables(
+            [0, 0], [0], [(np.array([1]), np.array([0]), 2e9, LinkKind.L0),
+                          (np.array([0]), np.array([2]), 3e9, LinkKind.L1)])
+        assert [(lk.src, lk.dst, lk.capacity, lk.kind) for lk in topo.links] == [
+            (("ep", 0), ("sw", 0), 2e9, LinkKind.L0),
+            (("sw", 0), ("ep", 0), 2e9, LinkKind.L0),
+            (("sw", 0), ("sw", 1), 3e9, LinkKind.L1),
+            (("sw", 1), ("sw", 0), 3e9, LinkKind.L1)]

@@ -380,7 +380,7 @@ class DragonflyBatchState(_BatchState):
         idx = np.flatnonzero(frm != to)
         if idx.size == 0:
             return out
-        direct = self.flat.sw_link[frm[idx], to[idx]].astype(np.int64)
+        direct = self.flat.switch_link(frm[idx], to[idx])
         good = (direct >= 0) & ~self.disabled_mask[np.clip(direct, 0, None)]
         out[idx[good], 0] = direct[good]
         for i in idx[~good]:
@@ -400,21 +400,19 @@ class DragonflyBatchState(_BatchState):
     def _compute_detour(self, sw_from: int, sw_to: int) -> tuple[int, ...]:
         # Mirrors Router._switch_segment: first live intermediate switch
         # in ascending order within the group.
-        def live(a: int, b: int) -> int | None:
-            link = self.flat.sw_link[a, b]
-            if link >= 0 and not self.disabled_mask[link]:
-                return int(link)
-            return None
-
         group = int(self.flat.switch_group[sw_from])
-        for mid in self.topo.switches_in_group(group):
-            if mid in (sw_from, sw_to):
-                continue
-            first, second = live(sw_from, mid), live(mid, sw_to)
-            if first is not None and second is not None:
-                obs.counter("fabric.batch_route.segment_fallbacks").inc()
-                return (first, second)
-        raise RoutingError(f"switches {sw_from} and {sw_to} are disconnected")
+        mids = np.array(self.topo.switches_in_group(group), dtype=np.int64)
+        mids = mids[(mids != sw_from) & (mids != sw_to)]
+        first = self.flat.switch_link(np.full_like(mids, sw_from), mids)
+        second = self.flat.switch_link(mids, np.full_like(mids, sw_to))
+        live = ((first >= 0) & (second >= 0)
+                & ~self.disabled_mask[first] & ~self.disabled_mask[second])
+        if not live.any():
+            raise RoutingError(
+                f"switches {sw_from} and {sw_to} are disconnected")
+        at = int(np.argmax(live))
+        obs.counter("fabric.batch_route.segment_fallbacks").inc()
+        return (int(first[at]), int(second[at]))
 
 
 def plan_dragonfly(router, state: DragonflyBatchState, pairs, *,
@@ -667,7 +665,7 @@ def plan_fattree(router, state: FatTreeBatchState, pairs, *,
             cand, _implied, up = _grouped_waterfill(
                 state.up_link, loads, edges, ci, register, phase=phase[ci])
             core = state.up_core[edges, cand]
-            downlink = flat.sw_link[core, sw_d[ci]].astype(np.int64)
+            downlink = flat.switch_link(core, sw_d[ci])
             if (downlink < 0).any():
                 at = int(np.flatnonzero(downlink < 0)[0])
                 raise RoutingError(

@@ -52,6 +52,15 @@ STREAM_EFFICIENCY = 0.70
 STACK_LINK_SLOTS = 1 << 19
 
 
+def _phase_stack(phases) -> np.ndarray:
+    """``phases`` as an int64 ``(P, n, 2)`` array; anything else raises."""
+    stack = np.asarray(phases, dtype=np.int64)
+    if stack.ndim != 3 or stack.shape[2] != 2 or stack.size == 0:
+        raise ConfigurationError(
+            "phases must be a non-empty (P, n, 2) stack of flows")
+    return stack
+
+
 @dataclass(frozen=True)
 class FlowResult:
     """Per-flow achieved bandwidth, annotated with its endpoints."""
@@ -155,31 +164,31 @@ class FabricNetwork:
         Routing goes through the router's batch planner
         (``router.paths``); ``chunk`` is forwarded to it (``chunk=1``
         reproduces the historical scalar loop exactly).  This is the
-        one-phase case of :meth:`phase_bandwidths`.
+        one-phase case of :meth:`phase_bandwidths`, returning the link
+        utilisation and bottleneck links that it does not keep.
         """
         if len(pairs) == 0:
             raise ConfigurationError("no flows given")
-        ends = np.asarray(pairs, dtype=np.int64)
-        stacked = self.phase_bandwidths(ends[None], demand_per_flow,
-                                        chunk=chunk)
-        result = MaxMinResult(stacked.rates[0], stacked.link_utilisation[0],
-                              stacked.bottleneck_link[0])
+        stack = _phase_stack(np.asarray(pairs, dtype=np.int64)[None])
+        with self._span(stack.shape[1], 1):
+            result = self._solve_stack(stack, demand_per_flow, chunk)
+        ends = stack[0]
         flows = list(map(FlowResult, ends[:, 0].tolist(), ends[:, 1].tolist(),
                          result.rates.tolist()))
         return flows, result
 
     def phase_bandwidths(self, phases,
                          demand_per_flow: float | None = None,
-                         chunk: int | None = None) -> MaxMinResult:
+                         chunk: int | None = None) -> np.ndarray:
         """Max-min rates for ``P`` independent phases of simultaneous flows.
 
         ``phases`` is a ``(P, n, 2)`` stack of endpoint pairs; the flows
         of one phase share the fabric, different phases do not.  Returns
-        a :class:`MaxMinResult` whose ``rates`` and ``bottleneck_link``
-        are ``(P, n)`` arrays and ``link_utilisation`` is ``(P, n_links)``,
-        each row bit-identical to ``flow_bandwidths(phases[p])`` run
-        phase after phase on this network (RNG and final router load
-        included).
+        the ``(P, n)`` rates, each row bit-identical to
+        ``flow_bandwidths(phases[p])`` run phase after phase on this
+        network (RNG and final router load included).  Link utilisation
+        and bottlenecks are not kept: each sub-stack's utilisation feeds
+        the ``fabric.link_utilisation`` histogram and is dropped.
 
         The whole stack is planned in one batch-planner call and solved
         as one block-diagonal max-min problem: capacities tiled ``P``
@@ -187,48 +196,46 @@ class FabricNetwork:
         stack above :data:`STACK_LINK_SLOTS` phase-links is split into
         consecutive sub-stacks.
         """
-        stack = np.asarray(phases, dtype=np.int64)
-        if stack.ndim != 3 or stack.shape[2] != 2 or stack.size == 0:
-            raise ConfigurationError(
-                "phases must be a non-empty (P, n, 2) stack of flows")
+        stack = _phase_stack(phases)
         n_phases, n = stack.shape[:2]
-        if demand_per_flow is None:
-            demand_per_flow = STREAM_EFFICIENCY * self.config.link_rate
-        capacities = self.topology.capacities()
-        n_links = len(capacities)
-        per_stack = max(1, STACK_LINK_SLOTS // n_links)
+        per_stack = max(1, STACK_LINK_SLOTS // self.topology.n_links)
         rates = np.empty((n_phases, n))
-        utilisation = np.empty((n_phases, n_links))
-        bottleneck = np.empty((n_phases, n), dtype=np.int64)
-        with obs.span("fabric.flow_bandwidths", n_flows=n,
-                      n_phases=n_phases, topology=self.topology_label,
-                      policy=self.router.label):
+        with self._span(n, n_phases):
             for lo in range(0, n_phases, per_stack):
                 part = stack[lo:lo + per_stack]
-                k = len(part)
-                self.router.reset_load()
-                paths = self.router.paths(part, chunk=chunk)
-                caps = capacities
-                if k > 1:
-                    # block-diagonal: phase p owns links [p * L, (p + 1) * L)
-                    shift = np.repeat(np.repeat(np.arange(k) * n_links, n),
-                                      paths.lengths())
-                    paths = BatchPaths(paths.indices + shift, paths.indptr)
-                    caps = np.tile(capacities, k)
-                result = maxmin_allocate(
-                    caps, paths, np.full(k * n, float(demand_per_flow)))
-                rates[lo:lo + k] = result.rates.reshape(k, n)
-                utilisation[lo:lo + k] = result.link_utilisation.reshape(
-                    k, n_links)
-                links = result.bottleneck_link.reshape(k, n)
-                bottleneck[lo:lo + k] = np.where(links >= 0, links % n_links,
-                                                 -1)
-        obs.counter("fabric.paths_computed").inc(n_phases * n)
+                rates[lo:lo + len(part)] = self._solve_stack(
+                    part, demand_per_flow, chunk).rates.reshape(len(part), n)
+        return rates
+
+    def _span(self, n_flows: int, n_phases: int):
+        return obs.span("fabric.flow_bandwidths", n_flows=n_flows,
+                        n_phases=n_phases, topology=self.topology_label,
+                        policy=self.router.label)
+
+    def _solve_stack(self, part: np.ndarray, demand_per_flow: float | None,
+                     chunk: int | None) -> MaxMinResult:
+        """Plan and solve a ``(k, n, 2)`` sub-stack as one block-diagonal
+        max-min problem, phase ``p`` owning links ``[p * L, (p + 1) * L)``;
+        the result's arrays are phase-major over those block link ids."""
+        if demand_per_flow is None:
+            demand_per_flow = STREAM_EFFICIENCY * self.config.link_rate
+        k, n = part.shape[:2]
+        capacities = self.topology.capacities()
+        self.router.reset_load()
+        paths = self.router.paths(part, chunk=chunk)
+        if k > 1:
+            shift = np.repeat(np.repeat(np.arange(k) * len(capacities), n),
+                              paths.lengths())
+            paths = BatchPaths(paths.indices + shift, paths.indptr)
+            capacities = np.tile(capacities, k)
+        result = maxmin_allocate(capacities, paths,
+                                 np.full(k * n, float(demand_per_flow)))
+        obs.counter("fabric.paths_computed").inc(k * n)
         obs.histogram("fabric.link_utilisation").observe_many(
-            utilisation.ravel())
+            result.link_utilisation)
         obs.histogram("fabric.flow_bandwidth_bytes_per_s").observe_many(
-            rates.ravel())
-        return MaxMinResult(rates, utilisation, bottleneck)
+            result.rates)
+        return result
 
     def shift_pairs(self, offset_endpoints: int) -> np.ndarray:
         """mpiGraph's pattern as ``(N, 2)`` endpoint pairs: endpoint i

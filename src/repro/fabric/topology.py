@@ -142,20 +142,33 @@ def _lookup(table: np.ndarray, key) -> int:
 
 
 class TopologyArrays:
-    """Dense flat-array views of a :class:`Topology` for batch routing.
+    """Flat-array views of a :class:`Topology` for batch routing.
 
-    Everything the vectorised planners need as O(1) NumPy gathers instead
-    of per-hop lookups: per-endpoint switch and edge-link indices,
-    per-switch group ids, a dense ``(switch, switch) -> link index`` table
-    covering L1 and L2 links, per-link capacities/kinds, and per-link
-    endpoint *codes* (``2 * idx`` for switches, ``2 * idx + 1`` for
-    endpoints) so path chaining can be checked without tuples.
+    Everything the vectorised planners need as NumPy gathers instead of
+    per-hop lookups: per-endpoint switch and edge-link indices, per-switch
+    group ids, per-link capacities/kinds, per-link endpoint *codes*
+    (``2 * idx`` for switches, ``2 * idx + 1`` for endpoints) so path
+    chaining can be checked without tuples, and :meth:`switch_link`, the
+    one switch-to-switch link lookup.  Its tables hold one entry per
+    switch-switch link plus the padding of the group blocks, never one
+    per switch pair:
+
+    * a link inside a group is a gather from ``local_links``.  Group
+      ``g``'s switches, ranked in id order, own a ``|g| x |g|`` block of
+      it, and the link ``a -> b`` sits at ``local_row[a] +
+      local_rank[b]``.  The blocks total ``sum |g|^2`` entries: a
+      dragonfly's L1 mesh plus its diagonal, and on a fat tree (one
+      group per edge switch, one for the cores) ``E + C^2``;
+    * a link between groups (dragonfly L2, fat-tree edge <-> core) is
+      found by ``searchsorted`` in ``remote_keys``, the sorted
+      ``src * n + dst`` keys (``n = len(switch_group)``), whose link ids
+      are ``remote_links``.
 
     :attr:`Topology.flat` builds one instance per topology state, with a
-    few vectorised scatters; the per-link and per-node arrays are the
-    topology's own.  Every array is read-only, and a mutation gives the
-    topology new arrays and a new view, so a view handed out earlier
-    stays consistent.  Missing entries are ``-1``.
+    few vectorised sorts and scatters; the per-link and per-node arrays
+    are the topology's own.  Every array is read-only, and a mutation
+    gives the topology new arrays and a new view, so a view handed out
+    earlier stays consistent.  Missing entries are ``-1``.
     """
 
     def __init__(self, topo: "Topology") -> None:
@@ -184,13 +197,67 @@ class TopologyArrays:
         self.ep_down_link = np.full(n_ep, -1, dtype=np.int64)
         down = dst_is_ep & ~src_is_ep
         self.ep_down_link[dst_idx[down]] = all_links[down]
-        #: dense (src switch, dst switch) -> link index, -1 when absent
-        self.sw_link = np.full((n_sw, n_sw), -1, dtype=np.int32)
-        swsw = ~src_is_ep & ~dst_is_ep
-        self.sw_link[src_idx[swsw], dst_idx[swsw]] = all_links[swsw]
 
-        for arr in (self.ep_up_link, self.ep_down_link, self.sw_link):
+        # switches sorted by (group, id): each group is one run of ranks
+        group = self.switch_group
+        ids = np.flatnonzero(group >= 0)
+        ids = ids[np.argsort(group[ids], kind="stable")]
+        starts = np.diff(group[ids], prepend=-1) != 0
+        run_start = np.flatnonzero(starts)
+        run_size = np.diff(run_start, append=len(ids))
+        run = np.cumsum(starts) - 1
+        rank = np.arange(len(ids)) - run_start[run]
+        block = np.cumsum(run_size ** 2) - run_size ** 2
+        #: switch -> its rank in its group, 0 for an unused id
+        self.local_rank = np.zeros(n_sw, dtype=np.int64)
+        self.local_rank[ids] = rank
+        #: switch -> start of its row in ``local_links``, -1 for an unused id
+        self.local_row = np.full(n_sw, -1, dtype=np.int64)
+        self.local_row[ids] = block[run] + rank * run_size[run]
+        #: per-group ``|g| x |g|`` blocks of intra-group link indices, then
+        #: as many ``-1`` as the largest group has switches, so that
+        #: ``local_row[a] + local_rank[b]`` is in range for any two ids
+        self.local_links = np.full(
+            int((run_size ** 2).sum() + run_size.max(initial=1)), -1,
+            dtype=np.int32)
+        swsw = ~src_is_ep & ~dst_is_ep
+        a, b, links = src_idx[swsw], dst_idx[swsw], all_links[swsw]
+        local = group[a] == group[b]
+        self.local_links[self.local_row[a[local]]
+                         + self.local_rank[b[local]]] = links[local]
+        keys = a[~local] * n_sw + b[~local]
+        order = np.argsort(keys)
+        #: sorted ``src * n_sw + dst`` keys of the links between groups
+        self.remote_keys = keys[order]
+        #: the link index of each of ``remote_keys``
+        self.remote_links = links[~local][order]
+
+        for arr in (self.ep_up_link, self.ep_down_link, self.local_rank,
+                    self.local_row, self.local_links, self.remote_keys,
+                    self.remote_links):
             arr.flags.writeable = False
+
+    def switch_link(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Link indices ``a[i] -> b[i]`` (int64), ``-1`` where there is none.
+
+        ``a`` and ``b`` are equal-length switch-id arrays, each id in
+        ``range(len(switch_group))``.  Every pair reads the group blocks
+        (two unused ids read the ``-1`` padding); pairs across groups
+        then overwrite that with a ``searchsorted`` in ``remote_keys``.
+        """
+        group = self.switch_group
+        local = group[a] == group[b]
+        out = self.local_links[self.local_row[a]
+                               + self.local_rank[b]].astype(np.int64)
+        if not local.all():
+            remote = np.flatnonzero(~local)
+            keys = a[remote] * len(group) + b[remote]
+            at = np.searchsorted(self.remote_keys, keys)
+            hit = at < len(self.remote_keys)
+            hit[hit] = self.remote_keys[at[hit]] == keys[hit]
+            out[remote] = -1
+            out[remote[hit]] = self.remote_links[at[hit]]
+        return out
 
 
 class Topology:
@@ -385,7 +452,9 @@ class Topology:
         if not (s | d) & 1:
             a, b = s >> 1, d >> 1
             n_sw = len(self._switch_group)
-            return int(flat.sw_link[a, b]) if 0 <= a < n_sw and 0 <= b < n_sw else -1
+            if not (0 <= a < n_sw and 0 <= b < n_sw):
+                return -1
+            return int(flat.switch_link(np.array([a]), np.array([b]))[0])
         # an endpoint side: its edge link is the usual answer
         if s & 1 and not d & 1:
             idx = _lookup(flat.ep_up_link, s >> 1)

@@ -183,9 +183,9 @@ def simulate_mpigraph(network: SlingshotNetwork | FatTreeNetwork,
             raw |= {max(1, g // 2), g - 1, g, g + 1, min(n - 1, 2 * g)}
         offsets = sorted(raw)
     phases = np.stack([network.shift_pairs(k) for k in offsets])
-    result = network.phase_bandwidths(phases, chunk=chunk)
+    rates = network.phase_bandwidths(phases, chunk=chunk)
     name = type(network).__name__
-    return MpiGraphHistogram(bandwidths=result.rates.ravel(), system=name)
+    return MpiGraphHistogram(bandwidths=rates.ravel(), system=name)
 
 
 def spec_mpigraph(spec, rng: RngLike = None, *,

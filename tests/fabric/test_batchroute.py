@@ -186,6 +186,30 @@ class TestDisabledLinks:
         for f in range(len(planned)):
             assert (kinds[planned.path(f)] == 2).sum() == 2
 
+    @pytest.mark.parametrize("policy,chunk", [
+        (RoutingPolicy.MINIMAL, 1), (RoutingPolicy.MINIMAL, None),
+        (RoutingPolicy.UGAL, 1)])
+    def test_failed_l1_cables_detour_like_scalar(self, policy, chunk):
+        topo = build_dragonfly(CFG)
+        batch = Router(topo, CFG, policy, rng=14)
+        scalar = Router(topo, CFG, policy, rng=14)
+        # group 0 loses cables 0-1 and 2-3: its mesh stays connected, so
+        # those segments detour through the first live switch
+        for a, b in ((0, 1), (1, 0), (2, 3), (3, 2)):
+            link = topo.link_index(("sw", a), ("sw", b))
+            batch.disable_link(link)
+            scalar.disable_link(link)
+        per_sw = CFG.endpoints_per_switch
+        pairs = [(e, per_sw + e) for e in range(per_sw)]   # switch 0 -> 1
+        pairs += mixed_pairs(CFG.total_endpoints)
+        planned = batch.paths(pairs, chunk=chunk)
+        assert planned.to_lists() == scalar_plan(scalar, pairs)
+        assert not set(planned.indices.tolist()) & batch.disabled
+        via_2 = [topo.link_index(("sw", 0), ("sw", 2)),
+                 topo.link_index(("sw", 2), ("sw", 1))]
+        for f in range(per_sw):
+            assert planned.path(f)[1:3] == via_2
+
     def test_edge_link_failure_rejected(self, topo):
         router = Router(topo, CFG, RoutingPolicy.MINIMAL, rng=1)
         edge = self._link_of_kind(topo, LinkKind.L0).index

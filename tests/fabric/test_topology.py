@@ -134,7 +134,10 @@ class TestArrayStorage:
         tiny.add_switch(3, group=1)
         tiny.add_link(("sw", 2), ("sw", 3), 1e9, LinkKind.L1)
         assert len(before.capacities) == 8 and len(before.switch_group) == 3
-        assert tiny.flat.sw_link[2, 3] == 8
+        pairs = np.array([[1, 2], [2, 1], [0, 1]])
+        assert before.switch_link(pairs[:, 0], pairs[:, 1]).tolist() == [4, 5, 2]
+        assert tiny.flat.switch_link(np.array([2, 1]),
+                                     np.array([3, 2])).tolist() == [8, 4]
 
     def test_links_are_made_on_demand(self, tiny):
         last = tiny.link(-1)

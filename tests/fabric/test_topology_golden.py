@@ -5,10 +5,15 @@ link count and a sha256 of every :class:`~repro.fabric.topology.TopologyArrays`
 array (dtype, shape and bytes).  Every path, utilisation row and
 perfbench digest depends on the dense link order, so any change to how
 the builders lay out links, capacities, kinds or the derived lookup
-tables moves a digest here.
+tables moves a digest here.  The ``sw_link`` entry pins the
+switch-to-switch lookup: it is the digest of the dense ``(switch,
+switch) -> link`` table rebuilt from the lookup's own tables
+(:func:`~tests.fabric.topology_oracle.dense_from_tables`), and every
+config's lookup must answer each switch pair as that table built
+straight from the links does.
 
 Regenerate (only when a layout change is intended) with
-``PYTHONPATH=src python tests/fabric/test_topology_golden.py``.
+``PYTHONPATH=src python -m tests.fabric.test_topology_golden``.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ from repro.core.scenario import AURORA_SPEC
 from repro.fabric.dragonfly import DragonflyConfig, build_dragonfly
 from repro.fabric.fattree import SUMMIT_FATTREE, FatTreeConfig, build_fattree
 
+from .topology_oracle import (assert_lookup_matches, dense_from_tables,
+                              dense_switch_links)
+
 FIXTURE = Path(__file__).parents[1] / "fixtures" / "topology-arrays.json"
 
 ARRAYS = ("capacities", "link_kind", "switch_group", "endpoint_switch",
-          "link_src_code", "link_dst_code", "ep_up_link", "ep_down_link",
-          "sw_link")
+          "link_src_code", "link_dst_code", "ep_up_link", "ep_down_link")
 
 CONFIGS = {
     "frontier": DragonflyConfig(),
@@ -63,14 +70,21 @@ def _digest(arr: np.ndarray) -> str:
 def topology_digests(config) -> dict:
     topo = _build(config)
     flat = topo.flat
-    return {"n_links": topo.n_links,
-            "sha256": {name: _digest(getattr(flat, name)) for name in ARRAYS}}
+    digests = {name: _digest(getattr(flat, name)) for name in ARRAYS}
+    digests["sw_link"] = _digest(dense_from_tables(flat))
+    return {"n_links": topo.n_links, "sha256": digests}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_flat_arrays_match_golden(name):
     golden = json.loads(FIXTURE.read_text())[name]
     assert topology_digests(CONFIGS[name]) == golden
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_switch_link_answers_every_pair(name):
+    topo = _build(CONFIGS[name])
+    assert_lookup_matches(topo.flat, dense_switch_links(topo.flat))
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ These are the original loops: one ``add_switch`` / ``add_endpoint`` /
 that defines the dense link index.  :func:`repro.fabric.dragonfly.
 _materialise_dragonfly` and :func:`repro.fabric.fattree.
 _materialise_fattree` must produce the same arrays.
+
+The dense ``(switch, switch) -> link`` table that
+:meth:`~repro.fabric.topology.TopologyArrays.switch_link` replaced lives
+here too, as the oracle for that lookup: :func:`dense_switch_links`
+builds it from the link arrays, :func:`dense_from_tables` from the
+lookup's own tables.
 """
 
 from __future__ import annotations
@@ -75,7 +81,51 @@ def reference_fattree(config: FatTreeConfig) -> Topology:
 
 FLAT_ARRAYS = ("capacities", "link_kind", "switch_group", "endpoint_switch",
                "link_src_code", "link_dst_code", "ep_up_link", "ep_down_link",
-               "sw_link")
+               "local_rank", "local_row", "local_links", "remote_keys",
+               "remote_links")
+
+
+def dense_switch_links(flat) -> np.ndarray:
+    """The dense ``(n, n)`` int32 table of switch-to-switch link indices,
+    ``-1`` where there is none, scattered from a flat view's per-link
+    node codes (``n = len(switch_group)``)."""
+    n = len(flat.switch_group)
+    table = np.full((n, n), -1, dtype=np.int32)
+    src, dst = flat.link_src_code, flat.link_dst_code
+    swsw = np.flatnonzero(((src | dst) & 1) == 0)
+    table[src[swsw] >> 1, dst[swsw] >> 1] = swsw
+    return table
+
+
+def dense_from_tables(flat) -> np.ndarray:
+    """The same dense table rebuilt from ``switch_link``'s own tables:
+    each group's block of ``local_links`` laid over its switches in rank
+    order, then every ``remote_keys`` entry set to its ``remote_links``."""
+    n = len(flat.switch_group)
+    table = np.full((n, n), -1, dtype=np.int32)
+    for group in np.unique(flat.switch_group[flat.switch_group >= 0]):
+        members = np.flatnonzero(flat.switch_group == group)
+        members = members[np.argsort(flat.local_rank[members])]
+        k = len(members)
+        start = flat.local_row[members[0]]
+        table[np.ix_(members, members)] = \
+            flat.local_links[start:start + k * k].reshape(k, k)
+    src, dst = np.divmod(flat.remote_keys, n)
+    table[src, dst] = flat.remote_links
+    return table
+
+
+def assert_lookup_matches(flat, dense: np.ndarray, rows: int = 256) -> None:
+    """``flat.switch_link`` answers every switch pair as ``dense`` does,
+    asked ``rows`` source switches at a time."""
+    n = len(dense)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        src = np.repeat(np.arange(lo, hi), n)
+        dst = np.tile(np.arange(n), hi - lo)
+        got = flat.switch_link(src, dst)
+        assert got.dtype == np.int64
+        assert np.array_equal(got.reshape(hi - lo, n), dense[lo:hi])
 
 
 def assert_same_topology(built: Topology, reference: Topology) -> None:
@@ -87,3 +137,4 @@ def assert_same_topology(built: Topology, reference: Topology) -> None:
         got, want = getattr(built.flat, name), getattr(reference.flat, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+    assert_lookup_matches(built.flat, dense_switch_links(reference.flat))

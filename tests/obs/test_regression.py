@@ -22,6 +22,13 @@ class TestProbes:
         with pytest.raises(KeyError):
             run_probes(["nope"])
 
+    def test_cache_speedup_flag_holds_call_after_call(self):
+        # cold build vs the best of several memo hits: the 10x flag must
+        # not flip on one slow timer read
+        flags = [PROBES["cache"]()["speedup_at_least_10x"]
+                 for _ in range(100)]
+        assert flags == [1.0] * 100
+
     def test_machine_context_spans_every_layer(self):
         obs.enable()
         try:

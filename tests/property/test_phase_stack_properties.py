@@ -6,9 +6,13 @@ problem.  For generated small dragonflies (all three routing policies)
 and fat trees, chunk sizes ``1``/small/adaptive, and random failed
 fabric links, the stack must equal ``P`` sequential
 ``reset_load(); paths(phase); maxmin_allocate(...)`` runs byte for byte:
-the paths, the rates, bottleneck links and link utilisation, the
-router's RNG state afterwards and its final load.
+the paths, the rates, the router's RNG state afterwards and its final
+load, and the bottleneck links and link utilisation of the block-diagonal
+solves (which ``phase_bandwidths`` drops; :func:`_solves` catches them).
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +92,28 @@ def _state(net):
     return net.router.rng.bit_generator.state, net.router._load.counts.copy()
 
 
+@contextmanager
+def _solves(net):
+    """Per phase, the link utilisation and bottleneck links of every
+    block-diagonal solve made inside the ``with`` block on ``net``'s
+    fabric, block link ids mapped back to the phase's own."""
+    from repro.fabric import network
+    n_links = net.topology.n_links
+    out = {"utilisation": [], "bottleneck": []}
+
+    def spy(caps, paths, demands):
+        result = solve(caps, paths, demands)
+        k = len(caps) // n_links
+        out["utilisation"].append(result.link_utilisation.reshape(k, n_links))
+        links = result.bottleneck_link.reshape(k, -1)
+        out["bottleneck"].append(np.where(links >= 0, links % n_links, -1))
+        return result
+
+    solve = network.maxmin_allocate
+    with mock.patch.object(network, "maxmin_allocate", spy):
+        yield out
+
+
 def _sequential(net, stack, chunk):
     """Phase after phase: the reference the stack must equal."""
     caps = net.topology.capacities()
@@ -133,12 +159,12 @@ def test_stack_equals_phase_after_phase(case):
     assert load.tobytes() == ref_load.tobytes()
 
     # plan + block-diagonal solve
-    got = solver.phase_bandwidths(stack, chunk=chunk)
-    assert got.rates.tobytes() == np.stack(
-        [r.rates for r in results]).tobytes()
-    assert got.bottleneck_link.tobytes() == np.stack(
+    with _solves(solver) as solved:
+        got = solver.phase_bandwidths(stack, chunk=chunk)
+    assert got.tobytes() == np.stack([r.rates for r in results]).tobytes()
+    assert np.concatenate(solved["bottleneck"]).tobytes() == np.stack(
         [r.bottleneck_link for r in results]).tobytes()
-    assert got.link_utilisation.tobytes() == np.stack(
+    assert np.concatenate(solved["utilisation"]).tobytes() == np.stack(
         [r.link_utilisation for r in results]).tobytes()
     rng, load = _state(solver)
     assert rng == ref_rng
@@ -174,7 +200,8 @@ def test_a_split_stack_equals_the_whole(monkeypatch):
     stack = np.stack([np.stack([src, (src + k) % n_eps], axis=1)
                       for k in (1, 7, 8, 20, 33)])
     whole = SlingshotNetwork(cfg, RoutingPolicy.UGAL, rng=4)
-    want = whole.phase_bandwidths(stack)
+    with _solves(whole) as want_solved:
+        want = whole.phase_bandwidths(stack)
     split = SlingshotNetwork(cfg, RoutingPolicy.UGAL, rng=4)
     # two phases per sub-stack: three plan-and-solve calls
     monkeypatch.setattr(network, "STACK_LINK_SLOTS",
@@ -183,10 +210,12 @@ def test_a_split_stack_equals_the_whole(monkeypatch):
     paths = split.router.paths
     monkeypatch.setattr(split.router, "paths", lambda pairs, chunk=None:
                         plans.append(len(pairs)) or paths(pairs, chunk=chunk))
-    got = split.phase_bandwidths(stack)
+    with _solves(split) as solved:
+        got = split.phase_bandwidths(stack)
     assert plans == [2, 2, 1]
-    assert got.rates.tobytes() == want.rates.tobytes()
-    assert got.bottleneck_link.tobytes() == want.bottleneck_link.tobytes()
-    assert got.link_utilisation.tobytes() == want.link_utilisation.tobytes()
+    assert got.tobytes() == want.tobytes()
+    for key in ("bottleneck", "utilisation"):
+        assert np.concatenate(solved[key]).tobytes() == \
+            np.concatenate(want_solved[key]).tobytes()
     assert _state(split)[0] == _state(whole)[0]
     assert _state(split)[1].tobytes() == _state(whole)[1].tobytes()

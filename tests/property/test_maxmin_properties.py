@@ -135,6 +135,30 @@ def oracle_instances(draw):
     return caps, paths, demands
 
 
+#: Capacities whose float shares tie, nearly tie or round apart: 0.1 +
+#: 0.2 != 0.3, and three shares of 1/3 do not sum back to 1.
+NEAR_TIE_CAPS = st.builds(
+    lambda base, times: base * times,
+    st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 1.0]),
+    st.integers(min_value=1, max_value=6))
+
+
+@st.composite
+def near_tie_instances(draw):
+    """Instances whose saturation levels tie or differ by a rounding."""
+    n_links = draw(st.integers(min_value=1, max_value=24))
+    n_flows = draw(st.integers(min_value=1, max_value=32))
+    caps = draw(st.lists(NEAR_TIE_CAPS, min_size=n_links, max_size=n_links))
+    paths = [draw(st.lists(st.integers(min_value=0, max_value=n_links - 1),
+                           min_size=1, max_size=min(4, n_links), unique=True))
+             for _ in range(n_flows)]
+    if draw(st.booleans()):
+        return caps, paths, None
+    demand = st.one_of(st.just(np.inf), NEAR_TIE_CAPS)
+    return caps, paths, draw(st.lists(demand, min_size=n_flows,
+                                      max_size=n_flows))
+
+
 def _solve_counting(caps, paths, demands):
     """``maxmin_allocate`` and its ``fabric.maxmin.iterations`` count."""
     obs.reset()
@@ -156,6 +180,15 @@ class TestMatchesReferenceLoop:
     @given(oracle_instances(), st.sampled_from([1, 2, 5, maxmin._BLOCK]))
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, instance, width):
+        self.check(instance, width)
+
+    @given(near_tie_instances(), st.sampled_from([1, 2, 5, maxmin._BLOCK]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_near_ties(self, instance, width):
+        self.check(instance, width)
+
+    @staticmethod
+    def check(instance, width):
         caps, paths, demands = instance
         want, want_events = reference_maxmin(caps, paths, demands)
         csr = BatchPaths(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.fabric.maxmin import maxmin_allocate
 
@@ -161,3 +162,32 @@ class TestScale:
                  for _ in range(n_flows)]
         result = maxmin_allocate(caps, paths)
         assert np.all(result.rates > 0)
+
+    def test_stacked_shift_phases_freeze_in_rounds(self):
+        """A 16x8x16 mpiGraph run's stacked shift phases (~4,300 freeze
+        events in one solve) take under a tenth as many rounds as events,
+        so the solve cannot fall back to one event per round unnoticed."""
+        from repro.core.scenario import FRONTIER_SPEC
+        from repro.microbench.mpigraph import simulate_mpigraph
+        net = FRONTIER_SPEC.scaled(16, 8, 16).build_network(rng=2023)
+        obs.reset()
+        obs.enable(tracing=False)
+        try:
+            simulate_mpigraph(net)
+            snap = obs.registry().snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert snap["fabric.maxmin.solves"]["value"] == 1
+        events = snap["fabric.maxmin.iterations"]["value"]
+        assert events > 1000
+        assert snap["fabric.maxmin.rounds"]["value"] < events / 10
+
+    def test_event_limit_counts_freeze_events(self):
+        # three links saturate at three levels: three events, so a limit
+        # of two stops the solve before its last event
+        caps, paths = [1.0, 2.0, 3.0], [[0], [1], [2]]
+        assert maxmin_allocate(caps, paths, max_iterations=3).rates.tolist() \
+            == [1.0, 2.0, 3.0]
+        with pytest.raises(SimulationError, match="converge"):
+            maxmin_allocate(caps, paths, max_iterations=2)

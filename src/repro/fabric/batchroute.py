@@ -162,10 +162,8 @@ def _charge(loads: np.ndarray, block: np.ndarray, phase: np.ndarray) -> None:
     """Charge each row of a ``-1``-padded path block to its phase's load."""
     valid = block >= 0
     if valid.any():
-        n_links = loads.shape[1]
-        flat = loads.reshape(-1)
-        flat += np.bincount((block + (phase * n_links)[:, None])[valid],
-                            minlength=flat.size)
+        np.add.at(loads.reshape(-1),
+                  (block + (phase * loads.shape[1])[:, None])[valid], 1)
 
 
 def _check_endpoints(flat, eps: np.ndarray) -> None:

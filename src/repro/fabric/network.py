@@ -20,7 +20,7 @@ Topology construction is memoized per config (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ def _phase_stack(phases) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """Per-flow achieved bandwidth, annotated with its endpoints."""
 
     src: int

@@ -259,6 +259,17 @@ class TopologyArrays:
             out[remote[hit]] = self.remote_links[at[hit]]
         return out
 
+    def switch_link_one(self, a: int, b: int) -> int:
+        """:meth:`switch_link` for one pair of switch ids, by scalar reads."""
+        group = self.switch_group
+        if group[a] == group[b]:
+            return int(self.local_links[self.local_row[a] + self.local_rank[b]])
+        key = a * len(group) + b
+        at = int(self.remote_keys.searchsorted(key))
+        if at < len(self.remote_keys) and self.remote_keys[at] == key:
+            return int(self.remote_links[at])
+        return -1
+
 
 class Topology:
     """A directed, capacitated network graph.
@@ -454,7 +465,7 @@ class Topology:
             n_sw = len(self._switch_group)
             if not (0 <= a < n_sw and 0 <= b < n_sw):
                 return -1
-            return int(flat.switch_link(np.array([a]), np.array([b]))[0])
+            return flat.switch_link_one(a, b)
         # an endpoint side: its edge link is the usual answer
         if s & 1 and not d & 1:
             idx = _lookup(flat.ep_up_link, s >> 1)

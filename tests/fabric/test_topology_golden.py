@@ -87,6 +87,18 @@ def test_switch_link_answers_every_pair(name):
     assert_lookup_matches(topo.flat, dense_switch_links(topo.flat))
 
 
+@pytest.mark.parametrize("name", ["dragonfly-16x8x16", "summit-fattree"])
+def test_scalar_link_index_matches_switch_link(name):
+    topo = _build(CONFIGS[name])
+    n = len(topo.flat.switch_group)
+    src, dst = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    want = topo.flat.switch_link(src, dst).tolist()
+    got = [topo.link_index(("sw", a), ("sw", b))
+           for a, b in zip(src.tolist(), dst.tolist())]
+    assert got == want
+    assert all(type(link) is int for link in got)
+
+
 if __name__ == "__main__":
     doc = {name: topology_digests(cfg) for name, cfg in CONFIGS.items()}
     FIXTURE.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

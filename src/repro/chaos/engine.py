@@ -695,16 +695,12 @@ def run_chaos_cached(spec: MachineSpec, config: ChaosConfig | None = None, *,
     ``fresh=True`` ignores and overwrites any existing artifact.
     """
     config = config if config is not None else ChaosConfig()
-    run_id = chaos_run_id(spec, config)
-    path = CHAOS_LEDGER.path(out_dir, run_id)
-    doc = None if fresh else CHAOS_LEDGER.resume(out_dir, run_id)
-    if doc is not None:
-        obs.counter("chaos.artifacts_resumed").inc()
-        return doc, path, True
-    doc = run_chaos(spec, config).to_doc()
-    write_json(path, doc)
-    obs.counter("chaos.artifacts_written").inc()
-    return doc, path, False
+    # ``write_json`` is looked up here, at call time, so a wrapper
+    # installed on this module's binding sees every artifact write.
+    return CHAOS_LEDGER.cached(
+        out_dir, chaos_run_id(spec, config),
+        lambda: run_chaos(spec, config).to_doc(), fresh=fresh,
+        write=write_json, counter="chaos")
 
 
 def validation_config(**overrides: Any) -> ChaosConfig:

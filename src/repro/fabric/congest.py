@@ -194,16 +194,10 @@ def run_congest_cached(spec, config: CongestConfig | None = None, *,
     """Run (or resume) a congest study; returns (doc, path, resumed)."""
     from repro.obs.export import write_json
     config = config if config is not None else CongestConfig()
-    run_id = congest_run_id(spec, config)
-    path = CONGEST_LEDGER.path(out_dir, run_id)
-    doc = None if fresh else CONGEST_LEDGER.resume(out_dir, run_id)
-    if doc is not None:
-        obs.counter("fabric.timeflow.artifacts_resumed").inc()
-        return doc, path, True
-    doc = run_congest(spec, config)
-    write_json(path, doc)
-    obs.counter("fabric.timeflow.artifacts_written").inc()
-    return doc, path, False
+    return CONGEST_LEDGER.cached(
+        out_dir, congest_run_id(spec, config),
+        lambda: run_congest(spec, config), fresh=fresh, write=write_json,
+        counter="fabric.timeflow")
 
 
 def run_congest_grid(spec, config: CongestConfig | None = None, *,

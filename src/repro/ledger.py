@@ -16,7 +16,9 @@ A document is **trusted** when it is a JSON object on the current schema
 whose embedded id matches the one asked for; only trusted
 ``status == "ok"`` documents resume.  Writes stay with the callers,
 through the atomic :func:`repro.obs.export.write_json`, so a killed run
-never leaves a truncated document that a resume would trust.
+never leaves a truncated document that a resume would trust;
+:meth:`Ledger.cached` is the run-or-resume step chaos and congest share,
+with the caller's writer passed in.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
+
+from repro import obs
 
 __all__ = ["Ledger", "PruneReport", "run_id"]
 
@@ -102,6 +106,23 @@ class Ledger:
         """The trusted ``status == "ok"`` document for ``doc_id``, or ``None``."""
         doc = self.load(out_dir, doc_id)
         return doc if doc is not None and doc.get("status") == "ok" else None
+
+    def cached(self, out_dir: str, doc_id: str,
+               compute: Callable[[], dict[str, Any]], *, fresh: bool,
+               write: Callable[[str, dict[str, Any]], Any], counter: str,
+               ) -> tuple[dict[str, Any], str, bool]:
+        """Resume ``doc_id``, or compute and ``write`` it: ``(doc, path,
+        resumed)``.  ``fresh`` skips the resume; each outcome counts in
+        ``<counter>.artifacts_resumed`` or ``<counter>.artifacts_written``."""
+        path = self.path(out_dir, doc_id)
+        doc = None if fresh else self.resume(out_dir, doc_id)
+        if doc is not None:
+            obs.counter(f"{counter}.artifacts_resumed").inc()
+            return doc, path, True
+        doc = compute()
+        write(path, doc)
+        obs.counter(f"{counter}.artifacts_written").inc()
+        return doc, path, False
 
     def _doc_id(self, name: str) -> str | None:
         """The id in a ``<prefix><id>.json`` file name, or ``None`` when

@@ -69,7 +69,7 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
 
 def _resolve_spec(doc: dict[str, Any]) -> MachineSpec:
     from repro.core.family import family, family_names
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, TopologyError
     if "spec" in doc and "family" in doc:
         raise ProtocolError("request carries both 'spec' and 'family'; "
                             "send one (or neither for Frontier)")
@@ -88,12 +88,12 @@ def _resolve_spec(doc: dict[str, Any]) -> MachineSpec:
         if "scaled" in doc:
             dims = doc["scaled"]
             if (not isinstance(dims, (list, tuple)) or len(dims) != 3
-                    or not all(isinstance(d, int) for d in dims)):
+                    or not all(type(d) is int for d in dims)):
                 raise ProtocolError(
                     "'scaled' wants [groups, switches, endpoints] ints, "
                     f"got {dims!r}")
             spec = spec.scaled(*dims)
-    except ConfigurationError as exc:
+    except (ConfigurationError, TopologyError) as exc:
         raise ProtocolError(f"bad machine spec: {exc}") from exc
     return spec
 
@@ -131,8 +131,8 @@ class ScenarioRequest:
             except (TypeError, ValueError):
                 raise ProtocolError(
                     f"'timeout_s' wants a number, got {timeout_s!r}") from None
-            if timeout_s <= 0:
-                raise ProtocolError("'timeout_s' must be > 0")
+            if not timeout_s > 0:      # NaN too: it would never expire
+                raise ProtocolError(f"'timeout_s' must be > 0, got {timeout_s}")
         return cls(probe=probe, spec=_resolve_spec(doc), seed=seed,
                    id=str(doc.get("id", "")), timeout_s=timeout_s)
 

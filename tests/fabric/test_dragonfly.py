@@ -103,6 +103,13 @@ class TestScaledConfig:
         assert small.groups == 6
         assert small.endpoints_per_group == 8
 
+    @pytest.mark.parametrize("dims", [(1, 4, 4), (0, 4, 4), (8, 0, 4),
+                                      (8, 4, 0), (True, 4, 4)])
+    def test_degenerate_dims_are_topology_errors(self, dims):
+        # the bundle width divides by groups - 1 and by the switch count
+        with pytest.raises(TopologyError, match="scaled dragonfly"):
+            DragonflyConfig().scaled(*dims)
+
 
 class TestBuiltTopology:
     @pytest.fixture(scope="class")

@@ -65,6 +65,10 @@ class TestRequestValidation:
         {"probe": "storage", "timeout_s": "soon"},
         {"probe": "storage", "schema": 99},
         {"probe": "storage", "spec": {"schema": 99}},
+        {"probe": "storage", "scaled": [1, 4, 4]},
+        {"probe": "storage", "scaled": [8, 0, 4]},
+        {"probe": "storage", "scaled": [True, 4, 4]},
+        {"probe": "storage", "timeout_s": float("nan")},
     ])
     def test_bad_requests_raise_protocol_error(self, doc):
         with pytest.raises(ProtocolError):

@@ -102,6 +102,48 @@ class TestObservabilityVerbs:
         doc = json.loads(path.read_text())
         assert "fabric.paths_computed" in doc["metrics"]
 
+    @pytest.mark.parametrize("argv", [["trace", "storage", "--json"],
+                                      ["trace", "--json", "storage"]])
+    def test_flags_after_a_report_verb_are_the_wrappers(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("I/O Subsystem")       # the report, then JSON
+        doc = json.loads(out[out.index("\n{") + 1:])
+        assert doc["schema"] == 1
+
+    def test_trace_wraps_any_verb(self, tmp_path, capsys):
+        assert main(["trace", "congest", "--scaled", "8", "4", "4",
+                     "--k", "10", "--horizon-us", "50",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Victim tail vs backpressure" in out
+        assert "Trace: congest" in out
+        assert "fabric.timeflow.study" in out
+
+    def test_metrics_wraps_any_verb(self, tmp_path, capsys):
+        assert main(["metrics", "chaos", "--scaled", "8", "4", "4",
+                     "--hours", "12", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "(written)" in out and "Metrics: chaos" in out
+        assert "chaos.artifacts_written" in out
+        assert list(tmp_path.glob("chaos-*.json"))
+
+    def test_wrapped_verb_keeps_its_own_flags(self, tmp_path, capsys):
+        # --json after congest is congest's: its document, then the table
+        assert main(["metrics", "congest", "--scaled", "8", "4", "4",
+                     "--k", "10", "--horizon-us", "50", "--json",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out[:out.index("\n}\n") + 2])
+        assert doc["status"] == "ok"
+        assert "Metrics: congest" in out
+
+    @pytest.mark.parametrize("verb", ["serve", "trace", "metrics"])
+    def test_unwrappable_verbs_are_usage_errors(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", verb])
+        assert exc.value.code == 2
+
     def test_trace_collapsed_emits_folded_stacks(self, capsys):
         assert main(["trace", "--collapsed"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -403,6 +445,33 @@ class TestMalformedKnobs:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message)
+
+
+class TestBadInputIsOneLine:
+    """Input that used to end in a traceback: one line, exit 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scenario", "--scaled", "1", "4", "4"], "scenario: a scaled dragonfly"),
+        (["scenario", "--scaled", "0", "4", "4"], "scenario: a scaled dragonfly"),
+        (["chaos", "--scaled", "1", "4", "4"], "chaos: a scaled dragonfly"),
+        (["congest", "--scaled", "8", "0", "4"], "congest: a scaled dragonfly"),
+        (["mpigraph", "--bins", "0"], "mpigraph: histogram bins must be >= 1"),
+        (["query", "--local", "--spec", "{tmp}/absent.json"],
+         "query: --spec {tmp}/absent.json: "),
+        (["query", "--local", "--spec", "{tmp}/cut.json"],
+         "query: --spec {tmp}/cut.json: invalid machine-spec JSON"),
+        (["query", "--addr-file", "{tmp}/cut.json"],
+         "query: --addr-file {tmp}/cut.json: "),
+    ])
+    def test_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        (tmp_path / "cut.json").write_text('{"name": ')
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message.replace("{tmp}", str(tmp_path)))
 
 
 class TestCompareVerb:

@@ -55,10 +55,12 @@ Scenario verbs (see :mod:`repro.core.scenario`):
                availability/goodput deltas (``--heal --validate`` runs
                the three-arm heal convergence gate instead)
 ``congest``    time-stepped congestion study: an incast (N senders ->
-               one victim plus elephants) run once without backpressure
-               and once per ECN marking threshold (``--k`` sweep), all
-               arms integrated as one batched ensemble; prints the
-               victim-tail table and writes a resumable artifact under
+               one victim plus elephants) on the spec's whole fabric
+               (``--scaled G S E`` shrinks it), run once without
+               backpressure and once per ECN marking threshold (``--k``
+               sweep), all arms integrated as one batched ensemble;
+               prints the victim-tail table and writes a resumable
+               artifact under
                ``benchmarks/out/congest``; ``--backoffs B1,B2`` runs
                the k x backoff ablation grid instead (one ensemble, not
                cached); ``--validate`` scores the fluid engine against
@@ -101,6 +103,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -1053,10 +1056,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader left (``sweep ... | grep -q``): aim the final
+        # flush at devnull and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

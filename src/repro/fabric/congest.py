@@ -24,17 +24,17 @@ from repro.ledger import Ledger
 from repro.ledger import run_id as congest_run_id
 
 __all__ = [
-    "CongestConfig", "CONGEST_MAX_ENDPOINTS", "congest_spec",
-    "congest_scenario", "run_congest", "run_congest_cached",
-    "run_congest_grid", "congest_run_id", "CONGEST_LEDGER",
-    "DEFAULT_CONGEST_DIR", "CONGEST_SCHEMA_VERSION",
+    "CongestConfig", "congest_scenario", "run_congest",
+    "run_congest_cached", "run_congest_grid", "congest_run_id",
+    "CONGEST_LEDGER", "DEFAULT_CONGEST_DIR", "CONGEST_SCHEMA_VERSION",
 ]
 
 #: Default artifact directory (mirrors the sweep/chaos layout).
 DEFAULT_CONGEST_DIR = os.path.join("benchmarks", "out", "congest")
 
-#: Artifact schema (bumped on incompatible document changes).
-CONGEST_SCHEMA_VERSION = 1
+#: Artifact schema (bumped on incompatible document changes; 2: specs
+#: above 4,096 endpoints no longer run a silent 8x4x4 reduction).
+CONGEST_SCHEMA_VERSION = 2
 
 #: Congest studies: ``congest-<run_id>.json``, id at ``run_id``.
 CONGEST_LEDGER = Ledger(prefix="congest-", schema=CONGEST_SCHEMA_VERSION,
@@ -105,22 +105,8 @@ class CongestConfig:
                               warmup_s=self.warmup_frac * self.horizon_s)
 
 
-#: Beyond this many endpoints the study auto-reduces to the validation
-#: geometry (building the full 37,888-endpoint fabric for a fluid study
-#: is the same wall the flow-level mpigraph probe hits).
-CONGEST_MAX_ENDPOINTS = 4096
-
-
-def congest_spec(spec):
-    """The spec a congest study runs on: beyond
-    :data:`CONGEST_MAX_ENDPOINTS` endpoints, its 8x4x4 reduction."""
-    if spec.fabric_config().total_endpoints > CONGEST_MAX_ENDPOINTS:
-        return spec.scaled(8, 4, 4)
-    return spec
-
-
 def congest_scenario(spec, config: CongestConfig):
-    """``(reduced spec, network, flows)`` of one congest study.
+    """``(network, flows)`` of one congest study on ``spec``'s fabric.
 
     Reads the incast knobs of ``config`` only (``fanin``, ``duty``,
     ``burst_period_s``, ``elephants``, ``seed``).  Deterministic in
@@ -128,24 +114,22 @@ def congest_scenario(spec, config: CongestConfig):
     times both draw from ``config.seed``, so two calls plan identical
     paths and every arm of a study sees the same traffic.
     """
-    spec = congest_spec(spec)
     net = spec.build_network(rng=config.seed)
     flows = incast_pattern(
         net, fanin=config.fanin, duty=config.duty,
         burst_period_s=config.burst_period_s, elephants=config.elephants,
         rng=config.seed)
-    return spec, net, flows
+    return net, flows
 
 
 def _run_arms(spec, config: CongestConfig, cfgs: list[TimeflowConfig],
-              span: str, **attrs: int) -> tuple[Any, tuple]:
-    """``(reduced spec, results)``: the study's scenario under every arm
-    config ``cfgs``, one ensemble over one path plan (UGAL planning is
-    RNG-fed, so arms must share the engine to share the paths)."""
-    run_spec, net, flows = congest_scenario(spec, config)
-    engine = TimeflowEngine(net, flows, cfgs[0])
+              span: str, **attrs: int) -> tuple:
+    """The study's scenario under every arm config ``cfgs``, one
+    ensemble over one path plan (UGAL planning is RNG-fed, so arms must
+    share the engine to share the paths)."""
+    engine = TimeflowEngine(*congest_scenario(spec, config), cfgs[0])
     with obs.span(span, **attrs):
-        return run_spec, engine.run_ensemble(cfgs)
+        return engine.run_ensemble(cfgs)
 
 
 def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
@@ -162,8 +146,8 @@ def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
     ks: list[float | None] = [None] if config.include_fifo else []
     ks.extend(float(k) for k in config.ks)
     cfgs = [config.arm_config(k) for k in ks]
-    run_spec, results = _run_arms(spec, config, cfgs,
-                                  "fabric.timeflow.study", arms=len(cfgs))
+    results = _run_arms(spec, config, cfgs, "fabric.timeflow.study",
+                        arms=len(cfgs))
     arms: list[dict[str, Any]] = [
         {"mode": "fifo" if k is None else "ecn", "ecn_k": k,
          **result.to_doc()}
@@ -173,7 +157,7 @@ def run_congest(spec, config: CongestConfig | None = None) -> dict[str, Any]:
         "status": "ok",
         "run_id": congest_run_id(spec, config),
         "spec": spec.to_dict(),
-        "network": run_spec.name,
+        "network": spec.name,
         "config": config.to_dict(),
         "arms": arms,
     }
@@ -225,12 +209,12 @@ def run_congest_grid(spec, config: CongestConfig | None = None, *,
     cells.extend((float(k), b) for k in config.ks for b in backoffs)
     cfgs = [config.arm_config(k) if b is None else config.arm_config(k, b)
             for k, b in cells]
-    run_spec, results = _run_arms(spec, config, cfgs,
-                                  "fabric.timeflow.grid", cells=len(cells))
+    results = _run_arms(spec, config, cfgs, "fabric.timeflow.grid",
+                        cells=len(cells))
     doc: dict[str, Any] = {
         "schema": CONGEST_SCHEMA_VERSION,
         "status": "ok",
-        "network": run_spec.name,
+        "network": spec.name,
         "config": config.to_dict(),
         "backoffs": list(backoffs),
         "cells": [],

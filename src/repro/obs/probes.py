@@ -286,7 +286,8 @@ def probe_congestion() -> dict[str, float]:
                                        validate_victim_impact)
 
     validation = validate_victim_impact()
-    _, net, flows = congest_scenario(frontier_spec(), CongestConfig())
+    net, flows = congest_scenario(frontier_spec().scaled(8, 4, 4),
+                                  CongestConfig())
     arms = {}
     for name, ecn in (("fifo", False), ("ecn", True)):
         cfg = TimeflowConfig(ecn=ecn, ecn_k=30.0, warmup_s=1e-4)
@@ -329,7 +330,7 @@ def probe_ensemble() -> dict[str, float]:
     config = CongestConfig(ks=(10.0, 60.0), horizon_s=150e-6)
     batched = run_congest(spec, config)
     cfgs = [config.arm_config(arm["ecn_k"]) for arm in batched["arms"]]
-    _, net, flows = congest_scenario(spec, config)
+    net, flows = congest_scenario(spec, config)
     engine = TimeflowEngine(net, flows, cfgs[0])
     matches = all(
         _json.dumps({"mode": arm["mode"], "ecn_k": arm["ecn_k"],

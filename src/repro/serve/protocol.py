@@ -59,7 +59,7 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     """Parse one protocol line; :class:`ProtocolError` on garbage."""
     try:
         doc = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep or long
         raise ProtocolError(f"request line is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError(
@@ -250,8 +250,8 @@ class ScenarioResponse:
                    wall_time_s=wall_time_s)
 
     @classmethod
-    def bad_request(cls, exc: Exception,
-                    request_id: str = "") -> "ScenarioResponse":
+    def bad_request(cls, exc: Exception, request_id: str = "",
+                    code: int = 400) -> "ScenarioResponse":
         return cls(id=request_id, status="error",
-                   error={"type": type(exc).__name__, "code": 400,
+                   error={"type": type(exc).__name__, "code": code,
                           "message": str(exc)})

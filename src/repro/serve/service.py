@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -267,22 +268,25 @@ class ScenarioService:
                 pass
 
     def _admit_line(self, line: bytes) -> "asyncio.Future":
-        """Decode + submit one protocol line; bad lines answer inline."""
+        """Decode + submit one protocol line; bad lines answer inline:
+        400 for bad input, 500 for any other exception, which must not
+        close the connection on the answers still pending there."""
         assert self._loop is not None
+        request_id = ""
         try:
             doc = decode_line(line)
-            request = ScenarioRequest.from_wire(doc)
+            request_id = str(doc.get("id", ""))
+            return self.submit(ScenarioRequest.from_wire(doc))
         except (ProtocolError, ReproError) as exc:
             obs.counter("serve.bad_requests").inc()
-            fut: asyncio.Future = self._loop.create_future()
-            request_id = ""
-            try:
-                request_id = str(decode_line(line).get("id", ""))
-            except ProtocolError:
-                pass
-            fut.set_result(ScenarioResponse.bad_request(exc, request_id))
-            return fut
-        return self.submit(request)
+            response = ScenarioResponse.bad_request(exc, request_id)
+        except Exception as exc:
+            traceback.print_exc()
+            obs.counter("serve.internal_errors").inc()
+            response = ScenarioResponse.bad_request(exc, request_id, 500)
+        fut: asyncio.Future = self._loop.create_future()
+        fut.set_result(response)
+        return fut
 
     @staticmethod
     async def _write_reply(fut: "asyncio.Future",

@@ -5,7 +5,7 @@ Artifact layout (``<out_dir>/<task_id>.json``, written atomically via
 truncated artifact that a resume would trust)::
 
     {
-      "schema": 1,
+      "schema": 2,
       "task":    {"id", "probe", "seed", "axes", "spec"},
       "status":  "ok" | "error",
       "values":  {metric: float, ...},          # ok only
@@ -31,7 +31,8 @@ from repro.obs.export import write_json
 
 __all__ = ["ARTIFACT_SCHEMA_VERSION", "SWEEP_LEDGER", "write_artifact"]
 
-ARTIFACT_SCHEMA_VERSION = 1
+#: 2: ``congest`` tasks above 4,096 endpoints no longer run on 8x4x4.
+ARTIFACT_SCHEMA_VERSION = 2
 
 #: Sweep tasks (and served requests): ``<task_id>.json``, id at ``task.id``.
 SWEEP_LEDGER = Ledger(prefix="", schema=ARTIFACT_SCHEMA_VERSION,

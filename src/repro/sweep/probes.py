@@ -229,19 +229,18 @@ def _congest_seed(spec: MachineSpec) -> int:
                           "big") >> 1
 
 
-def _congest_scenario(spec: MachineSpec):
-    """(reduced spec, network, flows): the congest study's scenario with
-    the spec's fanin and burst duty, seeded from the ECN-neutral content
-    of the reduced spec — *not* from the per-task RNG stream — so tasks
-    that differ only in ECN knobs build bit-identical scenarios and can
-    integrate as one ensemble."""
-    from repro.fabric.congest import (CongestConfig, congest_scenario,
-                                      congest_spec)
-    spec = congest_spec(spec)
+def _congest_engine(spec: MachineSpec, cfg):
+    """A timeflow engine over the congest scenario of the spec's own
+    fabric, with its fanin and burst duty, seeded from its ECN-neutral
+    content — *not* from the per-task RNG stream — so tasks that differ
+    only in ECN knobs build bit-identical scenarios and can integrate as
+    one ensemble."""
+    from repro.fabric.congest import CongestConfig, congest_scenario
+    from repro.fabric.timeflow import TimeflowEngine
     knobs = spec.congestion
-    return congest_scenario(spec, CongestConfig(
+    return TimeflowEngine(*congest_scenario(spec, CongestConfig(
         fanin=knobs.incast_fanin, duty=knobs.burst_duty,
-        seed=_congest_seed(spec)))
+        seed=_congest_seed(spec))), cfg)
 
 
 def _congest_config(spec: MachineSpec):
@@ -270,8 +269,8 @@ def probe_congest(spec: MachineSpec,
     This is the sweep face of :mod:`repro.fabric.timeflow`: the
     ``ecn_k`` / ``burst_duty`` / ``incast_fanin`` axes land in
     ``spec.congestion`` and this probe runs exactly that configuration
-    (one arm, not the k-sweep study — the grid *is* the sweep).  Specs
-    beyond the flow-sim endpoint wall reduce like the mpigraph probe.
+    (one arm, not the k-sweep study — the grid *is* the sweep) on the
+    spec's own fabric, at any scale.
 
     The scenario (network + flows) seeds from the ECN-neutral spec
     content, not from ``rng``: ECN variants of one spec then share a
@@ -279,11 +278,8 @@ def probe_congest(spec: MachineSpec,
     a batch of them as one :meth:`TimeflowEngine.run_ensemble` call
     (:func:`evaluate_congest_ensemble`) with unchanged per-task values.
     """
-    from repro.fabric.timeflow import TimeflowEngine
-    spec, net, flows = _congest_scenario(spec)
     cfg = _congest_config(spec)
-    result = TimeflowEngine(net, flows, cfg).run()
-    return _congest_values(result, cfg)
+    return _congest_values(_congest_engine(spec, cfg).run(), cfg)
 
 
 def congest_ensemble_key(task: "SweepTask") -> str | None:
@@ -314,7 +310,6 @@ def evaluate_congest_ensemble(tasks: Sequence["SweepTask"],
     the caller (``serve.batching``) falls back to per-task execution.
     """
     from repro import obs
-    from repro.fabric.timeflow import TimeflowEngine
     from repro.sweep.artifacts import ARTIFACT_SCHEMA_VERSION
     keys = {congest_ensemble_key(t) for t in tasks}
     if len(keys) != 1 or None in keys:
@@ -325,10 +320,8 @@ def evaluate_congest_ensemble(tasks: Sequence["SweepTask"],
         obs.enable(tracing=False, metrics=True)
     start = time.perf_counter()
     try:
-        _, net, flows = _congest_scenario(tasks[0].spec)
         cfgs = [_congest_config(t.spec) for t in tasks]
-        engine = TimeflowEngine(net, flows, cfgs[0])
-        results = engine.run_ensemble(cfgs)
+        results = _congest_engine(tasks[0].spec, cfgs[0]).run_ensemble(cfgs)
         wall = time.perf_counter() - start
         snapshot = obs.registry().snapshot() if isolate_obs else {}
         docs: dict[str, dict[str, Any]] = {}

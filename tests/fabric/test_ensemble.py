@@ -224,7 +224,7 @@ class TestRunCongestEnsemble:
 
     def test_run_congest_arms_equal_reference_runs(self, spec, config):
         doc = run_congest(spec, config)
-        _, net, flows = congest_scenario(spec, config)
+        net, flows = congest_scenario(spec, config)
         cfgs = [config.arm_config(arm["ecn_k"]) for arm in doc["arms"]]
         engine = TimeflowEngine(net, flows, cfgs[0])
         assert [arm["mode"] for arm in doc["arms"]] == ["fifo", "ecn", "ecn"]

@@ -1,7 +1,8 @@
 """Fuzz the serve wire protocol over one TCP connection.
 
 Every request line a client sends gets exactly one reply: an answer, or
-a structured ``400`` error naming what was wrong.  A bad line must not
+a structured ``400`` error naming what was wrong (never a ``500``: bad
+input, non-finite floats in a spec block included, is the client's).  A bad line must not
 close the connection, so a good request sent *before* it on the same
 connection is still answered.  Requests either are arbitrary bytes or
 are arbitrary JSON documents over the request fields (the one real
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import tempfile
 
 from hypothesis import given, settings
@@ -36,12 +38,21 @@ def _mostly(valid: st.SearchStrategy) -> st.SearchStrategy:
     return st.one_of(valid, valid, valid, _json)
 
 
+#: Degradation id lists: valid ids, and floats Python's ``json`` writes
+#: and reads back (``NaN``, ``Infinity``, ``1e400``) or ``true``.
+_ids = st.lists(st.integers(0, 8) | st.floats() | st.booleans()
+                | st.sampled_from([math.inf, -math.inf, math.nan]),
+                max_size=3)
+
 requests = st.fixed_dictionaries({"probe": _mostly(st.just("storage"))}, optional={
     "scaled": _mostly(st.lists(st.integers(-2, 10) | st.booleans(),
                                min_size=3, max_size=3)),
     "family": _mostly(st.sampled_from(["frontier", "summit", "aurora"])),
     "spec": st.fixed_dictionaries({}, optional={
-        "fabric": _json, "node_count": _json, "degradation": _json,
+        "fabric": _json, "node_count": _json,
+        "degradation": _mostly(st.fixed_dictionaries({}, optional={
+            "failed_links": _ids, "failed_nodes": _ids,
+            "failure_scale": st.floats()})),
         "schema": _json}) | _json,
     "seed": _mostly(st.integers()),
     "timeout_s": _mostly(st.floats()),
@@ -82,6 +93,7 @@ def _check(replies: list[dict]) -> None:
         assert reply["status"] in STATUSES
         if reply["status"] == "error":
             assert reply["error"]["type"] and reply["error"]["message"]
+            assert reply["error"].get("code") != 500, reply
 
 
 @given(st.binary(max_size=200))
@@ -94,3 +106,18 @@ def test_arbitrary_bytes_get_a_reply_each(payload):
 @settings(max_examples=60, deadline=None)
 def test_arbitrary_request_documents_get_a_reply_each(doc):
     _check(_exchange(json.dumps(doc).encode()))
+
+
+@given(st.sampled_from(["failed_links", "failed_nodes"]),
+       _ids.filter(bool))
+@settings(max_examples=30, deadline=None)
+def test_degradation_ids_get_a_reply_each(field, ids):
+    """A valid request but for its degradation ids, which may be NaN,
+    infinite or ``true``: answered, or a 400, and ``GOOD`` still is."""
+    doc = {"id": "ids", "probe": "storage", "scaled": [4, 4, 4],
+           "spec": {"degradation": {field: ids}}}
+    replies = _exchange(json.dumps(doc).encode())
+    _check(replies)
+    (reply,) = [r for r in replies if r["id"] == "ids"]
+    if any(isinstance(i, bool) or not math.isfinite(i) for i in ids):
+        assert reply["error"]["code"] == 400, reply

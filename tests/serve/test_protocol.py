@@ -25,6 +25,13 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_line(b"not json at all\n")
 
+    @pytest.mark.parametrize("line", [b"[" * 100_000 + b"\n",
+                                      b"1" * 5_000 + b"\n"])
+    def test_decode_rejects_what_json_cannot_parse(self, line):
+        # RecursionError and the int-digit ValueError, not JSONDecodeError
+        with pytest.raises(ProtocolError):
+            decode_line(line)
+
     def test_decode_rejects_non_object(self):
         with pytest.raises(ProtocolError):
             decode_line(b'["a", "list"]\n')
@@ -73,6 +80,18 @@ class TestRequestValidation:
     def test_bad_requests_raise_protocol_error(self, doc):
         with pytest.raises(ProtocolError):
             ScenarioRequest.from_wire(doc)
+
+    @pytest.mark.parametrize("literal", ["1e400", "-Infinity", "NaN",
+                                         "true"])
+    def test_bad_degradation_ids_are_a_400(self, literal):
+        """JSON literals Python's ``json`` reads; each used to escape
+        ``from_wire`` as a bare exception or (``true``) run as link 1."""
+        line = ('{"probe": "storage", "id": "bad", "spec": {"degradation": '
+                f'{{"failed_links": [{literal}]}}}}}}\n').encode()
+        with pytest.raises(ProtocolError, match="failed_links") as info:
+            ScenarioRequest.from_wire(decode_line(line))
+        response = ScenarioResponse.bad_request(info.value, "bad")
+        assert response.error["code"] == 400
 
     def test_request_wire_round_trip(self):
         req = ScenarioRequest.from_wire(

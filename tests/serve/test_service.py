@@ -276,6 +276,53 @@ class TestTcpFrontend:
         assert "bogus" in by_id["bad-spec"]["error"]["message"]
         assert by_id[""]["error"]["code"] == 400
 
+    def test_a_line_that_breaks_admission_answers_500_alone(
+            self, tmp_path, monkeypatch):
+        """Each line is its own error boundary: an unexpected exception
+        while admitting one line answers that line with a 500, and the
+        lines before and after it on the connection are still answered
+        (the exception used to close the connection on all of them)."""
+        real = ScenarioRequest.from_wire.__func__
+
+        def from_wire(cls, doc):
+            if doc.get("id") == "boom":
+                raise RuntimeError("admission fault")
+            return real(cls, doc)
+
+        monkeypatch.setattr(ScenarioRequest, "from_wire",
+                            classmethod(from_wire))
+
+        async def run():
+            service = await started(tmp_path, batch_window_s=0.01)
+            server = await service.serve_tcp()
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            for rid, seed in (("before", 0), ("boom", 1), ("after", 2)):
+                writer.write(encode_line(request(seed=seed,
+                                                 rid=rid).to_wire()))
+            await writer.drain()
+            docs = [decode_line(await asyncio.wait_for(reader.readline(),
+                                                       10.0))
+                    for _ in range(3)]
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            counters = obs.registry().snapshot()
+            await service.drain()
+            return docs, counters
+
+        obs.enable(tracing=False)
+        docs, counters = asyncio.run(run())
+        by_id = {doc["id"]: doc for doc in docs}
+        assert by_id["before"]["status"] == by_id["after"]["status"] == "ok"
+        assert by_id["boom"]["status"] == "error"
+        assert by_id["boom"]["error"] == {"type": "RuntimeError",
+                                          "code": 500,
+                                          "message": "admission fault"}
+        assert counters["serve.internal_errors"]["value"] == 1
+        assert "serve.bad_requests" not in counters
+
 
 class TestRunLocal:
     def test_local_matches_served_values(self, tmp_path):

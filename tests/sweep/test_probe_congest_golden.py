@@ -1,9 +1,10 @@
 """Golden values of the ``congest`` sweep probe.
 
 ``tests/fixtures/probe-congest.json`` holds ``probe_congest`` values
-recorded for two small specs: the canonical Frontier spec (which the
-probe reduces to its 8x4x4 validation geometry) and a 6x4x4 spec with
-off-default ``ecn_k``, ``burst_duty`` and ``incast_fanin``.  The probe
+recorded for two specs: the canonical Frontier spec (run on its full
+37,888-endpoint fabric; only its ``marks`` moved, 237 -> 225, when the
+probe stopped reducing it to 8x4x4) and a 6x4x4 spec with off-default
+``ecn_k``, ``burst_duty`` and ``incast_fanin``.  The probe
 seeds its scenario from the ECN-neutral spec content, so its values are
 a pure function of the spec; any change to how it builds the network,
 the incast or the engine config moves them.  The batched serve path

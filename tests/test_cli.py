@@ -1,7 +1,9 @@
 """CLI tests (python -m repro)."""
 
+import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,9 +464,21 @@ class TestBadInputIsOneLine:
          "query: --spec {tmp}/cut.json: invalid machine-spec JSON"),
         (["query", "--addr-file", "{tmp}/cut.json"],
          "query: --addr-file {tmp}/cut.json: "),
+        # degradation ids Python's json reads but no link or node has
+        (["scenario", "--spec", "{tmp}/ids-1e400.json"],
+         "scenario: --spec {tmp}/ids-1e400.json: degradation failed_links"),
+        (["chaos", "--spec", "{tmp}/ids--Infinity.json"],
+         "chaos: --spec {tmp}/ids--Infinity.json: degradation failed_links"),
+        (["congest", "--spec", "{tmp}/ids-NaN.json"],
+         "congest: --spec {tmp}/ids-NaN.json: degradation failed_links"),
+        (["query", "--local", "--spec", "{tmp}/ids-true.json"],
+         "query: --spec {tmp}/ids-true.json: degradation failed_links"),
     ])
     def test_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
         (tmp_path / "cut.json").write_text('{"name": ')
+        for literal in ("1e400", "-Infinity", "NaN", "true"):
+            (tmp_path / f"ids-{literal}.json").write_text(
+                f'{{"degradation": {{"failed_links": [{literal}]}}}}')
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert _exit_code(argv) == 2
         captured = capsys.readouterr()
@@ -472,6 +486,27 @@ class TestBadInputIsOneLine:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(message.replace("{tmp}", str(tmp_path)))
+
+
+class TestStdoutClosedEarly:
+    """``sweep ... | grep -q``: the reader leaves, a write to stdout raises
+    ``BrokenPipeError``, and the verb exits 141 with nothing on stderr
+    instead of a traceback."""
+
+    @pytest.mark.parametrize("argv", [["specs"], ["congest", "--validate"]])
+    def test_broken_pipe_exits_141_quietly(self, argv, tmp_path,
+                                           monkeypatch, capsys):
+        with open(tmp_path / "sink", "w") as sink:
+            class ClosedPipe(io.StringIO):
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestCompareVerb:

@@ -12,7 +12,10 @@ sweep, chaos and congest ledgers shared one implementation:
 are the bursty ``--duty 0.3`` and ``--duty 0.35`` studies that
 ``tests/fabric/test_timeflow.py`` recomputes.)  Each of the three must
 resume through today's code without a recompute, and a
-tampered copy of each must not be trusted.
+tampered copy of each must not be trusted.  The sweep and congest
+documents' top-level ``schema`` was rewritten from 1 to 2 when a congest
+study stopped reducing specs above 4,096 endpoints to 8x4x4; their specs
+are small, so nothing else in them moved.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from repro import obs
 from repro.chaos import CHAOS_LEDGER, ChaosConfig, run_chaos_cached
 from repro.core.scenario import frontier_spec
 from repro.fabric.congest import (CONGEST_LEDGER, CongestConfig,
-                                  run_congest_cached)
+                                  congest_run_id, run_congest_cached)
+from repro.serve.cache import ResponseCache
 from repro.sweep import SWEEP_LEDGER, SweepConfig, SweepPlan, run_sweep
 
 FIXTURES = Path(__file__).parent / "fixtures" / "ledger"
@@ -164,3 +168,55 @@ class TestTrust:
                     ledger.path(str(tmp_path), doc_id))
         report = ledger.prune(str(tmp_path))
         assert (report.kept, report.removed) == (1, 0)
+
+
+class TestReducedFabricArtifactsDoNotResume:
+    """Schema-1 congest answers for specs above 4,096 endpoints came from
+    a silent 8x4x4 reduction, filed under the id of the spec that was
+    asked for.  Schema 2 runs the requested fabric, so those documents
+    must be recomputed, never resumed or served."""
+
+    def test_congest_study_is_recomputed(self, tmp_path, counters):
+        # What an earlier build wrote for ``congest --horizon-us 150`` on
+        # the canonical spec: the 8x4x4 study under the full run id.
+        doc = _fixture(f"congest-{CONGEST_ID}.json")
+        stale = dict(doc, schema=1, spec=frontier_spec().to_dict(),
+                     run_id=congest_run_id(frontier_spec(), CONGEST_CONFIG))
+        out = str(tmp_path)
+        Path(CONGEST_LEDGER.path(out, stale["run_id"])).write_text(
+            json.dumps(stale))
+        doc, path, resumed = run_congest_cached(frontier_spec(),
+                                                CONGEST_CONFIG, out_dir=out)
+        assert not resumed
+        assert Path(path).name == f"congest-{stale['run_id']}.json"
+        assert (doc["schema"], doc["network"]) == (CONGEST_LEDGER.schema,
+                                                   "frontier")
+        assert counters("fabric.timeflow.artifacts_resumed") == 0
+
+    def test_congest_sweep_task_is_neither_resumed_nor_served(self,
+                                                              tmp_path):
+        plan = SweepPlan.grid(frontier_spec(), probes=("congest",))
+        (task,) = plan.tasks
+        stale = {"schema": 1, "task": task.to_dict(), "status": "ok",
+                 "values": {"marks": 237.0},
+                 "timing": {"wall_time_s": 0.0, "attempts": 1},
+                 "metrics": {}}
+        out = str(tmp_path)
+        path = Path(SWEEP_LEDGER.path(out, task.task_id))
+        path.write_text(json.dumps(stale))
+        assert ResponseCache(out).get(task.task_id) is None
+        summary = run_sweep(plan, SweepConfig(out_dir=out, workers=0))
+        assert (summary.skipped, summary.run) == (0, 1)
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == SWEEP_LEDGER.schema
+        assert doc["values"]["marks"] != 237.0
+
+    @pytest.mark.parametrize("kind", ["sweep", "congest"])
+    def test_gc_prunes_schema_1(self, kind, tmp_path):
+        ledger, doc_id = KINDS[kind]
+        doc = dict(json.loads(Path(ledger.path(str(FIXTURES),
+                                               doc_id)).read_text()),
+                   schema=1)
+        Path(ledger.path(str(tmp_path), doc_id)).write_text(json.dumps(doc))
+        report = ledger.prune(str(tmp_path))
+        assert (report.stale, report.kept) == (1, 0)

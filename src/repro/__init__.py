@@ -38,18 +38,14 @@ Subpackages
 ===================  ====================================================
 """
 
-from repro.core.machine import FrontierMachine, Machine
-from repro.core.baselines import (AURORA, BASELINES, CORI, FRONTIER, MIRA,
-                                  SEQUOIA, SUMMIT, THETA, TITAN, MachineModel)
-from repro.errors import ReproError
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Machine", "FrontierMachine",
-    "MachineModel", "BASELINES",
-    "FRONTIER", "SUMMIT", "AURORA", "TITAN", "MIRA", "THETA", "CORI",
-    "SEQUOIA",
-    "ReproError",
-    "__version__",
-]
+__all__ = [*lazy_exports(__name__, {
+    "core.machine": ("Machine", "FrontierMachine"),
+    "core.baselines": ("MachineModel", "BASELINES",
+                       "FRONTIER", "SUMMIT", "AURORA", "TITAN", "MIRA",
+                       "THETA", "CORI", "SEQUOIA"),
+    "errors": ("ReproError",),
+}), "__version__"]

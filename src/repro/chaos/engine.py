@@ -45,16 +45,19 @@ import numpy as np
 
 from repro import obs
 from repro.chaos.events import ChaosTimeline, sample_timeline
-from repro.core.scenario import MachineSpec, decode_block, off_default
+from repro.core.scenario import (MachineSpec, ResiliencePolicySpec,
+                                 decode_block, frontier_spec, off_default)
 from repro.errors import ConfigurationError
 from repro.ledger import Ledger
 from repro.ledger import run_id as chaos_run_id
 from repro.obs.export import write_json
+from repro.resilience.adaptive import AdaptiveCheckpointController
 from repro.resilience.blast_radius import FailureDomainModel
 from repro.resilience.checkpoint import CheckpointPlan, checkpoint_efficiency
 from repro.resilience.fit import frontier_fit_inventory
 from repro.resilience.mtti import MttiModel
-from repro.rng import RngLike
+from repro.rng import RngLike, as_generator
+from repro.scheduler import slurm
 
 __all__ = ["ChaosConfig", "JobReport", "ChaosResult", "run_chaos",
            "chaos_run_id", "run_chaos_cached", "CHAOS_LEDGER",
@@ -354,9 +357,7 @@ def run_chaos(spec: MachineSpec, config: ChaosConfig | None = None, *,
     config = config if config is not None else ChaosConfig()
     if spec.resilience.is_default:
         return _run_chaos_once(spec, config, rng=rng)
-    from repro.chaos.heal import build_heal_report
-    from repro.core.scenario import ResiliencePolicySpec
-    from repro.rng import as_generator
+    from repro.chaos.heal import build_heal_report  # heal imports this module
     if rng is not None:
         # One derived seed drives *both* arms so they replay the exact
         # same fault timeline.
@@ -375,8 +376,6 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                     heal_counters: dict[str, int] | None = None
                     ) -> ChaosResult:
     """One replay of the timeline; applies ``spec.resilience`` in-loop."""
-    from repro.scheduler.slurm import JobRequest, JobState, SlurmScheduler
-
     deg = spec.degradation
     resilience = spec.resilience
     base_inventory = frontier_fit_inventory(nodes=spec.node_count)
@@ -434,7 +433,6 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                               restart_s=config.restart_s)
         controller = None
         if resilience.adaptive_checkpointing:
-            from repro.resilience.adaptive import AdaptiveCheckpointController
             prior_mtti_h = (prior_mtti_model.job_mtti_hours(n)
                             if config.uniform_blast
                             else prior_fdm.job_mtti_hours(n))
@@ -458,7 +456,7 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
     # (statically failed nodes stay drained even across a chaos repair).
     down = np.zeros(spec.node_count, dtype=np.int64)  # overlapping faults
     static = np.zeros(spec.node_count, dtype=bool)
-    sched = SlurmScheduler(
+    sched = slurm.SlurmScheduler(
         n_nodes=spec.node_count,
         checknode=lambda nodes: (down[nodes] == 0) & ~static[nodes])
     for node in deg.failed_nodes:
@@ -466,14 +464,14 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
         static[node] = True
     pool = None
     if spare_target > 0:
-        from repro.chaos.heal import SparePool
+        from repro.chaos.heal import SparePool  # heal imports this module
         pool = SparePool.reserve(sched, spare_target)
     horizon_s = config.horizon_h * 3600.0
     by_sched_id: dict[int, _JobRun] = {}
 
     def submit(run: _JobRun, t_s: float) -> None:
         run.pending_since_s = t_s
-        run.sched_id = sched.submit(JobRequest(
+        run.sched_id = sched.submit(slurm.JobRequest(
             n_nodes=run.n_nodes, duration_s=max(horizon_s - t_s, 1.0),
             name=run.name))
         by_sched_id[run.sched_id] = run
@@ -494,7 +492,7 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
             if run.sched_id is None or run.is_running:
                 continue
             job = sched.job(run.sched_id)
-            if job.state is JobState.RUNNING:
+            if job.state is slurm.JobState.RUNNING:
                 run.open_segment(t_s, config.checkpoint_cost_s * delta_mult,
                                  after_interrupt=run.interrupts > 0)
 
@@ -528,7 +526,7 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
     def reopen_all(t_s: float, delta_mult: float) -> None:
         for run in runs:
             if (run.sched_id is not None and not run.is_running
-                    and sched.job(run.sched_id).state is JobState.RUNNING):
+                    and sched.job(run.sched_id).state is slurm.JobState.RUNNING):
                 run.open_segment(t_s,
                                  config.checkpoint_cost_s * delta_mult,
                                  after_interrupt=False)
@@ -721,7 +719,6 @@ def validation_spec(failure_scale: float = 600.0,
                     checkpoint_policy: str = "daly",
                     checkpoint_interval_s: float | None = None) -> MachineSpec:
     """The 32-node scaled-dragonfly spec the validation gate runs on."""
-    from repro.core.scenario import frontier_spec
     spec = frontier_spec().scaled(8, 4, 4)
     return replace(spec, degradation=replace(
         spec.degradation, failure_scale=failure_scale,

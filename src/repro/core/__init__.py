@@ -21,33 +21,19 @@
   benchmark harnesses and EXPERIMENTS.md generator.
 """
 
-from repro.core.baselines import (
-    MachineModel, FRONTIER, SUMMIT, AURORA, TITAN, MIRA, THETA, CORI,
-    SEQUOIA, BASELINES,
-)
-from repro.core.machine import Machine, FrontierMachine
-from repro.core.family import (
-    MachineFamily, register_family, family, family_names, DEFAULT_FAMILY,
-)
-from repro.core.scenario import (
-    MachineSpec, DragonflyGeometry, FatTreeGeometry, StorageSpec,
-    DegradationSpec, CongestionSpec, FRONTIER_SPEC, SUMMIT_SPEC, AURORA_SPEC,
-    frontier_spec, summit_spec, aurora_spec, resolve_dragonfly,
-)
-from repro.core.specs_table import compute_table1
-from repro.core.report_card import ExascaleReportCard
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MachineModel", "FRONTIER", "SUMMIT", "AURORA", "TITAN", "MIRA", "THETA",
-    "CORI", "SEQUOIA", "BASELINES",
-    "Machine", "FrontierMachine",
-    "MachineFamily", "register_family", "family", "family_names",
-    "DEFAULT_FAMILY",
-    "MachineSpec", "DragonflyGeometry", "FatTreeGeometry", "StorageSpec",
-    "DegradationSpec", "CongestionSpec",
-    "FRONTIER_SPEC", "SUMMIT_SPEC", "AURORA_SPEC",
-    "frontier_spec", "summit_spec", "aurora_spec",
-    "resolve_dragonfly",
-    "compute_table1",
-    "ExascaleReportCard",
-]
+__all__ = lazy_exports(__name__, {
+    "baselines": ("MachineModel", "FRONTIER", "SUMMIT", "AURORA", "TITAN",
+                  "MIRA", "THETA", "CORI", "SEQUOIA", "BASELINES"),
+    "machine": ("Machine", "FrontierMachine"),
+    "family": ("MachineFamily", "register_family", "family", "family_names",
+               "DEFAULT_FAMILY"),
+    "scenario": ("MachineSpec", "DragonflyGeometry", "FatTreeGeometry",
+                 "StorageSpec", "DegradationSpec", "CongestionSpec",
+                 "FRONTIER_SPEC", "SUMMIT_SPEC", "AURORA_SPEC",
+                 "frontier_spec", "summit_spec", "aurora_spec",
+                 "resolve_dragonfly"),
+    "specs_table": ("compute_table1",),
+    "report_card": ("ExascaleReportCard",),
+})

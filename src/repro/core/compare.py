@@ -34,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.apps import CAAR_APPS, ECP_APPS
 from repro.core.family import MachineFamily, family
-from repro.node.roofline import HPCG_AI, HPL_AI
+from repro.node.roofline import HPCG_AI, HPL_AI, project_hpl
 
 __all__ = ["HplProjection", "project_family", "compare_machines",
            "HPL_INJECTION_AI", "DEFAULT_COMPARE_FAMILIES"]
@@ -173,7 +174,6 @@ def compare_machines(families: Sequence[str | MachineFamily] | None = None,
     (±10% acceptance) and vs the independent GCD-roofline
     :func:`repro.node.roofline.project_hpl`.
     """
-    from repro.apps import CAAR_APPS, ECP_APPS
     fams = [_resolve(f) for f in (families or DEFAULT_COMPARE_FAMILIES)]
     projections = [project_family(f) for f in fams]
     doc: dict[str, Any] = {
@@ -189,7 +189,6 @@ def compare_machines(families: Sequence[str | MachineFamily] | None = None,
     }
     frontier = next((p for p in projections if p.family == "frontier"), None)
     if frontier is not None:
-        from repro.node.roofline import project_hpl
         roofline = project_hpl()
         doc["frontier_roofline_hpl_pflops"] = roofline / 1e15
         doc["frontier_hpl_within_10pct"] = (

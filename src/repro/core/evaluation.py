@@ -11,8 +11,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.apps import CAAR_APPS, ECP_APPS
+from repro.apps.scaling import WeakScalingModel
+from repro.core.baselines import SUMMIT
 from repro.core.machine import Machine
 from repro.core.report_card import ExascaleReportCard
+from repro.economics import SystemCostModel
 from repro.fabric.collectives import alltoall_per_node_bandwidth
 from repro.microbench.gpcnet import GpcnetConfig, run_gpcnet
 from repro.microbench.mpigraph import (frontier_mpigraph_histogram,
@@ -22,6 +25,7 @@ from repro.node.gemm import GemmModel
 from repro.node.hbm import GpuStreamModel
 from repro.node.transfers import (TransferEngine, figure4_series,
                                   figure5_series)
+from repro.power.energy import suite_energy_table
 from repro.storage.fio import FioJob, aggregate_over_nodes, run_fio
 from repro.storage.iosim import ingest_time
 from repro.units import TiB
@@ -117,8 +121,6 @@ def run_full_evaluation(*, machine: Machine | None = None,
         "ingest_700tib_s": ingest_time(700 * TiB),
     }
 
-    from repro.apps.scaling import WeakScalingModel
-    from repro.core.baselines import SUMMIT
     out["weak_scaling"] = {
         "PIConGPU@9216": WeakScalingModel.picongpu().efficiency(9216),
         "Shift@8192": WeakScalingModel.shift().efficiency(8192),
@@ -127,11 +129,9 @@ def run_full_evaluation(*, machine: Machine | None = None,
             machine=SUMMIT).efficiency(4600),
     }
 
-    from repro.power.energy import suite_energy_table
     out["energy_to_solution"] = {
         c.application: c.energy_gain for c in suite_energy_table()}
 
-    from repro.economics import SystemCostModel
     out["cost"] = SystemCostModel().twenty_mw_rationale()
 
     card = ExascaleReportCard()

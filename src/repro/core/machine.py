@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.family import family as resolve_family
 from repro.core.scenario import (DegradationSpec, DragonflyGeometry,
                                  FatTreeGeometry, MachineSpec, StorageSpec)
 from repro.core.specs_table import FRONTIER_NODE_COUNT, compute_table1
@@ -29,6 +30,7 @@ from repro.errors import ConfigurationError
 from repro.fabric.dragonfly import DragonflyConfig
 from repro.fabric.fattree import FatTreeConfig
 from repro.fabric.routing import RoutingPolicy
+from repro.mpi.simmpi import SimComm
 from repro.node.node import BardPeakNode
 from repro.power.model import SystemPowerModel
 from repro.resilience.mtti import MttiModel
@@ -85,7 +87,6 @@ class Machine:
         The node model and power inventory come from the machine-family
         registry entry named by ``spec.family``.
         """
-        from repro.core.family import family as resolve_family
         fam = resolve_family(spec.family)
         node = fam.node()
         if spec.nics_per_node != node.nic_count:
@@ -185,7 +186,6 @@ class Machine:
                 f"SimComm models dragonfly fabrics; machine {self.name!r} "
                 f"is a fat tree. Use spec.build_network() for fat-tree "
                 f"flow studies.")
-        from repro.mpi.simmpi import SimComm
         return SimComm(layout, machine=self)
 
     def scaled(self, groups: int, switches_per_group: int,

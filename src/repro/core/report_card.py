@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.apps import all_apps
 from repro.core.specs_table import compute_table1
 from repro.power.efficiency import EfficiencyScorecard
 from repro.resilience.mtti import MttiModel
@@ -122,5 +123,4 @@ class ExascaleReportCard:
         """The paper's thesis: real-application speedups (Tables 6-7), not
         the arbitrary 1000x resource scaling, define success — and every
         application beat its KPP."""
-        from repro.apps import all_apps  # local import: avoids cycle
         return all(app.kpp_result().met for app in all_apps())

@@ -38,7 +38,10 @@ from repro.core.specs_table import FRONTIER_NODE_COUNT
 from repro.errors import ConfigurationError
 from repro.fabric.dragonfly import DragonflyConfig
 from repro.fabric.fattree import FatTreeConfig
+from repro.fabric.network import FatTreeNetwork, SlingshotNetwork
 from repro.fabric.routing import RoutingPolicy
+from repro.storage.lustre import OrionFilesystem
+from repro.storage.nvme import NvmeDrive, Raid0Array
 
 __all__ = [
     "DragonflyGeometry", "FatTreeGeometry", "StorageSpec", "DegradationSpec",
@@ -252,13 +255,11 @@ class StorageSpec:
 
     def filesystem(self):
         """A fresh :class:`repro.storage.lustre.OrionFilesystem`."""
-        from repro.storage.lustre import OrionFilesystem
         return OrionFilesystem(ssu_count=self.ssu_count,
                                mds_count=self.mds_count)
 
     def node_local(self):
         """A fresh :class:`repro.storage.nvme.Raid0Array`."""
-        from repro.storage.nvme import NvmeDrive, Raid0Array
         return Raid0Array(drives=tuple(NvmeDrive()
                                        for _ in range(self.nvme_per_node)))
 
@@ -475,7 +476,6 @@ class MachineSpec:
         ``failed_links`` entry is disabled on the router so minimal routes
         fail over exactly like the Fabric Manager's sweeps.
         """
-        from repro.fabric.network import FatTreeNetwork, SlingshotNetwork
         cfg = self.fabric_config()
         if isinstance(cfg, DragonflyConfig):
             net = SlingshotNetwork(cfg, policy=RoutingPolicy(self.routing),

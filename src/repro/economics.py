@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.family import family
 from repro.errors import ConfigurationError
 
 __all__ = ["SystemCostModel", "power_cost_over_life", "meets_facility_rule",
@@ -76,7 +77,6 @@ class SystemCostModel:
         shares keep the paper's structure (CORAL-2-era exascale budgets
         for the exascale machines, Summit's CORAL-1 ~200 M$ award).
         """
-        from repro.core.family import family
         fam = family(name)
         budgets = {"frontier": 600.0, "summit": 200.0, "aurora": 500.0}
         return cls(budget_musd=budgets.get(fam.name, 600.0),

@@ -19,35 +19,21 @@
   its ablation grid, and its resumable artifacts.
 """
 
-from repro.fabric.topology import LinkKind, Topology, NodeId
-from repro.fabric.dragonfly import DragonflyConfig, build_dragonfly, FRONTIER_DRAGONFLY
-from repro.fabric.fattree import FatTreeConfig, build_fattree, SUMMIT_FATTREE
-from repro.fabric.routing import RoutingPolicy, Router, FatTreeRouter
-from repro.fabric.maxmin import maxmin_allocate
-from repro.fabric.latency import LatencyModel
-from repro.fabric.congestion import CongestionControl
-from repro.fabric.collectives import allreduce_latency, alltoall_per_node_bandwidth
-from repro.fabric.cache import clear_fabric_caches
-from repro.fabric.network import FabricNetwork, SlingshotNetwork, FatTreeNetwork
-from repro.fabric.messages import NicMessageModel, SLINGSHOT_NIC, EDR_NIC
-from repro.fabric.queueing import PortSimulation
-from repro.fabric.timeflow import (FlowSpec, TimeflowConfig, TimeflowEngine,
-                                   fct_stats, incast_pattern,
-                                   validate_victim_impact)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinkKind", "Topology", "NodeId",
-    "DragonflyConfig", "build_dragonfly", "FRONTIER_DRAGONFLY",
-    "FatTreeConfig", "build_fattree", "SUMMIT_FATTREE",
-    "RoutingPolicy", "Router", "FatTreeRouter",
-    "maxmin_allocate",
-    "LatencyModel",
-    "CongestionControl",
-    "allreduce_latency", "alltoall_per_node_bandwidth",
-    "FabricNetwork", "SlingshotNetwork", "FatTreeNetwork",
-    "clear_fabric_caches",
-    "NicMessageModel", "SLINGSHOT_NIC", "EDR_NIC",
-    "PortSimulation",
-    "FlowSpec", "TimeflowConfig", "TimeflowEngine",
-    "fct_stats", "incast_pattern", "validate_victim_impact",
-]
+__all__ = lazy_exports(__name__, {
+    "topology": ("LinkKind", "Topology", "NodeId"),
+    "dragonfly": ("DragonflyConfig", "build_dragonfly", "FRONTIER_DRAGONFLY"),
+    "fattree": ("FatTreeConfig", "build_fattree", "SUMMIT_FATTREE"),
+    "routing": ("RoutingPolicy", "Router", "FatTreeRouter"),
+    "maxmin": ("maxmin_allocate",),
+    "latency": ("LatencyModel",),
+    "congestion": ("CongestionControl",),
+    "collectives": ("allreduce_latency", "alltoall_per_node_bandwidth"),
+    "network": ("FabricNetwork", "SlingshotNetwork", "FatTreeNetwork"),
+    "cache": ("clear_fabric_caches",),
+    "messages": ("NicMessageModel", "SLINGSHOT_NIC", "EDR_NIC"),
+    "queueing": ("PortSimulation",),
+    "timeflow": ("FlowSpec", "TimeflowConfig", "TimeflowEngine",
+                 "fct_stats", "incast_pattern", "validate_victim_impact"),
+})

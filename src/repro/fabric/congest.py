@@ -22,6 +22,7 @@ from repro.fabric.timeflow import (TimeflowConfig, TimeflowEngine,
                                    incast_pattern)
 from repro.ledger import Ledger
 from repro.ledger import run_id as congest_run_id
+from repro.obs.export import write_json
 
 __all__ = [
     "CongestConfig", "congest_scenario", "run_congest",
@@ -176,7 +177,6 @@ def run_congest_cached(spec, config: CongestConfig | None = None, *,
                        fresh: bool = False
                        ) -> tuple[dict[str, Any], str, bool]:
     """Run (or resume) a congest study; returns (doc, path, resumed)."""
-    from repro.obs.export import write_json
     config = config if config is not None else CongestConfig()
     return CONGEST_LEDGER.cached(
         out_dir, congest_run_id(spec, config),

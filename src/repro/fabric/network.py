@@ -20,6 +20,7 @@ Topology construction is memoized per config (see
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.fabric.latency import LatencyModel
 from repro.fabric.maxmin import MaxMinResult, maxmin_allocate
 from repro.fabric.routing import FatTreeRouter, Router, RoutingPolicy
 from repro.fabric.topology import Topology
-from repro.rng import RngLike
+from repro.rng import RngLike, as_generator
 
 __all__ = ["FabricNetwork", "SlingshotNetwork", "FatTreeNetwork",
            "STACK_LINK_SLOTS"]
@@ -53,12 +54,24 @@ STACK_LINK_SLOTS = 1 << 19
 
 
 def _phase_stack(phases) -> np.ndarray:
-    """``phases`` as an int64 ``(P, n, 2)`` array; anything else raises."""
-    stack = np.asarray(phases, dtype=np.int64)
+    """``phases`` as an int64 ``(P, n, 2)`` array; anything else raises.
+
+    Endpoint ids must already be integers: a float or bool id is an
+    error, not something to truncate onto another endpoint.
+    """
+    stack = np.asarray(phases)
     if stack.ndim != 3 or stack.shape[2] != 2 or stack.size == 0:
         raise ConfigurationError(
             "phases must be a non-empty (P, n, 2) stack of flows")
-    return stack
+    if stack.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"endpoint ids must be integers, got dtype {stack.dtype}")
+    return stack.astype(np.int64, copy=False)
+
+
+def _is_int(value) -> bool:
+    """A Python or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class FlowResult(NamedTuple):
@@ -67,6 +80,11 @@ class FlowResult(NamedTuple):
     src: int
     dst: int
     bandwidth: float
+
+
+#: Builds a :class:`FlowResult` from one ``(src, dst, bandwidth)`` tuple
+#: without the keyword-argument handling of ``FlowResult(...)``.
+_new_flow_result = partial(tuple.__new__, FlowResult)
 
 
 class FabricNetwork:
@@ -168,12 +186,12 @@ class FabricNetwork:
         """
         if len(pairs) == 0:
             raise ConfigurationError("no flows given")
-        stack = _phase_stack(np.asarray(pairs, dtype=np.int64)[None])
+        stack = _phase_stack(np.asarray(pairs)[None])
         with self._span(stack.shape[1], 1):
             result = self._solve_stack(stack, demand_per_flow, chunk)
         ends = stack[0]
-        flows = list(map(FlowResult, ends[:, 0].tolist(), ends[:, 1].tolist(),
-                         result.rates.tolist()))
+        flows = list(map(_new_flow_result, zip(
+            ends[:, 0].tolist(), ends[:, 1].tolist(), result.rates.tolist())))
         return flows, result
 
     def phase_bandwidths(self, phases,
@@ -240,6 +258,9 @@ class FabricNetwork:
         """mpiGraph's pattern as ``(N, 2)`` endpoint pairs: endpoint i
         sends to endpoint (i+k) mod N."""
         n = self.config.total_endpoints
+        if not _is_int(offset_endpoints):
+            raise ConfigurationError(
+                f"shift offset must be an integer, got {offset_endpoints!r}")
         if not 0 < offset_endpoints < n:
             raise ConfigurationError("shift offset must be in (0, n_endpoints)")
         src = np.arange(n, dtype=np.int64)
@@ -263,7 +284,9 @@ class FabricNetwork:
     def latency_sample(self, n_pairs: int = 200, size_bytes: float = 8.0,
                        rng: RngLike = None) -> np.ndarray:
         """One-way latencies of random distinct endpoint pairs."""
-        from repro.rng import as_generator
+        if not _is_int(n_pairs) or n_pairs < 0:
+            raise ConfigurationError(
+                f"n_pairs must be an integer >= 0, got {n_pairs!r}")
         gen = as_generator(rng)
         n = self.config.total_endpoints
         out = []

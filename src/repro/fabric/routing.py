@@ -151,8 +151,9 @@ class _RouterBase:
         n_flows = batchroute.phase_flows(pairs)
         if chunk is None:
             chunk = batchroute.auto_chunk(n_flows)
-        if chunk < 1:
-            raise RoutingError(f"chunk must be >= 1, got {chunk}")
+        if (not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool)
+                or chunk < 1):
+            raise RoutingError(f"chunk must be an integer >= 1, got {chunk!r}")
         state = self._batch_state
         if state is None or state.flat is not self.topo.flat:
             state = self._batch_state = self._new_batch_state()

@@ -21,36 +21,20 @@ This subpackage reproduces Section 3.1 (node design) and Section 4.1/4.2.1
   nodes consumed by the machine-family registry.
 """
 
-from repro.node.cpu import NpsMode, TrentoCpu
-from repro.node.dram import DdrConfig, StreamCalibration, CpuStreamModel
-from repro.node.gpu import Gcd, Mi250x, Precision
-from repro.node.hbm import HbmConfig, GpuStreamModel
-from repro.node.gemm import GemmModel, GemmPoint
-from repro.node.xgmi import XgmiLink, XgmiClass, GcdTopology, twisted_ladder
-from repro.node.transfers import (
-    TransferEngine,
-    cu_kernel_bandwidth,
-    sdma_bandwidth,
-    host_to_gcd_bandwidth,
-    aggregate_host_to_gcd_bandwidth,
-)
-from repro.node.node import BardPeakNode
-from repro.node.spec import (AURORA_NODE, SUMMIT_NODE, NodeModel, NodeSpec,
-                             bard_peak_spec)
-from repro.node.roofline import GcdRoofline, project_hpcg, project_hpl
-from repro.node.memory import MemoryPlanner, Placement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NpsMode", "TrentoCpu",
-    "DdrConfig", "StreamCalibration", "CpuStreamModel",
-    "Gcd", "Mi250x", "Precision",
-    "HbmConfig", "GpuStreamModel",
-    "GemmModel", "GemmPoint",
-    "XgmiLink", "XgmiClass", "GcdTopology", "twisted_ladder",
-    "TransferEngine", "cu_kernel_bandwidth", "sdma_bandwidth",
-    "host_to_gcd_bandwidth", "aggregate_host_to_gcd_bandwidth",
-    "BardPeakNode",
-    "NodeSpec", "NodeModel", "bard_peak_spec", "SUMMIT_NODE", "AURORA_NODE",
-    "GcdRoofline", "project_hpl", "project_hpcg",
-    "MemoryPlanner", "Placement",
-]
+__all__ = lazy_exports(__name__, {
+    "cpu": ("NpsMode", "TrentoCpu"),
+    "dram": ("DdrConfig", "StreamCalibration", "CpuStreamModel"),
+    "gpu": ("Gcd", "Mi250x", "Precision"),
+    "hbm": ("HbmConfig", "GpuStreamModel"),
+    "gemm": ("GemmModel", "GemmPoint"),
+    "xgmi": ("XgmiLink", "XgmiClass", "GcdTopology", "twisted_ladder"),
+    "transfers": ("TransferEngine", "cu_kernel_bandwidth", "sdma_bandwidth",
+                  "host_to_gcd_bandwidth", "aggregate_host_to_gcd_bandwidth"),
+    "node": ("BardPeakNode",),
+    "spec": ("NodeSpec", "NodeModel", "bard_peak_spec", "SUMMIT_NODE",
+             "AURORA_NODE"),
+    "roofline": ("GcdRoofline", "project_hpl", "project_hpcg"),
+    "memory": ("MemoryPlanner", "Placement"),
+})

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.node.cpu import TrentoCpu
 from repro.node.gpu import Mi250x, Precision
+from repro.node.transfers import CU_KERNEL_EFFICIENCY_BY_WIDTH
 from repro.node.xgmi import GcdTopology, XgmiClass, XgmiLink, twisted_ladder
 
 __all__ = ["CassiniNic", "BardPeakNode"]
@@ -112,7 +113,6 @@ class BardPeakNode:
         (37.5 GB/s on Bard Peak).  Derived from the topology so node-model
         changes propagate to MPI cost estimates.
         """
-        from repro.node.transfers import CU_KERNEL_EFFICIENCY_BY_WIDTH
         width = min((link.width for link in self.gcd_topology.links),
                     default=1)
         link = XgmiLink(0, 1, width)

@@ -15,20 +15,40 @@ outputs.  The probes serve two purposes:
 
 from __future__ import annotations
 
+import asyncio
+import json
 import math
+import tempfile
 import time
 from typing import Any, Callable
 
+import numpy as np
+
 from repro import obs
+from repro.chaos import cross_validate, cross_validate_heal
+from repro.core.compare import compare_machines, project_family
+from repro.core.family import family, family_names
+from repro.core.scenario import MachineSpec, frontier_spec
+from repro.fabric.cache import clear_fabric_caches
+from repro.fabric.congest import CongestConfig, congest_scenario, run_congest
+from repro.fabric.dragonfly import build_dragonfly
+from repro.fabric.timeflow import (TimeflowConfig, TimeflowEngine,
+                                   validate_victim_impact)
+from repro.microbench.mpigraph import simulate_mpigraph
+from repro.mpi.job import JobLayout
+from repro.mpi.simmpi import SimComm
+from repro.scheduler.placement import allocation_stats
+from repro.scheduler.slurm import JobRequest, SlurmScheduler
+from repro.serve import ScenarioRequest, ScenarioService, ServeConfig
+from repro.storage.iosim import CheckpointScenario, ingest_time
+from repro.sweep import SweepConfig, SweepPlan, run_sweep
+from repro.units import TiB
 
 __all__ = ["PROBES", "run_probes", "record_machine_context"]
 
 
 def probe_fabric() -> dict[str, float]:
     """Flow-level mpiGraph on a reduced-scale dragonfly (taper preserved)."""
-    from repro.core.scenario import frontier_spec
-    from repro.microbench.mpigraph import simulate_mpigraph
-
     net = frontier_spec().scaled(8, 4, 4).build_network(rng=0)
     hist = simulate_mpigraph(net, offsets=[1, 8, 16, 32, 48])
     return {
@@ -48,11 +68,6 @@ def probe_routing() -> dict[str, float]:
     its sequential-equivalence contract.  The ``fabric.batch_route.*``
     counters emitted here land in the regression baseline.
     """
-    import numpy as np
-
-    from repro.core.scenario import frontier_spec
-    from repro.fabric.cache import clear_fabric_caches
-
     spec = frontier_spec().scaled(8, 4, 4)
     clear_fabric_caches()
     net = spec.build_network(rng=0)
@@ -87,10 +102,6 @@ def probe_cache() -> dict[str, float]:
     timings (the regression gate compares values at tight rtol); wall time
     is covered by the probe's own ``wall_time_s``.
     """
-    from repro.core.scenario import frontier_spec
-    from repro.fabric.dragonfly import build_dragonfly
-    from repro.fabric.cache import clear_fabric_caches
-
     spec = frontier_spec().scaled(6, 4, 4)
     config = spec.fabric_config()
     clear_fabric_caches()
@@ -123,9 +134,6 @@ def probe_cache() -> dict[str, float]:
 
 def probe_mpi() -> dict[str, float]:
     """Communication-cost oracle over a 64-node, 8-PPN job."""
-    from repro.mpi.job import JobLayout
-    from repro.mpi.simmpi import SimComm
-
     comm = SimComm(JobLayout.contiguous(64))
     return {
         "p2p_off_node_1MiB_s": comm.p2p_time(0, 300, float(1 << 20)),
@@ -138,9 +146,6 @@ def probe_mpi() -> dict[str, float]:
 
 def probe_storage() -> dict[str, float]:
     """Checkpoint burst/drain accounting on a 1,024-node job."""
-    from repro.storage.iosim import CheckpointScenario, ingest_time
-    from repro.units import TiB
-
     scenario = CheckpointScenario(nodes=1024)
     summary = scenario.summary()
     return {
@@ -153,9 +158,6 @@ def probe_storage() -> dict[str, float]:
 
 def probe_scheduler() -> dict[str, float]:
     """Topology-aware scheduling of a small mixed workload."""
-    from repro.scheduler.placement import allocation_stats
-    from repro.scheduler.slurm import JobRequest, SlurmScheduler
-
     sched = SlurmScheduler(n_nodes=1024)
     sizes = [16, 300, 64, 128, 512, 8, 900, 32]
     ids = [sched.submit(JobRequest(n_nodes=n, duration_s=100.0 + n))
@@ -180,11 +182,6 @@ def probe_sweep() -> dict[str, float]:
     failures.  Values are deterministic counts plus one model value from
     an artifact; the ``sweep.tasks_*`` counters land in the baseline.
     """
-    import tempfile
-
-    from repro.core.scenario import frontier_spec
-    from repro.sweep import SweepConfig, SweepPlan, run_sweep
-
     plan = SweepPlan.grid(frontier_spec().scaled(6, 4, 4),
                           {"disabled_nodes": (0, 2)},
                           probes=("storage", "failing"))
@@ -213,8 +210,6 @@ def probe_chaos() -> dict[str, float]:
     efficiency accounting off ``checkpoint_efficiency`` (±5%).  The
     ``chaos.*`` counters emitted by the run land in the baseline too.
     """
-    from repro.chaos import cross_validate
-
     report = cross_validate(seed=0)
     values: dict[str, float] = {
         "events": float(report.n_events),
@@ -241,8 +236,6 @@ def probe_heal() -> dict[str, float]:
     improving fleet job availability over cancel-and-requeue.  The
     ``scheduler.nodes_replaced`` counter rides along in the baseline.
     """
-    from repro.chaos import cross_validate_heal
-
     report = cross_validate_heal(seed=0)
     values: dict[str, float] = {
         "interrupts": float(report.interrupts),
@@ -280,11 +273,6 @@ def probe_congestion() -> dict[str, float]:
     The ``fabric.timeflow.*`` counters emitted here land in the
     regression baseline alongside the values.
     """
-    from repro.core.scenario import frontier_spec
-    from repro.fabric.congest import CongestConfig, congest_scenario
-    from repro.fabric.timeflow import (TimeflowConfig, TimeflowEngine,
-                                       validate_victim_impact)
-
     validation = validate_victim_impact()
     net, flows = congest_scenario(frontier_spec().scaled(8, 4, 4),
                                   CongestConfig())
@@ -319,13 +307,6 @@ def probe_ensemble() -> dict[str, float]:
     scale).  The ``fabric.timeflow.ensemble_*`` counters emitted here
     land in the baseline.
     """
-    import json as _json
-
-    from repro.core.scenario import frontier_spec
-    from repro.fabric.congest import (CongestConfig, congest_scenario,
-                                      run_congest)
-    from repro.fabric.timeflow import TimeflowEngine
-
     spec = frontier_spec().scaled(8, 4, 4)
     config = CongestConfig(ks=(10.0, 60.0), horizon_s=150e-6)
     batched = run_congest(spec, config)
@@ -333,9 +314,9 @@ def probe_ensemble() -> dict[str, float]:
     net, flows = congest_scenario(spec, config)
     engine = TimeflowEngine(net, flows, cfgs[0])
     matches = all(
-        _json.dumps({"mode": arm["mode"], "ecn_k": arm["ecn_k"],
+        json.dumps({"mode": arm["mode"], "ecn_k": arm["ecn_k"],
                      **engine.run(cfg).to_doc()}, sort_keys=True)
-        == _json.dumps(arm, sort_keys=True)
+        == json.dumps(arm, sort_keys=True)
         for arm, cfg in zip(batched["arms"], cfgs))
     values: dict[str, float] = {
         "arms": float(len(batched["arms"])),
@@ -362,12 +343,6 @@ def probe_serve() -> dict[str, float]:
     memory cache) must answer everything from the disk ledger.  The
     ``serve.*`` counters emitted here land in the baseline.
     """
-    import asyncio
-    import tempfile
-
-    from repro.core.scenario import frontier_spec
-    from repro.serve import ScenarioRequest, ScenarioService, ServeConfig
-
     spec = frontier_spec().scaled(6, 4, 4)
 
     def req(seed: int, rid: str, probe: str = "storage") -> ScenarioRequest:
@@ -426,10 +401,6 @@ def probe_machines() -> dict[str, float]:
     (projection vs measured Rmax vs the independent GCD roofline) rides
     along as a hard 0/1 flag.
     """
-    from repro.core.compare import compare_machines, project_family
-    from repro.core.family import family, family_names
-    from repro.core.scenario import MachineSpec
-
     values: dict[str, float] = {}
     for name in family_names():
         fam = family(name)
@@ -474,8 +445,6 @@ def run_probes(names: list[str] | None = None) -> dict[str, dict[str, Any]]:
     Each probe runs under a ``probe.<name>`` span so its layer's spans nest
     beneath it in the exported trace.
     """
-    from repro.fabric.cache import clear_fabric_caches
-
     # Start cold so the topology-cache hit/miss counters the regression
     # gate snapshots are identical run-to-run within one process.
     clear_fabric_caches()

@@ -7,13 +7,11 @@
   report's targets (50 GF/W, 20 MW/EF) plus the straw-man comparison.
 """
 
-from repro.power.model import (PowerComponent, SystemPowerModel,
-                               FrontierPowerModel, frontier_power,
-                               summit_power, aurora_power)
-from repro.power.efficiency import EfficiencyScorecard, green500_entry
-from repro.power.energy import EnergyComparison, energy_gain, suite_energy_table
+from repro._lazy import lazy_exports
 
-__all__ = ["PowerComponent", "SystemPowerModel", "FrontierPowerModel",
-           "frontier_power", "summit_power", "aurora_power",
-           "EfficiencyScorecard", "green500_entry",
-           "EnergyComparison", "energy_gain", "suite_energy_table"]
+__all__ = lazy_exports(__name__, {
+    "model": ("PowerComponent", "SystemPowerModel", "FrontierPowerModel",
+              "frontier_power", "summit_power", "aurora_power"),
+    "efficiency": ("EfficiencyScorecard", "green500_entry"),
+    "energy": ("EnergyComparison", "energy_gain", "suite_energy_table"),
+})

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.apps import all_apps
 from repro.apps.base import Application
 from repro.core.baselines import FRONTIER, MachineModel
 from repro.errors import ConfigurationError
@@ -57,6 +58,5 @@ def suite_energy_table(apps: list[Application] | None = None
                        ) -> list[EnergyComparison]:
     """Energy gains for the whole Table 6 + Table 7 suite."""
     if apps is None:
-        from repro.apps import all_apps
         apps = all_apps()
     return [energy_gain(app) for app in apps]

@@ -16,6 +16,7 @@ from typing import Sequence
 from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import (ScenarioRequest, ScenarioResponse,
                                   decode_line, encode_line)
+from repro.sweep.runner import execute_task
 
 __all__ = ["query", "run_local"]
 
@@ -71,7 +72,6 @@ def run_local(request: ScenarioRequest) -> ScenarioResponse:
     resolve the task, run the probe, no cache read, no batching.  The
     throughput benchmark's denominator.
     """
-    from repro.sweep.runner import execute_task
     task = request.task()
     doc = execute_task(task, isolate_obs=False)
     return ScenarioResponse.from_artifact(

@@ -36,9 +36,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.family import family, family_names
 from repro.core.scenario import MachineSpec, frontier_spec
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, TopologyError
 from repro.sweep.plan import SweepTask, derive_seed
+from repro.sweep.probes import SWEEP_PROBES
 
 __all__ = ["SERVE_SCHEMA_VERSION", "ScenarioRequest", "ScenarioResponse",
            "encode_line", "decode_line"]
@@ -68,8 +70,6 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
 
 
 def _resolve_spec(doc: dict[str, Any]) -> MachineSpec:
-    from repro.core.family import family, family_names
-    from repro.errors import ConfigurationError, TopologyError
     if "spec" in doc and "family" in doc:
         raise ProtocolError("request carries both 'spec' and 'family'; "
                             "send one (or neither for Frontier)")
@@ -111,7 +111,6 @@ class ScenarioRequest:
     @classmethod
     def from_wire(cls, doc: dict[str, Any]) -> "ScenarioRequest":
         """Validate and resolve one decoded request document."""
-        from repro.sweep.probes import SWEEP_PROBES
         schema = doc.get("schema", SERVE_SCHEMA_VERSION)
         if schema != SERVE_SCHEMA_VERSION:
             raise ProtocolError(

@@ -11,20 +11,14 @@
   ingest, §4.3.2's 700 TiB in ~180 s).
 """
 
-from repro.storage.nvme import NvmeDrive, Raid0Array, node_local_storage
-from repro.storage.fio import FioJob, FioPattern, run_fio
-from repro.storage.draid import DraidGeometry
-from repro.storage.ssu import ScalableStorageUnit
-from repro.storage.lustre import OrionFilesystem, Tier
-from repro.storage.pfl import Extent, ProgressiveFileLayout, ORION_PFL
-from repro.storage.iosim import CheckpointScenario, ingest_time
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NvmeDrive", "Raid0Array", "node_local_storage",
-    "FioJob", "FioPattern", "run_fio",
-    "DraidGeometry",
-    "ScalableStorageUnit",
-    "OrionFilesystem", "Tier",
-    "Extent", "ProgressiveFileLayout", "ORION_PFL",
-    "CheckpointScenario", "ingest_time",
-]
+__all__ = lazy_exports(__name__, {
+    "nvme": ("NvmeDrive", "Raid0Array", "node_local_storage"),
+    "fio": ("FioJob", "FioPattern", "run_fio"),
+    "draid": ("DraidGeometry",),
+    "ssu": ("ScalableStorageUnit",),
+    "lustre": ("OrionFilesystem", "Tier"),
+    "pfl": ("Extent", "ProgressiveFileLayout", "ORION_PFL"),
+    "iosim": ("CheckpointScenario", "ingest_time"),
+})

@@ -36,8 +36,12 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.core.family import family
 from repro.core.scenario import MachineSpec
 from repro.errors import ConfigurationError
+from repro.fabric.dragonfly import build_dragonfly
+from repro.fabric.fattree import build_fattree
+from repro.sweep.probes import SWEEP_PROBES
 
 __all__ = ["AXES", "SweepTask", "SweepPlan", "apply_axes", "scaled_fraction",
            "task_hash", "derive_seed"]
@@ -76,7 +80,6 @@ def _axis_machine_family(spec: MachineSpec, value: Any) -> MachineSpec:
     """Swap in a registered family's canonical spec (the base spec is
     discarded — this axis selects *which machine*, so it applies first
     and the remaining axes vary that preset)."""
-    from repro.core.family import family
     return family(str(value)).spec()
 
 
@@ -108,10 +111,8 @@ def _axis_disabled_links(spec: MachineSpec, value: Any) -> MachineSpec:
         indices: tuple[int, ...] = ()
     else:
         if spec.fabric.kind == "dragonfly":
-            from repro.fabric.dragonfly import build_dragonfly
             topo = build_dragonfly(spec.fabric_config())
         else:
-            from repro.fabric.fattree import build_fattree
             topo = build_fattree(spec.fabric_config())
         l2 = tuple(np.flatnonzero(topo.flat.link_kind == 2).tolist())  # L2
         if len(l2) < n:
@@ -295,7 +296,6 @@ class SweepTask:
 
 
 def _check_probes(probes: Iterable[str]) -> tuple[str, ...]:
-    from repro.sweep.probes import SWEEP_PROBES
     names = tuple(probes)
     if not names:
         raise ConfigurationError("a sweep needs at least one probe")

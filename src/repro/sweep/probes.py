@@ -26,7 +26,21 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro import obs
+from repro.apps import CAAR_APPS, ECP_APPS
+from repro.chaos import ChaosConfig, run_chaos
+from repro.core.compare import project_family
+from repro.core.family import family
+from repro.core.machine import Machine
 from repro.core.scenario import MachineSpec, off_default
+from repro.fabric.congest import CongestConfig, congest_scenario
+from repro.fabric.timeflow import TimeflowConfig, TimeflowEngine
+from repro.microbench.mpigraph import spec_mpigraph
+from repro.mpi.job import JobLayout
+from repro.scheduler.placement import allocation_stats
+from repro.scheduler.slurm import JobRequest, SlurmScheduler
+from repro.storage.iosim import CheckpointScenario
+from repro.sweep.artifacts import ARTIFACT_SCHEMA_VERSION
 
 if TYPE_CHECKING:
     from repro.sweep.plan import SweepTask
@@ -39,7 +53,6 @@ SweepProbe = Callable[[MachineSpec, np.random.Generator], Mapping[str, Any]]
 def probe_mpigraph(spec: MachineSpec,
                    rng: np.random.Generator) -> dict[str, float]:
     """Figure 6 shape metrics for the machine the spec describes."""
-    from repro.microbench.mpigraph import spec_mpigraph
     hist, _mode = spec_mpigraph(spec, rng)
     return {
         "min_gbs": hist.min_gbs,
@@ -52,9 +65,8 @@ def probe_mpigraph(spec: MachineSpec,
 def probe_comm(spec: MachineSpec,
                rng: np.random.Generator) -> dict[str, float]:
     """Communication-cost oracle on an up-to-64-node job of this machine."""
-    from repro.mpi.job import JobLayout
     nodes = min(spec.healthy_node_count, 64)
-    comm = spec.machine().comm(JobLayout.contiguous(nodes))
+    comm = Machine.from_spec(spec).comm(JobLayout.contiguous(nodes))
     ranks = nodes * comm.layout.ppn
     metrics = {
         "allreduce_8B_s": comm.allreduce_time(8.0),
@@ -73,7 +85,6 @@ def probe_comm(spec: MachineSpec,
 def probe_storage(spec: MachineSpec,
                   rng: np.random.Generator) -> dict[str, float]:
     """Checkpoint burst/drain accounting at this spec's scale and tiers."""
-    from repro.storage.iosim import CheckpointScenario
     scenario = CheckpointScenario(nodes=spec.healthy_node_count,
                                   local=spec.storage.node_local(),
                                   fs=spec.storage.filesystem())
@@ -88,9 +99,6 @@ def probe_storage(spec: MachineSpec,
 def probe_placement(spec: MachineSpec,
                     rng: np.random.Generator) -> dict[str, float]:
     """Topology-aware scheduling of an RNG-drawn workload on this machine."""
-    from repro.scheduler.placement import allocation_stats
-    from repro.scheduler.slurm import JobRequest, SlurmScheduler
-
     drained = np.array(spec.degradation.failed_nodes, dtype=np.int64)
     sched = SlurmScheduler(n_nodes=spec.node_count,
                            checknode=lambda nodes: ~np.isin(nodes, drained))
@@ -120,7 +128,6 @@ def probe_chaos(spec: MachineSpec,
     measurement is off: the scheduler/checkpoint story scales to the
     full machine, flow solves do not.
     """
-    from repro.chaos import ChaosConfig, run_chaos
     config = ChaosConfig(horizon_h=24.0, measure_fabric=False)
     result = run_chaos(spec, config, rng=rng)
     effs = [j.measured_efficiency for j in result.jobs]
@@ -145,7 +152,6 @@ def probe_heal(spec: MachineSpec,
     active, reporting the availability/goodput deltas the policy bought.
     A default-resilience spec reports zero deltas (no policy arm).
     """
-    from repro.chaos import ChaosConfig, run_chaos
     config = ChaosConfig(horizon_h=24.0, measure_fabric=False,
                          job_fractions=(0.25, 0.25, 0.5))
     result = run_chaos(spec, config, rng=rng)
@@ -180,9 +186,6 @@ def probe_compare(spec: MachineSpec,
     KPP margins.  Each metric is a scalar, so a
     ``machine_family=frontier,summit,aurora`` grid tabulates directly.
     """
-    from repro.apps import CAAR_APPS, ECP_APPS
-    from repro.core.compare import project_family
-    from repro.core.family import family
     fam = family(spec.family)
     p = project_family(fam, node_count=spec.healthy_node_count,
                        nics_per_node=spec.nics_per_node)
@@ -235,8 +238,6 @@ def _congest_engine(spec: MachineSpec, cfg):
     content — *not* from the per-task RNG stream — so tasks that differ
     only in ECN knobs build bit-identical scenarios and can integrate as
     one ensemble."""
-    from repro.fabric.congest import CongestConfig, congest_scenario
-    from repro.fabric.timeflow import TimeflowEngine
     knobs = spec.congestion
     return TimeflowEngine(*congest_scenario(spec, CongestConfig(
         fanin=knobs.incast_fanin, duty=knobs.burst_duty,
@@ -244,7 +245,6 @@ def _congest_engine(spec: MachineSpec, cfg):
 
 
 def _congest_config(spec: MachineSpec):
-    from repro.fabric.timeflow import TimeflowConfig
     knobs = spec.congestion
     return TimeflowConfig(ecn=knobs.ecn, ecn_k=float(knobs.ecn_k),
                           warmup_s=1e-4)
@@ -309,8 +309,6 @@ def evaluate_congest_ensemble(tasks: Sequence["SweepTask"],
     must share one :func:`congest_ensemble_key`.  Exceptions propagate:
     the caller (``serve.batching``) falls back to per-task execution.
     """
-    from repro import obs
-    from repro.sweep.artifacts import ARTIFACT_SCHEMA_VERSION
     keys = {congest_ensemble_key(t) for t in tasks}
     if len(keys) != 1 or None in keys:
         raise ValueError(f"tasks of one ensemble must share a congest "
@@ -377,7 +375,6 @@ def probe_flaky(spec: MachineSpec,
 def probe_sleepy(spec: MachineSpec,
                  rng: np.random.Generator) -> dict[str, float]:
     """Sleeps ``REPRO_SWEEP_SLEEP_S`` seconds: exercises ``--timeout``."""
-    import time
     delay = float(os.environ.get("REPRO_SWEEP_SLEEP_S", "0") or 0)
     if delay > 0:
         time.sleep(delay)

@@ -53,6 +53,7 @@ from repro.rng import spawn
 from repro.sweep.artifacts import (ARTIFACT_SCHEMA_VERSION, SWEEP_LEDGER,
                                    write_artifact)
 from repro.sweep.plan import SweepPlan, SweepTask
+from repro.sweep.probes import SWEEP_PROBES
 
 __all__ = ["ExecPolicy", "SweepConfig", "SweepSummary", "run_sweep",
            "execute_task", "execute_tasks", "results_table",
@@ -160,7 +161,6 @@ def execute_task(task: SweepTask, attempt: int = 1,
     doc: dict[str, Any] = {"schema": ARTIFACT_SCHEMA_VERSION,
                            "task": task.to_dict()}
     try:
-        from repro.sweep.probes import SWEEP_PROBES
         probe = SWEEP_PROBES[task.probe]
         rng = spawn(task.seed, 1)[0]
         values = probe(task.spec, rng)

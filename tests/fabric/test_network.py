@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.fabric.network import STREAM_EFFICIENCY
+from repro.errors import ConfigurationError, RoutingError
+from repro.fabric.network import STREAM_EFFICIENCY, FlowResult
 
 
 class TestShiftPattern:
@@ -36,6 +36,19 @@ class TestShiftPattern:
         with pytest.raises(ConfigurationError):
             small_network.shift_pattern(small_network.config.total_endpoints)
 
+    @pytest.mark.parametrize("offset", [2.5, 2.0, True, np.float64(3.0), "2"])
+    def test_non_integer_offsets_rejected(self, small_network, offset):
+        # 2.5 used to run exactly the offset-2 pairs, True offset 1.
+        with pytest.raises(ConfigurationError, match="integer"):
+            small_network.shift_pairs(offset)
+        with pytest.raises(ConfigurationError, match="integer"):
+            small_network.shift_pattern(offset)
+
+    @pytest.mark.parametrize("offset", [np.int64(2), np.int32(2), np.uint16(2)])
+    def test_numpy_integer_offsets_accepted(self, small_network, offset):
+        assert np.array_equal(small_network.shift_pairs(offset),
+                              small_network.shift_pairs(2))
+
 
 class TestFlowBandwidths:
     def test_flow_results_align_with_pairs(self, small_network):
@@ -58,6 +71,47 @@ class TestFlowBandwidths:
         with pytest.raises(ConfigurationError):
             small_network.flow_bandwidths([])
 
+    def test_flows_are_flow_results(self, small_network):
+        flows, _ = small_network.flow_bandwidths([(0, 5), (1, 9)])
+        assert all(type(f) is FlowResult for f in flows)
+        assert flows[0] == FlowResult(0, 5, flows[0].bandwidth)
+        assert flows[1]._asdict()["dst"] == 9
+
+    @pytest.mark.parametrize("pairs", [
+        lambda net: net.shift_pairs(3) + 0.7,          # ran (0, 3), (1, 4), ...
+        lambda net: [(0.0, 5.0), (1.0, 9.0)],          # integral floats too
+        lambda net: np.array([[False, True], [True, False]]),
+        lambda net: [("0", "5")],
+    ], ids=["fractional", "float", "bool", "str"])
+    def test_non_integer_endpoint_ids_rejected(self, small_network, pairs):
+        ids = pairs(small_network)
+        with pytest.raises(ConfigurationError, match="integers"):
+            small_network.flow_bandwidths(ids)
+        with pytest.raises(ConfigurationError, match="integers"):
+            small_network.phase_bandwidths(np.asarray(ids)[None])
+
+    def test_integer_endpoint_ids_accepted(self, small_network):
+        as_list, _ = small_network.flow_bandwidths([[0, 5], [1, 9]])
+        as_u32, _ = small_network.flow_bandwidths(
+            np.array([[0, 5], [1, 9]], dtype=np.uint32))
+        assert as_list == as_u32
+        rates = small_network.phase_bandwidths([[[0, 5], [1, 9]]])
+        assert rates.tolist() == [[f.bandwidth for f in as_list]]
+
+    @pytest.mark.parametrize("chunk", [2.5, 2.0, True, 0, -3])
+    def test_bad_router_chunk_rejected(self, small_network, chunk):
+        # 2.5 was a bare TypeError from range(); True ran the chunk=1 mode.
+        with pytest.raises(RoutingError, match="chunk"):
+            small_network.router.paths([(0, 5), (1, 9)], chunk=chunk)
+        with pytest.raises(RoutingError, match="chunk"):
+            small_network.flow_bandwidths([(0, 5)], chunk=chunk)
+
+    def test_numpy_integer_chunk_accepted(self, small_network):
+        pairs = small_network.shift_pairs(7)
+        a = small_network.router.paths(pairs, chunk=np.int64(4), register=False)
+        b = small_network.router.paths(pairs, chunk=4, register=False)
+        assert np.array_equal(a.indices, b.indices)
+
 
 class TestLatencyFacade:
     def test_latency_sample_shape_and_range(self, small_network):
@@ -65,6 +119,15 @@ class TestLatencyFacade:
         assert lats.shape == (50,)
         assert np.all(lats > 0.5e-6)
         assert np.all(lats < 20e-6)
+
+    @pytest.mark.parametrize("n_pairs", [-1, 2.5, True])
+    def test_bad_latency_sample_size_rejected(self, small_network, n_pairs):
+        # -1 used to return an empty array, 2.5 a bare TypeError.
+        with pytest.raises(ConfigurationError, match="n_pairs"):
+            small_network.latency_sample(n_pairs, rng=3)
+
+    def test_empty_latency_sample(self, small_network):
+        assert small_network.latency_sample(0, rng=3).shape == (0,)
 
     def test_allreduce_facade(self, small_network):
         assert small_network.allreduce_latency(1024) > 0

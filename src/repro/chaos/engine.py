@@ -359,13 +359,15 @@ def run_chaos(spec: MachineSpec, config: ChaosConfig | None = None, *,
         return _run_chaos_once(spec, config, rng=rng)
     from repro.chaos.heal import build_heal_report  # heal imports this module
     if rng is not None:
-        # One derived seed drives *both* arms so they replay the exact
-        # same fault timeline.
+        # One derived seed names the run; both arms replay its timeline.
         config = replace(config, seed=int(as_generator(rng).integers(2 ** 31 - 1)))
     baseline = _run_chaos_once(
         replace(spec, resilience=ResiliencePolicySpec()), config)
     counters: dict[str, int] = {}
-    healed = _run_chaos_once(spec, config, heal_counters=counters)
+    # The arms differ only in ``spec.resilience``, which the timeline
+    # does not depend on: the healed arm replays the baseline's.
+    healed = _run_chaos_once(spec, config, timeline=baseline.timeline,
+                             heal_counters=counters)
     healed.heal = build_heal_report(baseline=baseline, healed=healed,
                                     counters=counters)
     return healed
@@ -373,9 +375,14 @@ def run_chaos(spec: MachineSpec, config: ChaosConfig | None = None, *,
 
 def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                     rng: RngLike = None,
+                    timeline: ChaosTimeline | None = None,
                     heal_counters: dict[str, int] | None = None
                     ) -> ChaosResult:
-    """One replay of the timeline; applies ``spec.resilience`` in-loop."""
+    """One replay of the timeline; applies ``spec.resilience`` in-loop.
+
+    ``timeline`` replays a timeline already sampled for this spec and
+    config (the other policy arm's) instead of sampling it again.
+    """
     deg = spec.degradation
     resilience = spec.resilience
     base_inventory = frontier_fit_inventory(nodes=spec.node_count)
@@ -397,18 +404,19 @@ def _run_chaos_once(spec: MachineSpec, config: ChaosConfig, *,
                    if config.measure_fabric is not None
                    else cfg.total_endpoints <= config.max_fabric_endpoints)
     net = spec.build_network(rng=config.seed) if want_fabric else None
-    link_population: tuple[int, ...] = ()
-    if net is not None:
-        flat = net.topology.flat
-        trunk = np.flatnonzero(flat.link_kind > 0)
-        already = set(deg.failed_links)
-        link_population = tuple(int(i) for i in trunk if int(i) not in already)
-
-    timeline = sample_timeline(
-        inventory, total_nodes=spec.node_count, horizon_h=config.horizon_h,
-        rng=rng if rng is not None else config.seed,
-        uniform_blast=config.uniform_blast, mttr_scale=config.mttr_scale,
-        link_population=link_population)
+    if timeline is None:
+        link_population: tuple[int, ...] = ()
+        if net is not None:
+            trunk = np.flatnonzero(net.topology.flat.link_kind > 0)
+            already = set(deg.failed_links)
+            link_population = tuple(int(i) for i in trunk
+                                    if int(i) not in already)
+        timeline = sample_timeline(
+            inventory, total_nodes=spec.node_count,
+            horizon_h=config.horizon_h,
+            rng=rng if rng is not None else config.seed,
+            uniform_blast=config.uniform_blast, mttr_scale=config.mttr_scale,
+            link_population=link_population)
 
     # Analytic per-job MTTI -> checkpoint plans (policy from the spec).
     mtti_model = MttiModel(inventory=inventory, total_nodes=spec.node_count)

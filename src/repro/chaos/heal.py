@@ -40,11 +40,12 @@ import numpy as np
 
 from repro.chaos.engine import (run_chaos, validation_config,
                                 validation_spec)
-from repro.core.scenario import ResiliencePolicySpec
+from repro.core.scenario import REPLACE_POLICIES, ResiliencePolicySpec
+from repro.errors import ConfigurationError
 from repro.resilience.checkpoint import CheckpointPlan
 from repro.resilience.fit import frontier_fit_inventory
 from repro.resilience.mtti import MttiModel
-from repro.scheduler.placement import NODES_PER_GROUP
+from repro.scheduler.placement import NODES_PER_GROUP, is_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.chaos.engine import ChaosResult, JobReport
@@ -81,10 +82,16 @@ class SparePool:
         Takes the highest-numbered idle node of each group round-robin:
         spread, so one blast radius cannot eat the whole pool, and from
         the top, so packed placement of the workload is least disturbed.
+        ``target`` must be a whole number no larger than the idle node
+        count (:class:`ConfigurationError` otherwise).
         """
         npg = nodes_per_group if nodes_per_group is not None \
             else sched.nodes_per_group
         free = np.array(sorted(sched.free_nodes), dtype=np.int64)
+        if not is_count(target) or not 0 <= target <= len(free):
+            raise ConfigurationError(
+                f"spare pool target must be a whole number in "
+                f"[0, {len(free)}] (the idle nodes), got {target!r}")
         group = free // npg
         # depth below the top of the node's group run (0: its highest)
         tops = np.flatnonzero(np.append(group[1:] != group[:-1], True))
@@ -116,23 +123,33 @@ class SparePool:
         ``job_nodes`` is the job's node id array.  ``pack`` prefers the
         spare in the group holding the most surviving job nodes
         (topology-close to the job block); ``spread`` the fewest; ``any``
-        the lowest node id.  Nodes in ``exclude`` (e.g. this event's other
-        victims) are never picked.  Returns ``None`` when the pool is dry.
+        the lowest node id; ties go to the lowest node id.  Nodes in
+        ``exclude`` (e.g. this event's other victims) are never picked.
+        Returns ``None`` when the pool is dry; an unknown ``policy``
+        raises :class:`ConfigurationError`.
         """
+        if policy not in REPLACE_POLICIES:
+            raise ConfigurationError(
+                f"replace policy must be one of {REPLACE_POLICIES}, "
+                f"got {policy!r}")
         banned = set(exclude)
-        candidates = sorted(n for n in self._nodes if n not in banned)
-        if not candidates:
+        free = [n for n in self._nodes if n not in banned]
+        if not free:
             return None
         if policy == "any":
-            chosen = candidates[0]
+            chosen = min(free)
         else:
+            # Score each candidate by the job nodes in its group (pack:
+            # most first, spread: fewest) and break ties by node id: one
+            # argmin over score * stride + node, stride above every id.
             npg = self.nodes_per_group
-            counts = np.bincount(
-                np.asarray(job_nodes, dtype=np.int64) // npg,
-                minlength=candidates[-1] // npg + 1).tolist()
+            stride = (max(free) // npg + 1) * npg
+            counts = np.bincount(np.asarray(job_nodes, dtype=np.int64) // npg,
+                                 minlength=stride // npg)
+            candidates = np.array(free, dtype=np.int64)
             sign = -1 if policy == "pack" else 1
-            chosen = min(candidates,
-                         key=lambda c: (sign * counts[c // npg], c))
+            key = counts[candidates // npg] * (sign * stride) + candidates
+            chosen = free[int(key.argmin())]
         self._nodes.discard(chosen)
         return chosen
 

@@ -45,14 +45,15 @@ def _json_default(value: Any) -> Any:
 
 def write_json(path: str, document: dict[str, Any]) -> str:
     """Atomically serialise a document to ``path``; returns the path."""
+    # one dumps and one write: json.dump issues a write per token
+    text = json.dumps(document, indent=2, sort_keys=True,
+                      default=_json_default) + "\n"
     out_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".metrics-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True,
-                      default=_json_default)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,6 +17,7 @@ bandwidth available to minimal routing).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,26 +37,49 @@ class PlacementPolicy(enum.Enum):
     AUTO = "auto"       # Slurm's behaviour: pack small, spread large
 
 
+def is_count(value) -> bool:
+    """A whole number (``bool`` is an ``int`` but never a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def place_job(n_nodes: int, free_nodes: np.ndarray,
               policy: PlacementPolicy = PlacementPolicy.AUTO,
               nodes_per_group: int = NODES_PER_GROUP) -> np.ndarray:
     """Choose ``n_nodes`` from ``free_nodes`` according to the policy.
 
-    ``free_nodes`` is an array (or sequence) of distinct free node ids
-    in any order.  PACK takes the smallest group that fits the whole
-    job, else fills the fullest groups first; SPREAD deals nodes
-    round-robin over the groups, lowest group first.  Within a group the
-    lowest-numbered nodes go first, and ties between equally-full groups
-    go to the lowest group id, so the result depends only on which nodes
-    are free, never on their order.
+    ``free_nodes`` is a 1-D integer array (or sequence) of distinct,
+    non-negative free node ids in any order.  PACK takes the smallest
+    group that fits the whole job, else fills the fullest groups first;
+    SPREAD deals nodes round-robin over the groups, lowest group first.
+    Within a group the lowest-numbered nodes go first, and ties between
+    equally-full groups go to the lowest group id, so the result depends
+    only on which nodes are free, never on their order.
 
     Returns a new ascending int64 array; raises :class:`PlacementError`
-    when the request cannot be satisfied.
+    when the request cannot be satisfied or an argument is malformed.
     """
-    # One normalisation groups the free nodes: group g is the ascending
-    # run nodes[starts[g]:starts[g] + sizes[g]], groups in ascending id.
-    # (A stable sort is linear on the scheduler's already-sorted input.)
-    nodes = np.sort(np.asarray(free_nodes, dtype=np.int64), kind="stable")
+    if not is_count(n_nodes):
+        raise PlacementError(
+            f"job node count must be an integer, got {n_nodes!r}")
+    if not is_count(nodes_per_group) or nodes_per_group < 1:
+        raise PlacementError(
+            f"nodes_per_group must be a positive integer, "
+            f"got {nodes_per_group!r}")
+    if not isinstance(policy, PlacementPolicy):
+        raise PlacementError(f"unknown placement policy {policy!r}")
+    free = np.asarray(free_nodes)
+    if free.ndim != 1:
+        raise PlacementError(
+            f"free node ids must be a 1-D array, got shape {free.shape}")
+    if free.size and free.dtype.kind not in "iu":
+        raise PlacementError(
+            f"free node ids must be integers, got dtype {free.dtype}")
+    # One normalisation sorts the free nodes; group g is then the
+    # ascending run nodes[bounds[g]:bounds[g + 1]].  (A stable sort is
+    # linear on the scheduler's already-sorted input.)
+    nodes = np.sort(free.astype(np.int64, copy=False), kind="stable")
+    if len(nodes) and nodes[0] < 0:
+        raise PlacementError(f"negative free node id {nodes[0]}")
     if (nodes[1:] == nodes[:-1]).any():
         raise PlacementError("free node ids must be distinct")
     if n_nodes < 1:
@@ -71,46 +95,57 @@ def place_job(n_nodes: int, free_nodes: np.ndarray,
 
     if n_nodes == len(nodes):
         return nodes
-    group = nodes // nodes_per_group
-    cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    sizes = [end - start for start, end in zip(starts, [*cuts, len(nodes)])]
+    low, high = int(nodes[0]) // nodes_per_group, \
+        int(nodes[-1]) // nodes_per_group
+    if low == high:
+        # one group: either policy takes its lowest nodes (a copy: a
+        # view would keep the whole free array alive)
+        return nodes[:n_nodes].copy()
+    # Group bounds by binary search over the group ids between the
+    # lowest and the highest free node's (empty groups take nothing
+    # under either policy), or over the ids present when that range
+    # would outnumber the free nodes.
+    groups = (np.arange(low, high + 2) if high - low < len(nodes)
+              else np.append(np.unique(nodes // nodes_per_group), high + 1))
+    bounds = np.searchsorted(nodes, groups * nodes_per_group)
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
 
     if policy is PlacementPolicy.PACK:
         # Prefer a single group that can hold the whole job (tightest
         # fit: the smallest such group), else fill fullest-free-first to
-        # minimise the number of groups spanned.  Ties: lowest group id.
-        fits = [(size, g) for g, size in enumerate(sizes) if size >= n_nodes]
-        if fits:
-            start = starts[min(fits)[1]]
-            # a copy: a view would keep the whole free array alive
+        # minimise the number of groups spanned.  Ties: lowest group id
+        # (argmin and the stable argsort keep the first).
+        fits = np.flatnonzero(sizes >= n_nodes)
+        if len(fits):
+            start = starts[fits[np.argmin(sizes[fits])]]
             return nodes[start:start + n_nodes].copy()
-        take = [0] * len(sizes)
-        need = n_nodes
-        for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
-            take[g] = min(sizes[g], need)
-            need -= take[g]
-            if not need:
-                break
+        order = np.argsort(-sizes, kind="stable")
+        fill = sizes[order]
+        need = n_nodes - (np.cumsum(fill) - fill)   # when each group's turn comes
+        take = np.empty_like(sizes)
+        take[order] = np.minimum(fill, np.maximum(need, 0))
     else:
-        # SPREAD: round-robin one node at a time over the groups with
-        # capacity, lowest group first -- in closed form.  Raise a common
-        # per-group level through the sorted group sizes until the job is
-        # covered: r full rounds, then one extra node from each of the
-        # lowest-numbered groups that still have one.
-        level, rest, alive = 0, n_nodes, len(sizes)
-        for size in sorted(sizes):
-            if rest < (size - level) * alive:
-                break       # always breaks: n_nodes < len(nodes)
-            rest -= (size - level) * alive
-            level, alive = size, alive - 1
-        rounds, extra = divmod(rest, alive)
+        # SPREAD: round-robin one node at a time over the groups, lowest
+        # group first -- in closed form.  Filling every group up to the
+        # i-th smallest group size takes covered[i] nodes; the job stops
+        # below the first such level k that covers more than n_nodes:
+        # full rounds over the groups still open, then one extra node
+        # from each of the lowest-numbered groups that still have one.
+        ordered = np.sort(sizes)
+        behind = np.arange(len(sizes) - 1, -1, -1)   # groups after each, by size
+        covered = np.cumsum(ordered) + behind * ordered
+        k = int(covered.searchsorted(n_nodes, side="right"))
+        level, rest = ((int(ordered[k - 1]), n_nodes - int(covered[k - 1]))
+                       if k else (0, n_nodes))
+        # k < len(sizes), since n_nodes < len(nodes) = covered[-1]
+        rounds, extra = divmod(rest, len(sizes) - k)
         rounds += level
-        take = [min(size, rounds) for size in sizes]
-        for g in [g for g, size in enumerate(sizes) if size > rounds][:extra]:
-            take[g] += 1
-    return np.concatenate([nodes[start:start + k]
-                           for start, k in zip(starts, take) if k])
+        take = np.minimum(sizes, rounds)
+        take[np.flatnonzero(sizes > rounds)[:extra]] += 1
+    # output slot j of group g's run reads nodes[starts[g] + j - taken[g]]
+    taken = np.cumsum(take) - take
+    return nodes[np.repeat(starts - taken, take) + np.arange(n_nodes)]
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ fits the currently free nodes).
 Node accounting lives in two arrays indexed by node id: an int8 state
 array (one code per :class:`NodeState`) and an int64 owner array that
 holds the RUNNING job's id for every ALLOCATED node and 0 for every
-other node.  Job start and finish update both with array ops;
-``_try_start`` reads the free nodes with one ``np.flatnonzero`` per
-placement, and ``free_nodes`` / ``drained_nodes`` / ``spare_nodes``
-build fresh sets on demand.  Every per-node method rejects an id
+other node.  Job start and finish update both with array ops.  An
+exact count of IDLE nodes moves with every transition into or out of
+IDLE, so ``_try_start`` skips a job that cannot fit without a scan and
+reads the free nodes with one ``np.flatnonzero`` only when a job might
+fit; ``free_nodes`` / ``drained_nodes`` / ``spare_nodes`` build fresh
+sets on demand.  Every per-node method rejects an id
 outside ``[0, n_nodes)`` with :class:`SchedulerError` (an array would
 silently wrap ``-1`` to the last node).
 
@@ -39,7 +41,6 @@ import enum
 import heapq
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,7 +48,8 @@ import numpy as np
 
 from repro import obs
 from repro.errors import PlacementError, SchedulerError
-from repro.scheduler.placement import NODES_PER_GROUP, PlacementPolicy, place_job
+from repro.scheduler.placement import (NODES_PER_GROUP, PlacementPolicy,
+                                       is_count, place_job)
 from repro.scheduler.vni import VniAllocator
 
 __all__ = ["JobState", "JobRequest", "Job", "SlurmScheduler"]
@@ -76,11 +78,6 @@ _STATES = (NodeState.IDLE, NodeState.ALLOCATED, NodeState.DRAIN,
            NodeState.RESERVED)
 
 
-def _is_count(value) -> bool:
-    """An integer node count (``bool`` is an ``int`` but never a count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class JobRequest:
     """What a user asks for."""
@@ -91,7 +88,7 @@ class JobRequest:
     policy: PlacementPolicy = PlacementPolicy.AUTO
 
     def __post_init__(self) -> None:
-        if not _is_count(self.n_nodes):
+        if not is_count(self.n_nodes):
             raise SchedulerError(
                 f"job node count must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 1:
@@ -128,16 +125,23 @@ class SlurmScheduler:
     def __init__(self, n_nodes: int = 9472,
                  nodes_per_group: int = NODES_PER_GROUP,
                  checknode: Callable[[np.ndarray], np.ndarray] | None = None):
-        if not _is_count(n_nodes) or n_nodes < 1:
+        if not is_count(n_nodes) or n_nodes < 1:
             raise SchedulerError(
                 f"machine needs a positive whole number of nodes, "
                 f"got {n_nodes!r}")
+        if not is_count(nodes_per_group) or nodes_per_group < 1:
+            raise SchedulerError(
+                f"nodes_per_group must be a positive whole number, "
+                f"got {nodes_per_group!r}")
         self.n_nodes = n_nodes
         self.nodes_per_group = nodes_per_group
         self.checknode = checknode if checknode is not None else _all_healthy
         self.now = 0.0
         healthy = self._checknode(np.arange(n_nodes, dtype=np.int64))
         self._state = np.where(healthy, _IDLE, _DRAIN).astype(np.int8)
+        #: exact count of IDLE nodes, kept by every transition into or
+        #: out of IDLE, so ``_try_start`` skips a job too big to fit in O(1)
+        self._n_idle = int(np.count_nonzero(healthy))
         self._owner = np.zeros(n_nodes, dtype=np.int64)  # 0: not ALLOCATED
         self._jobs: dict[int, Job] = {}
         self._queue: list[int] = []
@@ -190,8 +194,11 @@ class SlurmScheduler:
 
     def drain(self, node: int) -> None:
         i = self._index(node)
-        if self._state[i] == _ALLOCATED:
+        code = self._state[i]
+        if code == _ALLOCATED:
             raise SchedulerError(f"cannot drain allocated node {node}")
+        if code == _IDLE:
+            self._n_idle -= 1
         self._state[i] = _DRAIN
 
     def resume(self, node: int) -> None:
@@ -212,6 +219,7 @@ class SlurmScheduler:
                 f"cannot resume {_STATES[code].value} node {node}")
         if self._healthy(i):
             self._state[i] = _IDLE
+            self._n_idle += 1
             self._try_start()
 
     def fail_node(self, node: int) -> int | None:
@@ -232,6 +240,8 @@ class SlurmScheduler:
         # Drain *before* cancelling: _finish re-gates the job's nodes and
         # backfills, and must never hand the dead node to a pending job.
         self._state[i] = _DRAIN
+        if code == _IDLE:
+            self._n_idle -= 1
         interrupted: int | None = None
         if code == _ALLOCATED:
             interrupted = int(self._owner[i])
@@ -248,6 +258,7 @@ class SlurmScheduler:
             raise SchedulerError(
                 f"cannot reserve {self.node_state(i).value} node {node}")
         self._state[i] = _RESERVED
+        self._n_idle -= 1
 
     def release_spare(self, node: int) -> None:
         """Return a spare to general service (checknode-gated)."""
@@ -256,6 +267,7 @@ class SlurmScheduler:
             raise SchedulerError(f"node {node} is not a spare")
         if self._healthy(i):
             self._state[i] = _IDLE
+            self._n_idle += 1
             self._try_start()
         else:
             self._state[i] = _DRAIN
@@ -371,11 +383,11 @@ class SlurmScheduler:
             for job_id in list(self._queue):
                 job = self._jobs[job_id]
                 req = job.request
-                if free is None:
-                    free = np.flatnonzero(state == _IDLE)
-                if req.n_nodes > len(free):
+                if req.n_nodes > self._n_idle:
                     # FIFO head-of-line blocks unless a later job fits
                     continue
+                if free is None:
+                    free = np.flatnonzero(state == _IDLE)
                 try:
                     nodes = place_job(req.n_nodes, free, req.policy,
                                       self.nodes_per_group)
@@ -387,6 +399,7 @@ class SlurmScheduler:
                 job.start_time = self.now
                 job.end_time = self.now + req.duration_s
                 state[nodes] = _ALLOCATED
+                self._n_idle -= len(nodes)
                 self._owner[nodes] = job_id
                 free = None
                 heapq.heappush(self._running, (job.end_time, job_id))
@@ -411,5 +424,6 @@ class SlurmScheduler:
         healthy = live[self._checknode(live)]
         codes[nodes] = _DRAIN
         codes[healthy] = _IDLE
+        self._n_idle += len(healthy)
         self._owner[nodes] = 0
         self._try_start()

@@ -163,6 +163,29 @@ class TestSparePool:
         assert not pool.holds(first)
         assert pool.size == 1
 
+    def test_negative_target_rejected(self):
+        # the [:target] slice once reserved all idle nodes but one
+        sched = SlurmScheduler(n_nodes=32, nodes_per_group=8)
+        with pytest.raises(ConfigurationError, match="target"):
+            SparePool.reserve(sched, -1)
+        assert sched.spare_nodes == set()
+
+    def test_target_beyond_the_idle_nodes_rejected(self):
+        # an oversize target once reserved fewer nodes without a word
+        sched = SlurmScheduler(n_nodes=32, nodes_per_group=8)
+        sched.drain(0)
+        with pytest.raises(ConfigurationError, match="target"):
+            SparePool.reserve(sched, 32)
+        assert sched.spare_nodes == set()
+        assert SparePool.reserve(sched, 31).size == 31
+
+    def test_unknown_take_policy_rejected(self):
+        # "packed" once fell through to spread
+        _, pool = self.pool_on(32, 4)
+        with pytest.raises(ConfigurationError, match="packed"):
+            pool.take(range(0, 7), policy="packed")
+        assert pool.size == 4
+
     def test_reserved_nodes_cannot_be_resumed_as_repairs(self):
         sched, _ = self.pool_on(32, 2)
         with pytest.raises(SchedulerError):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.obs.export import (collapsed_stacks, export_state, render_collapsed,
                               render_metrics, render_trace, write_json)
 from repro.obs.metrics import MetricsRegistry
@@ -46,6 +48,20 @@ class TestJsonRoundTrip:
         assert doc["metrics"]["scheduler.queue_depth"]["value"] == 3.0
         # no stray temp files left behind
         assert os.listdir(os.path.dirname(path)) == ["metrics.json"]
+
+    def test_write_json_bytes_match_one_json_dump(self, tmp_path):
+        doc = {"b": [1.5, float("inf"), {"z": None, "a": "x"}], "a": 1}
+        path = write_json(str(tmp_path / "doc.json"), doc)
+        with open(path) as fh:
+            written = fh.read()
+        assert written == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_unserialisable_document_writes_nothing(self, tmp_path):
+        doc: dict = {"schema": 1}
+        doc["self"] = doc
+        with pytest.raises(ValueError):
+            write_json(str(tmp_path / "doc.json"), doc)
+        assert os.listdir(tmp_path) == []
 
     def test_write_json_overwrites_previous_document(self, tmp_path):
         path = str(tmp_path / "metrics.json")

@@ -7,7 +7,8 @@ resume, the spare-pool calls, replace_node and health flips) run on
 both gated by one batched checknode.  Every call must return the same
 value or raise the same :class:`SchedulerError`, and after every call
 the job records (state, nodes, start/end times, VNIs), the node states,
-the owners and the free/drained/spare sets must be equal.
+the owners and the free/drained/spare sets must be equal, and the fast
+scheduler's IDLE count must equal its IDLE states.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from repro.errors import SchedulerError
 from repro.scheduler.placement import PlacementPolicy
-from repro.scheduler.slurm import JobRequest, SlurmScheduler
+from repro.scheduler.slurm import _IDLE, JobRequest, SlurmScheduler
 
 from ..scheduler.slurm_oracle import ReferenceScheduler
 
@@ -95,6 +96,21 @@ class SchedulerVsReference(RuleBasedStateMachine):
         if free:
             self.both("reserve_spare", free[pick % len(free)])
 
+    @rule(pick=st.integers(0, 10**6), call=st.sampled_from(
+        ["release_spare", "fail_node"]))
+    def touch_spare_node(self, pick, call):
+        # random node ids rarely hit one of the few spares
+        spares = sorted(self.ref.spare_nodes)
+        if spares:
+            self.both(call, spares[pick % len(spares)])
+
+    @rule(pick=st.integers(0, 10**6), call=st.sampled_from(
+        ["resume", "resume_to_spare"]))
+    def repair_drained_node(self, pick, call):
+        drained = sorted(self.ref.drained_nodes)
+        if drained:
+            self.both(call, drained[pick % len(drained)])
+
     @rule(pick=st.integers(0, 10**6))
     def fail_allocated_node(self, pick):
         # random nodes are mostly idle; aim at a running job too
@@ -127,6 +143,10 @@ class SchedulerVsReference(RuleBasedStateMachine):
         for n in range(MACHINE_NODES):
             assert self.fast.node_state(n) is self.ref.node_state(n)
             assert self.fast.running_job_on(n) == self.ref.running_job_on(n)
+
+    @invariant()
+    def idle_count_is_exact(self):
+        assert self.fast._n_idle == np.count_nonzero(self.fast._state == _IDLE)
 
     @invariant()
     def same_jobs(self):

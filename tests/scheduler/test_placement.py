@@ -112,6 +112,43 @@ class TestValidation:
         assert stats.is_single_group
         assert stats.intra_group_fraction == 1.0
 
+    @pytest.mark.parametrize("n_nodes", [True, 2.0, np.float64(2)],
+                             ids=["bool", "float", "numpy-float"])
+    def test_non_integer_node_count_rejected(self, n_nodes):
+        # True once placed one node; 2.0 raised a bare TypeError
+        with pytest.raises(PlacementError, match="integer"):
+            place_job(n_nodes, free_machine())
+
+    @pytest.mark.parametrize("nodes_per_group", [0, -4, 2.5, True])
+    def test_bad_group_size_rejected(self, nodes_per_group):
+        # 0 divided by zero, -4 and 2.5 placed garbage
+        with pytest.raises(PlacementError, match="nodes_per_group"):
+            place_job(2, free_machine(16), PlacementPolicy.PACK,
+                      nodes_per_group)
+
+    def test_float_free_ids_rejected(self):
+        # [0.5, 1.7, 3.2] used to be truncated and place [0, 1]
+        with pytest.raises(PlacementError, match="integers"):
+            place_job(2, np.array([0.5, 1.7, 3.2]))
+
+    def test_negative_free_ids_rejected(self):
+        with pytest.raises(PlacementError, match="negative"):
+            place_job(2, np.array([-3, 4, 5]))
+
+    def test_two_dimensional_free_array_rejected(self):
+        # a 2-D free array once came back 2-D
+        with pytest.raises(PlacementError, match="1-D"):
+            place_job(2, np.arange(8).reshape(2, 4))
+
+    def test_policy_must_be_a_placement_policy(self):
+        # "pack" raised an AttributeError from the policy counter
+        with pytest.raises(PlacementError, match="policy"):
+            place_job(2, free_machine(), "pack")
+
+    def test_empty_free_list_is_simply_too_small(self):
+        with pytest.raises(PlacementError, match="only 0 are free"):
+            place_job(1, [])
+
     def test_result_is_sorted_unique(self):
         nodes = place_job(100, free_machine())
         assert nodes.dtype == np.int64

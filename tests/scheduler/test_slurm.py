@@ -381,6 +381,12 @@ class TestJobRequestValidation:
         with pytest.raises(SchedulerError):
             SlurmScheduler(n_nodes=2.5)
 
+    @pytest.mark.parametrize("nodes_per_group", [0, -4, 2.5, True])
+    def test_bad_group_size_rejected(self, nodes_per_group):
+        # nodes_per_group=0 used to boot and place a job
+        with pytest.raises(SchedulerError, match="nodes_per_group"):
+            SlurmScheduler(n_nodes=16, nodes_per_group=nodes_per_group)
+
     def test_numpy_integer_node_count_accepted(self):
         s = scheduler(16)
         j = s.submit(JobRequest(np.int64(4), 10.0))
